@@ -3,6 +3,11 @@
 Every computation in this package reduces to row reduction of matrices
 with exact rational entries, so there is no floating point anywhere;
 a kernel really is a kernel.
+
+All of rref, kernel_basis, solve, invert, rank and intersect run one
+sparse Gauss-Jordan kernel: rows are held as {column: nonzero} dicts and
+folded in one at a time against fully reduced pivot rows, so the cost
+follows the nonzeros of the very sparse systems hom spaces produce.
 """
 
 from fractions import Fraction

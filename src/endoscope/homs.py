@@ -20,7 +20,7 @@ from itertools import combinations
 import random
 from typing import Iterable, Literal, Sequence
 
-from .linalg import Mat, Subspace, invert, kernel_basis, rref
+from .linalg import Mat, Subspace, invert, kernel_basis, rref, sparse_kernel
 from .reps import Morphism, Representation
 
 
@@ -120,51 +120,48 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 @lru_cache(maxsize=None)
 def hom_basis(m: Representation, n: Representation) -> HomSpace:
-    """A basis of Hom(m, n): the kernel of the commuting-square system."""
+    """A basis of Hom(m, n): the kernel of the commuting-square system.
+
+    Each equation goes to the elimination kernel as a sparse row, built
+    from the nonzeros of the arrow matrices; no dense system is formed.
+    """
     if m.presentation != n.presentation:
         raise HomalgError("hom between different presentations")
     quiver = m.presentation.quiver
-    field = m.field
+    zero = m.field.zero
+    # unknown cells[idx] = (v, i, j) is entry (i, j) of the block f_v
     offsets = {}
-    run = 0
+    cells = []
     for v in quiver.vertices:
-        offsets[v] = run
-        run += n.dim(v) * m.dim(v)
-    unknowns = run
+        offsets[v] = len(cells)
+        cells += [(v, i, j) for i in range(n.dim(v)) for j in range(m.dim(v))]
 
-    rows = []
-    zero = field.zero
+    equations = []
     for a in quiver.arrows:
-        s, t = a.source, a.target
-        ma = m.matrix(a.name)
-        na = n.matrix(a.name)
-        for r in range(n.dim(t)):
-            for c in range(m.dim(s)):
-                row = [zero] * unknowns
-                # (f_t @ ma)[r, c]: couples f_t[r, k] with ma[k, c]
-                base_t = offsets[t] + r * m.dim(t)
-                for k in range(m.dim(t)):
-                    x = ma[k, c]
-                    if x:
-                        row[base_t + k] = row[base_t + k] + x
-                # (na @ f_s)[r, c]: couples na[r, k] with f_s[k, c]
-                base_s = offsets[s]
-                for k in range(n.dim(s)):
-                    x = na[r, k]
-                    if x:
-                        idx = base_s + k * m.dim(s) + c
-                        row[idx] = row[idx] - x
-                if any(row):
-                    rows.append(row)
+        ma = m.matrix(a.name).entries
+        na = n.matrix(a.name).entries
+        # (f_t @ ma)[r, c] - (na @ f_s)[r, c] = 0 couples f_t[r, k] with ma[k, c]
+        # and f_s[k, c] with na[r, k]; na_rows holds the negated entries
+        ma_cols = [[(k, row[c]) for k, row in enumerate(ma) if row[c]] for c in range(m.dim(a.source))]
+        na_rows = [[(k, -x) for k, x in enumerate(row) if x] for row in na]
+        width_t, width_s, off_s = m.dim(a.target), m.dim(a.source), offsets[a.source]
+        for r, na_row in enumerate(na_rows):
+            base_t = offsets[a.target] + r * width_t
+            for c, ma_col in enumerate(ma_cols):
+                eq = {base_t + k: x for k, x in ma_col}
+                for k, y in na_row:
+                    idx = off_s + k * width_s + c
+                    x = eq.get(idx)
+                    eq[idx] = y if x is None else x + y
+                equations.append(eq)
 
-    ker = kernel_basis(Mat(rows, len(rows), unknowns))
     basis = []
-    for vec in ker.vectors():
-        blocks = {}
-        for v in quiver.vertices:
-            r, c = n.dim(v), m.dim(v)
-            off = offsets[v]
-            blocks[v] = Mat([[vec[off + i * c + j] for j in range(c)] for i in range(r)], r, c)
+    for vec in sparse_kernel(equations, len(cells), m.field):
+        grids = {v: [[zero] * m.dim(v) for _ in range(n.dim(v))] for v in quiver.vertices}
+        for idx, x in vec.items():
+            v, i, j = cells[idx]
+            grids[v][i][j] = x
+        blocks = {v: Mat(g, n.dim(v), m.dim(v)) for v, g in grids.items()}
         basis.append(Morphism(m, n, blocks, _validate=False))
     return HomSpace(m, n, basis)
 

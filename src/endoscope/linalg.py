@@ -1,10 +1,27 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Everything downstream (representations, hom spaces, endomorphism rings)
 reduces to row reduction of exact matrices.  Scalars are
 ``fractions.Fraction`` by default; rank/kernel-type operations also work
 over a prime field GF(p).  All values are immutable and all operations
 are pure, so concurrent reads are safe.
+
+Every elimination (``rref``, ``kernel_basis``, ``solve``, ``invert``,
+``Mat.rank`` and, through the kernel, ``intersect``) runs one sparse
+Gauss-Jordan kernel, ``_eliminate``.  Its rows are dicts ``column ->
+nonzero``.  Rows are folded in one at a time: each is reduced against the
+pivot rows found so far, which are kept fully reduced, and its smallest
+column becomes its pivot, so the pivot rows sorted by pivot are exactly
+the canonical reduced row echelon form.  A column -> pivot-row index
+limits back-substitution to the rows that hold the new pivot column, so
+the work follows the nonzeros rather than rows x columns.  Inside the
+kernel, integral rationals are plain ``int`` (a pivot other than +-1 is
+inverted as ``Fraction(1, pivot)``) and GF(p) elements are their
+residues mod p; values are converted back at the boundary, so callers
+see ``Fraction`` over the rationals and ``GFElement`` over GF(p).
+``sparse_kernel`` is the entry point for systems that are sparse from the
+start (the hom systems): it takes and returns dicts of field scalars, so
+no dense row is ever built.
 """
 
 from __future__ import annotations
@@ -308,8 +325,8 @@ class Mat:
         return not any(any(r) for r in self.entries)
 
     def rank(self) -> int:
-        work = [list(r) for r in self.entries]
-        return len(_row_reduce(work, self.cols))
+        zero = _zero_like(self)
+        return len(_eliminate(_sparse_rows(self.entries, zero), _modulus(zero)))
 
     def trace(self):
         if self.rows != self.cols:
@@ -350,72 +367,146 @@ def _zero_like(*mats: Mat):
     return Fraction(0)
 
 
-def _row_reduce(work: list[list], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices.
+# -- the elimination kernel ----------------------------------------------------
+# Kernel values: ints or Fractions over the rationals (modulus 0), residues
+# mod p over GF(p).  ``zero`` (the field's zero scalar) names the field at
+# the boundary.
 
-    Skips zero multipliers and only touches the nonzero tail of the
-    pivot row, which keeps the cost near-linear on the very sparse
-    commuting systems this package generates.
+
+def _modulus(zero) -> int:
+    return zero.p if isinstance(zero, GFElement) else 0
+
+
+def _raw_row(items: Iterable[tuple], zero) -> dict:
+    """The kernel row of ``(column, scalar)`` pairs; zero scalars are dropped."""
+    if isinstance(zero, GFElement):
+        return {j: (x if isinstance(x, GFElement) else zero + x).value for j, x in items if x}
+    return {j: x.numerator if x.denominator == 1 else x for j, x in items if x}
+
+
+def _scalar(x, zero):
+    """The field scalar of a kernel value (the inverse of ``_raw_row``)."""
+    if isinstance(zero, GFElement):
+        return GFElement(x, zero.p)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _sparse_rows(vectors: Iterable[Sequence], zero) -> list[dict]:
+    return [_raw_row(enumerate(vec), zero) for vec in vectors]
+
+
+def _dense(row: dict, ncols: int, zero) -> list:
+    out = [zero] * ncols
+    for j, x in row.items():
+        out[j] = _scalar(x, zero)
+    return out
+
+
+def _subtract(dst: dict, f, src: dict, skip: int, p: int, holders=None, owner=None):
+    """dst -= f * src on the columns of src other than ``skip``.
+
+    With ``holders``, keep the column index of the pivot row ``owner``
+    (which is ``dst``) up to date.
     """
-    pivots: list[int] = []
-    nrows = len(work)
-    r = 0
-    for c in range(ncols):
-        prow = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                prow = i
-                break
-        if prow is None:
+    for j, v in src.items():
+        if j == skip:
             continue
-        work[r], work[prow] = work[prow], work[r]
-        row = work[r]
-        pv = row[c]
+        old = dst.get(j)
+        if old is None:
+            # f and v are nonzero field elements, so their product is too
+            dst[j] = -f * v % p if p else -f * v
+            if holders is not None:
+                holders.setdefault(j, set()).add(owner)
+            continue
+        x = old - f * v
+        if p:
+            x %= p
+        if x:
+            dst[j] = x
+        else:
+            del dst[j]
+            if holders is not None:
+                holders[j].discard(owner)
+
+
+def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
+    """Reduced row echelon form of sparse kernel rows (which it consumes).
+
+    Returns ``{pivot column: row}``.  Each row has a 1 at its pivot, its
+    smallest column, and no entry at any other pivot column; sorted by
+    pivot, the rows are the canonical RREF of the row space.
+    """
+    reduced: dict[int, dict] = {}
+    holders: dict[int, set] = {}  # column -> pivots of the rows with an entry there
+    for row in rows:
+        # pivot rows vanish on each other's pivots, so one pass clears them all
+        for c in [c for c in row if c in reduced]:
+            _subtract(row, row.pop(c), reduced[c], c, p)
+        if not row:
+            continue
+        piv = min(row)
+        pv = row[piv]
         if pv != 1:
-            inv = 1 / pv
-            for j in range(c, ncols):
-                if row[j]:
-                    row[j] = row[j] * inv
-        nz = [j for j in range(c, ncols) if row[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                tgt = work[i]
-                for j in nz:
-                    tgt[j] = tgt[j] - f * row[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            if p:
+                inv = pow(pv, -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            else:
+                inv = -1 if pv == -1 else Fraction(1, pv)
+                row = {j: v * inv for j, v in row.items()}
+        for q in holders.pop(piv, ()):
+            target = reduced[q]
+            _subtract(target, target.pop(piv), row, piv, p, holders, q)
+        reduced[piv] = row
+        for j in row:
+            if j != piv:
+                holders.setdefault(j, set()).add(piv)
+    return reduced
+
+
+def _sorted_rows(reduced: dict[int, dict]) -> list[dict]:
+    return [reduced[c] for c in sorted(reduced)]
+
+
+def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> list[dict]:
+    """The right kernel of sparse kernel rows, as the RREF rows of its canonical basis."""
+    reduced = _eliminate(rows, p)
+    free = {f: {f: 1} for f in range(ncols) if f not in reduced}
+    for q, row in reduced.items():
+        for j, v in row.items():
+            if j != q:
+                free[j][q] = -v % p if p else -v
+    return _sorted_rows(_eliminate(free.values(), p))
+
+
+def sparse_kernel(equations: Iterable[dict], ncols: int, field) -> list[dict]:
+    """The right kernel of sparse equations ``{column: scalar}`` over ``field``.
+
+    Zero entries and empty equations are allowed.  Returns the canonical
+    basis (the RREF rows of the kernel) as dicts ``{column: nonzero scalar}``.
+    """
+    zero = field.zero
+    rows = [_raw_row(eq.items(), zero) for eq in equations]
+    return [{j: _scalar(x, zero) for j, x in vec.items()} for vec in _kernel_rows(rows, ncols, _modulus(zero))]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    work = [list(r) for r in m.entries]
-    pivots = _row_reduce(work, m.cols)
-    return Mat(work, m.rows, m.cols), pivots
-
-
-def kernel_basis(m: Mat) -> "Subspace":
-    """Basis of the right kernel {x : m @ x = 0}."""
-    work = [list(r) for r in m.entries]
-    pivots = _row_reduce(work, m.cols)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     zero = _zero_like(m)
-    one = zero + 1
-    cols = []
-    for f in free:
-        v = [zero] * m.cols
-        v[f] = one
-        for i, p in enumerate(pivots):
-            v[p] = -work[i][f]
-        cols.append(v)
-    basis = Mat([[cols[k][i] for k in range(len(cols))] for i in range(m.cols)], m.cols, len(cols))
-    return Subspace(m.cols, basis)
+    reduced = _eliminate(_sparse_rows(m.entries, zero), _modulus(zero))
+    pivots = sorted(reduced)
+    rows = [_dense(reduced[c], m.cols, zero) for c in pivots]
+    rows += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    return Mat(rows, m.rows, m.cols), pivots
+
+
+def kernel_basis(m: Mat, field=None) -> "Subspace":
+    """Basis of the right kernel {x : m @ x = 0}.
+
+    ``field`` fixes the scalars when ``m`` has no entries to tell them.
+    """
+    zero = field.zero if field is not None else _zero_like(m)
+    vecs = _kernel_rows(_sparse_rows(m.entries, zero), m.cols, _modulus(zero))
+    return Subspace._from_rref(m.cols, vecs, zero)
 
 
 def invert(m: Mat) -> Mat | None:
@@ -425,30 +516,32 @@ def invert(m: Mat) -> Mat | None:
     n = m.rows
     if n == 0:
         return m
-    work = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(m.entries)]
-    if isinstance(m.entries[0][0], GFElement):
-        p = m.entries[0][0].p
-        work = [list(r) + [GFElement(1 if i == j else 0, p) for j in range(n)] for i, r in enumerate(m.entries)]
-    pivots = _row_reduce(work, 2 * n)
-    if pivots[:n] != list(range(n)):
+    zero = _zero_like(m)
+    rows = _sparse_rows(m.entries, zero)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    reduced = _eliminate(rows, _modulus(zero))
+    # [m | 1] always has rank n; m is invertible iff no pivot lies in the identity half
+    if max(reduced) >= n:
         return None
-    return Mat([row[n:] for row in work], n, n)
+    return Mat(
+        [_dense({j - n: x for j, x in reduced[i].items() if j >= n}, n, zero) for i in range(n)], n, n
+    )
 
 
 def solve(m: Mat, b: Sequence) -> tuple | None:
     """Some particular solution of m @ x = b, or None if inconsistent."""
     if len(b) != m.rows:
         raise LinalgError("right-hand side length mismatch")
-    work = [list(r) + [bv] for r, bv in zip(m.entries, b)]
-    if m.rows == 0:
-        return tuple([_zero_like(m)] * m.cols)
-    pivots = _row_reduce(work, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
+    zero = _zero_like(m, Mat.column(b))
+    rows = _sparse_rows([(*r, bv) for r, bv in zip(m.entries, b)], zero)
+    reduced = _eliminate(rows, _modulus(zero))
+    if m.cols in reduced:
         return None
-    zero = _zero_like(m)
     x = [zero] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = work[i][m.cols]
+    for c, row in reduced.items():
+        if m.cols in row:
+            x[c] = _scalar(row[m.cols], zero)
     return tuple(x)
 
 
@@ -465,8 +558,24 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: Mat):
         if basis.rows != ambient_dim:
             raise LinalgError("basis rows must equal ambient dimension")
+        zero = _zero_like(basis)
+        reduced = _eliminate(_sparse_rows(zip(*basis.entries), zero), _modulus(zero))
+        self._set(ambient_dim, _sorted_rows(reduced), zero)
+
+    @classmethod
+    def _from_rref(cls, ambient_dim: int, rows: list[dict], zero) -> "Subspace":
+        """The subspace whose canonical basis has these (kernel-value) RREF rows."""
+        sub = cls.__new__(cls)
+        sub._set(ambient_dim, rows, zero)
+        return sub
+
+    def _set(self, ambient_dim: int, rows: list[dict], zero):
+        grid = [[zero] * len(rows) for _ in range(ambient_dim)]
+        for k, row in enumerate(rows):
+            for i, x in row.items():
+                grid[i][k] = _scalar(x, zero)
         self.ambient_dim = ambient_dim
-        self.basis = _canonical_column_basis(basis)
+        self.basis = Mat(grid, ambient_dim, len(rows))
         self._hash = None
 
     @classmethod
@@ -541,12 +650,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
-
-
-def _canonical_column_basis(basis: Mat) -> Mat:
-    bt = basis.transpose()
-    red, pivots = rref(bt)
-    return Mat(red.entries[: len(pivots)], len(pivots), basis.rows).transpose()
 
 
 def _left_annihilator(basis: Mat) -> Mat:

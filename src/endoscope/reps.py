@@ -114,8 +114,11 @@ class Representation:
 
     def key(self):
         if self._key is None:
+            # the field is part of the identity: entry-less reps over two
+            # fields would otherwise share one hom_basis cache slot
             self._key = (
                 self.presentation.key(),
+                self.field,
                 tuple(sorted(self.dims_by_vertex.items())),
                 tuple(sorted((n, m.entries) for n, m in self.matrices.items())),
             )
@@ -304,7 +307,8 @@ class Morphism:
         return Mat(rows, n, m)
 
     def kernel_family(self) -> SubspaceFamily:
-        return SubspaceFamily({v: kernel_basis(m) for v, m in self.blocks.items()})
+        field = self.source.field
+        return SubspaceFamily({v: kernel_basis(m, field) for v, m in self.blocks.items()})
 
     def image_family(self) -> SubspaceFamily:
         return SubspaceFamily(
@@ -426,7 +430,7 @@ def socle(rep: Representation) -> SubspaceFamily:
         stacked = rep.matrix(outgoing[0].name)
         for a in outgoing[1:]:
             stacked = stacked.vstack(rep.matrix(a.name))
-        spaces[v] = kernel_basis(stacked)
+        spaces[v] = kernel_basis(stacked, rep.field)
     return SubspaceFamily(spaces)
 
 

@@ -19,7 +19,7 @@ from endoscope.homs import (
     jacobson_radical,
     noniso_subspace,
 )
-from endoscope.linalg import Mat, PrimeField
+from endoscope.linalg import GFElement, Mat, PrimeField
 from endoscope.quiver import kronecker
 from endoscope.reps import (
     Morphism,
@@ -137,6 +137,25 @@ def test_radical_requires_characteristic_zero():
     ring = end_ring(rep)
     with pytest.raises(UnsupportedFieldError):
         jacobson_radical(ring)
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_hom_basis_entries_stay_in_the_prime_field(p):
+    gf = PrimeField(p)
+    members = [kronecker_preinjective(n, field=gf) for n in (1, 2, 3)]
+    members.append(kronecker_regular(2, 1, field=gf))
+    for m in members:
+        for n in members:
+            for f in hom_basis(m, n).basis:
+                for block in f.blocks.values():
+                    for x in (x for row in block.entries for x in row):
+                        assert isinstance(x, GFElement) and x.p == p
+
+
+def test_hom_basis_entries_stay_rational(preinj):
+    for f in hom_basis(preinj[1], preinj[1]).basis + hom_basis(preinj[2], preinj[3]).basis:
+        for block in f.blocks.values():
+            assert all(type(x) is Fraction for row in block.entries for x in row)
 
 
 def test_radical_is_an_ideal(preinj):
