@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .endosocle import family_endosocle, relative_endosocle_series
+from .endosocle import EndostructureError, family_endosocle, relative_endosocle_series
 from .harness import (
     FamilySpec,
     HarnessError,
@@ -36,8 +36,10 @@ from .homs import (
     UnsupportedFieldError,
 )
 from .linalg import LinalgError, field_from_name, scalar_to_str
-from .matsub import check_endo_invariant, evaluate
-from .radical import radical_profile
+from .matsub import MatrixSubgroupError, check_endo_invariant, evaluate
+from .quiver import QuiverError
+from .radical import RadicalError, radical_profile
+from .reps import RepresentationError
 from .serialize import (
     SerializationError,
     pointed_matrix_from_json,
@@ -273,7 +275,8 @@ def main(argv=None) -> int:
     except (LocalityUnverified, IsoUndecided, DecompositionInconclusive) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (HarnessError, UnsupportedFieldError, SerializationError, LinalgError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (HarnessError, UnsupportedFieldError, SerializationError, LinalgError, RadicalError, RepresentationError,
+            QuiverError, EndostructureError, MatrixSubgroupError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -178,6 +178,8 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ, seed: int = 0
     """
     if invariant not in SWEEP_INVARIANTS:
         raise HarnessError(f"unknown invariant {invariant!r}")
+    if not truncations:
+        raise HarnessError("empty truncation range")
     rows = []
     for n in truncations:
         fam = spec.truncated_family(n, field)

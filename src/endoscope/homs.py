@@ -2,10 +2,11 @@
 
 The homomorphisms M -> N are exactly the solutions of the linear system
 "f_target(a) . M_a = N_a . f_source(a) for every arrow a", so a basis
-of Hom(M, N) is one kernel computation.  Endomorphism rings come with
-structure constants, and their Jacobson radical is the kernel of the
-trace form of the left regular representation (valid in characteristic
-zero, the only supported mode for radical-dependent operations).
+of Hom(M, N) is one kernel computation.  End(M) multiplies by composing
+on M.  Its Jacobson radical is the kernel of the trace form
+(f, g) -> tr_M(f g) of End(M) acting on M, which is faithful (Dickson's
+criterion; valid in characteristic zero, the only supported mode for
+radical-dependent operations).
 
 Hom and End computations are cached by value, so repeated family-level
 invariants reuse the underlying kernels.
@@ -171,14 +172,16 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 
 class EndoRing:
-    """End(M) with a fixed basis (identity first) and structure constants."""
+    """End(M) with a fixed basis, the identity first.
 
-    __slots__ = ("module", "hom", "structure", "_radical", "_radical_morphisms")
+    Products are compositions on M; no multiplication table is stored.
+    """
 
-    def __init__(self, module: Representation, hom: HomSpace, structure):
+    __slots__ = ("module", "hom", "_radical", "_radical_morphisms")
+
+    def __init__(self, module: Representation, hom: HomSpace):
         self.module = module
         self.hom = hom
-        self.structure = structure
         self._radical = None
         self._radical_morphisms = None
 
@@ -191,27 +194,14 @@ class EndoRing:
         return self.hom.dim
 
     def multiply_coords(self, x: Sequence, y: Sequence) -> tuple:
-        """Product in basis coordinates via the structure constants."""
-        k = self.dim
-        out = [Fraction(0)] * k
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cij = row[j]
-                f = xi * yj
-                for l, c in enumerate(cij):
-                    if c:
-                        out[l] = out[l] + f * c
-        return tuple(out)
+        """Coordinates of the product "x after y", composed on M."""
+        hom = self.hom
+        return hom.coordinates(hom.from_coordinates(x).compose(hom.from_coordinates(y)))
 
     @property
     def radical(self) -> Subspace:
         if self._radical is None:
-            self._radical = _trace_form_radical(self)
+            self._radical, self._radical_morphisms = _trace_form_radical(self)
         return self._radical
 
     @property
@@ -219,8 +209,7 @@ class EndoRing:
         return self.dim - self.radical.dim
 
     def radical_morphisms(self) -> list[Morphism]:
-        if self._radical_morphisms is None:
-            self._radical_morphisms = [self.hom.from_coordinates(v) for v in self.radical.vectors()]
+        self.radical  # built together with the radical by the nilpotency check
         return self._radical_morphisms
 
     def __repr__(self):
@@ -229,10 +218,10 @@ class EndoRing:
 
 @lru_cache(maxsize=None)
 def end_ring(m: Representation) -> EndoRing:
-    """End(m) with identity-first basis and verified structure constants."""
+    """End(m), re-based so that the identity is the first basis element."""
     full = hom_basis(m, m)
     if m.total_dim == 0:
-        return EndoRing(m, full, ())
+        return EndoRing(m, full)
     ident = Morphism.identity(m)
     flats = [ident.flatten()] + [f.flatten() for f in full.basis]
     cols = Mat([[flats[j][i] for j in range(len(flats))] for i in range(len(flats[0]))])
@@ -244,53 +233,50 @@ def end_ring(m: Representation) -> EndoRing:
     hom = HomSpace(m, m, chosen)
     if hom.dim != full.dim:
         raise HomalgError("re-based endomorphism basis has wrong dimension")
-    structure = tuple(
-        tuple(hom.coordinates(fi.compose(fj)) for fj in hom.basis) for fi in hom.basis
-    )
-    return EndoRing(m, hom, structure)
+    return EndoRing(m, hom)
 
 
-def _trace_form_radical(ring: EndoRing) -> Subspace:
-    """J(End M) as the kernel of (x, y) -> trace(L_x L_y); checked nilpotent."""
+def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, list[Morphism]]:
+    """J(End M) as the kernel of (f, g) -> tr_M(f g), with its morphisms.
+
+    End(M) acts faithfully on M, so in characteristic zero this kernel is
+    the Jacobson radical (Dickson's criterion).  It is checked nilpotent.
+    """
     if ring.module.field.characteristic != 0:
         raise UnsupportedFieldError("radical computation requires characteristic zero")
-    k = ring.dim
-    if k == 0:
-        return Subspace.zero(0)
-    # L_i[l][j] = structure[i][j][l]
-    left = [
-        Mat([[ring.structure[i][j][l] for j in range(k)] for l in range(k)], k, k)
-        for i in range(k)
+    if ring.dim == 0:
+        return Subspace.zero(0), []
+    # tr_M(f g) = sum over vertices v and cells (a, b) of f_v[a][b] * g_v[b][a]
+    cells = [
+        {(v, a, b): x for v, blk in f.blocks.items() for a, row in enumerate(blk.entries) for b, x in enumerate(row) if x}
+        for f in ring.basis
     ]
-    gram = Mat(
-        [
-            [
-                sum(
-                    (left[i][u, w] * left[j][w, u] for u in range(k) for w in range(k)),
-                    Fraction(0),
-                )
-                for j in range(k)
-            ]
-            for i in range(k)
-        ],
-        k,
-        k,
-    )
-    radical = kernel_basis(gram)
-    _check_nilpotent(ring, radical)
-    return radical
+    zero = ring.module.field.zero
+    gram = [[sum((x * g[v, b, a] for (v, a, b), x in f.items() if (v, b, a) in g), zero) for g in cells] for f in cells]
+    radical = kernel_basis(Mat(gram, ring.dim, ring.dim))
+    morphisms = [ring.hom.from_coordinates(v) for v in radical.vectors()]
+    _check_nilpotent(ring.module, morphisms)
+    return radical, morphisms
 
 
-def _check_nilpotent(ring: EndoRing, radical: Subspace):
-    current = radical.vectors()
-    gens = radical.vectors()
+def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
+    """Raise unless every product of s of the morphisms vanishes, for some s.
+
+    With J the span of the morphisms, W runs through M, JM, J^2 M, ...;
+    each step maps W vertex by vertex through every morphism.  End(M)
+    acts faithfully on M, so J^s = 0 iff J^s M = 0, and a nilpotent J
+    shrinks W at every step, so W = 0 within dim M steps.
+    """
+    layer = {v: Mat.identity(m.dim(v), m.field) for v in m.presentation.quiver.vertices}
     steps = 0
-    while current:
-        steps += 1
-        if steps > ring.dim + 1:
+    while any(w.cols for w in layer.values()):
+        if steps == m.total_dim:
             raise HomalgError("trace-form radical failed the nilpotency check")
-        products = [ring.multiply_coords(x, y) for x in current for y in gens]
-        current = Subspace.span(ring.dim, products).vectors()
+        steps += 1
+        layer = {
+            v: Subspace.span(m.dim(v), [col for r in morphisms for col in zip(*(r.blocks[v] @ w).entries)]).basis
+            for v, w in layer.items()
+        }
 
 
 def jacobson_radical(ring: EndoRing) -> Subspace:

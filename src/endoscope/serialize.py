@@ -128,6 +128,8 @@ def pointed_matrix_from_json(data, presentation: AlgebraPresentation | None = No
         if "algebra" not in data:
             raise SerializationError("pointed matrix data lacks an algebra")
         presentation = presentation_from_json(data["algebra"])
+    if "entries" not in data or "pointer" not in data:
+        raise SerializationError("pointed matrix data needs entries and a pointer")
     entries = tuple(
         tuple(element_from_json(presentation, el) for el in row) for row in data["entries"]
     )

@@ -244,3 +244,14 @@ def test_embedding_chain_kills_interior_components():
         assert found_mono
     report = family_endosocle(members, labels=[1, 2, 3, 4, 5])
     assert all(report.component_dims()[i] == 0 for i in range(1, 5))
+
+
+def test_two_route_consistency_five_preinjectives_shuffled():
+    from endoscope.harness import two_route_endosocle_agree
+    from endoscope.homs import end_ring
+
+    members = [kronecker_preinjective(n) for n in (3, 5, 1, 4, 2)]
+    total, _, _ = direct_sum(members)
+    ring = end_ring(total)
+    assert (ring.dim, ring.radical.dim, ring.dim_over_radical) == (35, 30, 5)
+    assert two_route_endosocle_agree(members)

@@ -199,6 +199,25 @@ def test_cli_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radical-profile", "--family", "preinj", "--range", "1..4", "--depth", "0"],
+        ["endosoc", "--family", "preinj", "--range", "0..3"],
+        ["matsub", "eval", "--family", "preinj", "--index", "2", "--matrix", '{"pointer": 0}'],
+        ["sweep", "--family", "regular", "--size", "3", "--invariant", "endosoc-support", "--max", "2"],
+    ],
+    ids=["radical-profile-depth-0", "endosoc-index-0", "matsub-no-entries", "sweep-max-below-min"],
+)
+def test_cli_bad_input_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_radical_profile(capsys):
     code, out = run_cli(capsys, "radical-profile", "--family", "preinj", "--range", "1..3", "--depth", "6")
     assert code == 0
