@@ -60,7 +60,6 @@ from .homs import (
     HomalgError,
     HomSpace,
     IsoCertificate,
-    IsoUndecided,
     LocalityUnverified,
     UnsupportedFieldError,
     are_isomorphic,

@@ -6,7 +6,9 @@ Subcommands: ``endosoc`` (family endosocle report), ``sweep``
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage error (including unsupported field modes), 3 inconclusive
-(e.g. a locality or isomorphism test refused to certify).
+(a locality or decomposition certificate was refused).  Reports are
+deterministic for a given input; ``--seed`` only drives ``verify``'s
+matrix-subgroup sampling.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .harness import (
 )
 from .homs import (
     DecompositionInconclusive,
-    IsoUndecided,
     LocalityUnverified,
     UnsupportedFieldError,
 )
@@ -60,7 +61,7 @@ def _family_options(parser: argparse.ArgumentParser):
 
 
 def _common_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="seed of verify's matrix-subgroup sampling")
     parser.add_argument("--field", default="q", help="q or fp:<p>")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
@@ -126,7 +127,7 @@ def _cmd_endosoc(args) -> int:
     if args.fmt != "json":
         raise HarnessError("endosoc reports are JSON only")
     spec, fam = _build_family(args, field)
-    report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary, seed=args.seed)
+    report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
     results = {
         "members": [str(l) for l in fam.labels],
         "B": {
@@ -138,7 +139,7 @@ def _cmd_endosoc(args) -> int:
         "boundary": [str(l) for l in report.boundary],
     }
     if args.relative:
-        series = relative_endosocle_series(fam.members, labels=fam.labels, boundary=fam.boundary, seed=args.seed)
+        series = relative_endosocle_series(fam.members, labels=fam.labels, boundary=fam.boundary)
         results["relative_series"] = {
             "supports": [[str(l) for l in t.support] for t in series.terms],
             "dims": [t.dim for t in series.terms],
@@ -153,7 +154,7 @@ def _cmd_sweep(args) -> int:
     started = time.perf_counter()
     field = field_from_name(args.field)
     spec = FamilySpec.parse(args.family, args.range_arg or f"1..{args.hi}", size=args.size, path=getattr(args, "path", None))
-    rows = sweep(spec, args.invariant, range(args.lo, args.hi + 1), field=field, seed=args.seed)
+    rows = sweep(spec, args.invariant, range(args.lo, args.hi + 1), field=field)
     if args.fmt == "csv":
         lines = ["truncation,invariant,value,boundary_flag"]
         lines += [
@@ -183,7 +184,7 @@ def _cmd_radical_profile(args) -> int:
     if args.fmt != "json":
         raise HarnessError("radical-profile reports are JSON only")
     spec, fam = _build_family(args, field)
-    profile = radical_profile(fam.members, d_max=args.depth, labels=fam.labels, seed=args.seed)
+    profile = radical_profile(fam.members, d_max=args.depth, labels=fam.labels)
     pairs = {}
     for i in fam.labels:
         for j in fam.labels:
@@ -202,11 +203,10 @@ def _cmd_transversal(args) -> int:
     if args.fmt != "json":
         raise HarnessError("transversal reports are JSON only")
     spec, fam = _build_family(args, field)
-    report = transversal(fam.members, labels=fam.labels, seed=args.seed)
+    report = transversal(fam.members, labels=fam.labels)
     results = {
         "representatives": [str(l) for l in report.labels],
         "multiplicities": {str(k): v for k, v in report.multiplicities.items()},
-        "warnings": list(report.warnings),
     }
     payload = make_report("transversal", _config(args), results)
     _emit(args, report_to_json(finish_report(payload, started)))
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         if args.command == "matsub":
             return _cmd_matsub_eval(args)
         return handlers[args.command](args)
-    except (LocalityUnverified, IsoUndecided, DecompositionInconclusive) as exc:
+    except (LocalityUnverified, DecompositionInconclusive) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (HarnessError, UnsupportedFieldError, SerializationError, LinalgError, RadicalError, RepresentationError,

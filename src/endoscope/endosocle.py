@@ -91,7 +91,6 @@ class EndosocleReport:
     support: tuple
     total_dim: int
     boundary: tuple = ()
-    warnings: tuple = ()
 
     def component_dims(self) -> dict:
         return {label: fam.total_dim for label, fam in self.components.items()}
@@ -129,9 +128,7 @@ def _prepare_members(members, labels):
     return out_members, out_labels
 
 
-def family_endosocle(
-    members, labels=None, boundary=(), seed: int = 0
-) -> EndosocleReport:
+def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     """Endosocle components B_i of a family of indecomposables.
 
     B_i is the set of elements of member i annihilated by every basis
@@ -152,7 +149,7 @@ def family_endosocle(
             if i == j:
                 annihilators.extend(end_ring(m).radical_morphisms())
             else:
-                annihilators.extend(noniso_subspace(m, n, seed=seed).basis)
+                annihilators.extend(noniso_subspace(m, n).basis)
         if not annihilators:
             components[labels[i]] = SubspaceFamily.full_for(m)
         else:
@@ -237,9 +234,7 @@ def endosocle_series(m: Representation) -> SeriesReport:
     return SeriesReport(kind="ascending", terms=tuple(terms), stabilization_index=len(terms))
 
 
-def relative_endosocle_series(
-    members, labels=None, boundary=(), seed: int = 0
-) -> SeriesReport:
+def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport:
     """The relative endosocle series of a family.
 
     Each step records the endosocle of the direct sum of the remaining
@@ -261,7 +256,6 @@ def relative_endosocle_series(
             [members[i] for i in remaining],
             labels=[labels[i] for i in remaining],
             boundary=boundary,
-            seed=seed,
         )
         if report.total_dim == 0:
             break

@@ -9,8 +9,9 @@ the untruncated family.  Regular families are orthogonal (no maps
 between distinct parameters), so truncating them is exact and nothing
 is flagged.
 
-Reports are plain dicts, deterministic for a fixed seed and input;
-only the timing entry varies between runs.
+Reports are plain dicts, deterministic for a given input; only the
+timing entry varies between runs.  The seed of ``verify`` drives only
+the matrix-subgroup suite's random pointed matrices.
 """
 
 from __future__ import annotations
@@ -133,43 +134,38 @@ class TransversalReport:
     representatives: tuple
     labels: tuple
     multiplicities: dict
-    warnings: tuple = ()
 
 
-def transversal(members, labels=None, seed: int = 0) -> TransversalReport:
+def transversal(members, labels=None) -> TransversalReport:
     """Deduplicate a family up to isomorphism, recording multiplicities.
 
-    Presumed-no certificates are treated as distinct but reported as
-    warnings.
+    Each comparison is decided by ``are_isomorphic``; a refused
+    certificate (``DecompositionInconclusive``) propagates.
     """
     members = list(members)
     labels = list(labels) if labels is not None else list(range(len(members)))
     reps: list[Representation] = []
     rep_labels: list = []
     mult: dict = {}
-    warnings: list[str] = []
     for m, lab in zip(members, labels):
         found = None
         for r_lab, r in zip(rep_labels, reps):
-            cert = are_isomorphic(r, m, seed=seed)
-            if cert.status == "iso":
+            if are_isomorphic(r, m):
                 found = r_lab
                 break
-            if cert.status == "presumed_no":
-                warnings.append(f"presumed non-isomorphic: {r_lab} vs {lab}")
         if found is None:
             reps.append(m)
             rep_labels.append(lab)
             mult[lab] = 1
         else:
             mult[found] += 1
-    return TransversalReport(tuple(reps), tuple(rep_labels), mult, tuple(warnings))
+    return TransversalReport(tuple(reps), tuple(rep_labels), mult)
 
 
 SWEEP_INVARIANTS = ("endosoc-support", "endosoc-dim", "relative-length", "radical-depth")
 
 
-def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ, seed: int = 0) -> list[dict]:
+def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ) -> list[dict]:
     """Rows of (truncation, invariant, value, boundary_flag).
 
     Endosocle values are reported over non-boundary members; the flag
@@ -184,7 +180,7 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ, seed: int = 0
     for n in truncations:
         fam = spec.truncated_family(n, field)
         if invariant in ("endosoc-support", "endosoc-dim"):
-            report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary, seed=seed)
+            report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
             flag = any(l in report.support for l in report.boundary)
             value = (
                 len(report.support_excluding_boundary())
@@ -192,12 +188,12 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ, seed: int = 0
                 else report.dim_excluding_boundary()
             )
         elif invariant == "relative-length":
-            series = relative_endosocle_series(fam.members, labels=fam.labels, boundary=fam.boundary, seed=seed)
+            series = relative_endosocle_series(fam.members, labels=fam.labels, boundary=fam.boundary)
             value = series.stabilization_index
             flag = any(set(t.support) & set(fam.boundary) for t in series.terms)
         else:  # radical-depth
             bound = 2 ** max(m.length() for m in fam.members) - 1
-            profile = radical_profile(fam.members, d_max=bound, labels=fam.labels, seed=seed)
+            profile = radical_profile(fam.members, d_max=bound, labels=fam.labels)
             value = profile.vanishing_depth
             flag = False
         rows.append(
@@ -228,7 +224,7 @@ def _suite_lemma_b1(seed: int) -> list[dict]:
     return checks
 
 
-def _mixed_families(seed: int):
+def _mixed_families():
     yield "preinj-1-2", [kronecker_preinjective(1), kronecker_preinjective(2)]
     yield "preinj-1-2-3", [kronecker_preinjective(n) for n in (1, 2, 3)]
     yield "regular-0-1-inf", [kronecker_regular(1, 0), kronecker_regular(1, 1), kronecker_regular(1, INFINITY)]
@@ -242,8 +238,12 @@ def _mixed_families(seed: int):
 
 
 def two_route_endosocle_agree(members, seed: int = 0) -> bool:
-    """Member-wise components versus the radical kernel on the direct sum."""
-    report = family_endosocle(members, seed=seed)
+    """Member-wise components versus the radical kernel on the direct sum.
+
+    ``seed`` is accepted so that existing callers keep working, and is
+    ignored: both routes are deterministic.
+    """
+    report = family_endosocle(members)
     total, embeddings, _ = direct_sum(list(members))
     direct = endosocle(total)
     vertices = total.presentation.quiver.vertices
@@ -260,8 +260,8 @@ def two_route_endosocle_agree(members, seed: int = 0) -> bool:
 
 def _suite_lemma_b2(seed: int) -> list[dict]:
     checks = []
-    for tag, members in _mixed_families(seed):
-        ok = two_route_endosocle_agree(members, seed=seed)
+    for tag, members in _mixed_families():
+        ok = two_route_endosocle_agree(members)
         checks.append(_check(f"two-route endosocle {tag}", "Lemma B(2)", ok, {"family": tag}))
     return checks
 
@@ -269,7 +269,7 @@ def _suite_lemma_b2(seed: int) -> list[dict]:
 def _suite_example_c2(seed: int) -> list[dict]:
     checks = []
     fam = FamilySpec("kronecker-preinjective", 1, 8).build()
-    report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary, seed=seed)
+    report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
     dims = report.component_dims()
     ok = report.support == (1, 2) and dims[1] == 1 and dims[2] == 1
     checks.append(
@@ -277,7 +277,7 @@ def _suite_example_c2(seed: int) -> list[dict]:
     )
     for m in (2, 3):
         fam = FamilySpec("kronecker-preinjective", m, m + 5).build()
-        report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary, seed=seed)
+        report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
         ok = report.support == (m,) and report.component_dims()[m] == 2 * m - 1
         checks.append(
             _check(
@@ -288,7 +288,7 @@ def _suite_example_c2(seed: int) -> list[dict]:
             )
         )
     fam = FamilySpec("kronecker-preprojective", 1, 6).build()
-    report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary, seed=seed)
+    report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
     ok = report.support_excluding_boundary() == () and report.dim_excluding_boundary() == 0
     checks.append(
         _check(
@@ -346,7 +346,7 @@ def length_bounded_kronecker_family(bound: int):
 
 def _suite_harada_sai(seed: int) -> list[dict]:
     members, labels = length_bounded_kronecker_family(3)
-    report = harada_sai_check(members, 3, labels=labels, seed=seed)
+    report = harada_sai_check(members, 3, labels=labels)
     details = {"members": labels, "depth": report.depth, "bound": report.bound}
     return [_check("radical profile vanishes within 2^b - 1", "Corollary M (Harada-Sai)", report.passed, details)]
 
@@ -355,7 +355,7 @@ def _suite_corollary_n(seed: int) -> list[dict]:
     checks = []
     for n in (3, 4, 5, 6):
         fam = FamilySpec("kronecker-regular", 0, n - 1).build()
-        report = family_endosocle(fam.members, labels=fam.labels, seed=seed)
+        report = family_endosocle(fam.members, labels=fam.labels)
         ok = len(report.support) == n
         checks.append(
             _check(

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-import random
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .linalg import Mat, Subspace, invert, kernel_basis, rref, sparse_kernel
 from .reps import Morphism, Representation
@@ -39,10 +38,6 @@ class LocalityUnverified(HomalgError):
 
 class DecompositionInconclusive(HomalgError):
     """No splitting was found, but the ring data does not certify indecomposability."""
-
-
-class IsoUndecided(HomalgError):
-    """An isomorphism test came back 'presumed no' where a certificate was needed."""
 
 
 class HomSpace:
@@ -294,26 +289,20 @@ def is_isomorphism(f: Morphism) -> bool:
 
 @dataclass(frozen=True)
 class IsoCertificate:
-    status: Literal["iso", "certified_no", "presumed_no"]
+    """The outcome of ``are_isomorphic``: "iso" or "certified_no".
+
+    ``witness`` and ``inverse`` are a verified isomorphism and its
+    inverse.  They are None for "certified_no", and also for an "iso"
+    decided by matching indecomposable summands, where no single map
+    is built.
+    """
+
+    status: Literal["iso", "certified_no"]
     witness: Morphism | None = None
     inverse: Morphism | None = None
 
     def __bool__(self):
         return self.status == "iso"
-
-
-def _coefficient_sweep(k: int, limit: int = 120) -> Iterable[tuple[int, ...]]:
-    """A fixed low-discrepancy sweep of small integer coefficient vectors."""
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    yield (1,) * k
-    count = 0
-    for t in range(1, 4 * limit):
-        vec = tuple(((t * primes[i % len(primes)] + (t >> (i % 3))) % 7) - 3 for i in range(k))
-        if any(vec):
-            yield vec
-            count += 1
-            if count >= limit:
-                return
 
 
 def inverse_morphism(f: Morphism) -> Morphism | None:
@@ -328,12 +317,25 @@ def inverse_morphism(f: Morphism) -> Morphism | None:
     return Morphism(f.target, f.source, blocks, _validate=False)
 
 
-def are_isomorphic(m: Representation, n: Representation, seed: int = 0, trials: int = 200) -> IsoCertificate:
-    """Search Hom(m, n) for an invertible element.
+def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
+    """Decide m = n up to isomorphism by a deterministic certificate.
 
-    Returns a verified isomorphism, a certified no (dimension vectors
-    differ or a hom space vanishes), or a presumed no after the
-    deterministic sweep and the seeded random trials are exhausted.
+    If End(m) is local and phi: m -> n is an isomorphism, a map h in
+    Hom(m, n) is invertible iff phi^-1 h is a unit of End(m), i.e. not
+    in J(End m).  So the non-isomorphisms form the subspace
+    phi J(End m), which misses phi and hence cannot contain a whole
+    basis: some basis element of Hom(m, n) is an isomorphism.  The same
+    holds with the roles swapped when End(n) is local
+    (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras,
+    ch. I-II).  Hence, when either ring is local, an isomorphism
+    exists iff a basis element is one, and that element is returned
+    as the witness with its verified inverse.
+
+    When neither ring is local, the indecomposable summands of m and
+    n (each local) are matched pairwise by the same certificate; by
+    Krull-Schmidt m = n iff every summand finds a partner.  Such an
+    "iso" carries no witness.  ``DecompositionInconclusive`` from
+    ``indecompose`` propagates: the answer is refused, not guessed.
     """
     if m.presentation != n.presentation:
         raise HomalgError("isomorphism test across different presentations")
@@ -348,34 +350,22 @@ def are_isomorphic(m: Representation, n: Representation, seed: int = 0, trials: 
     forward = hom_basis(m, n)
     if forward.dim == 0 or hom_basis(n, m).dim == 0:
         return IsoCertificate("certified_no")
-
-    def verified(f: Morphism) -> IsoCertificate | None:
-        if not is_isomorphism(f):
-            return None
-        g = inverse_morphism(f)
-        if g is None:
-            return None
-        if f.compose(g) != Morphism.identity(n) or g.compose(f) != Morphism.identity(m):
-            return None
-        return IsoCertificate("iso", f, g)
-
     for f in forward.basis:
-        cert = verified(f)
-        if cert:
-            return cert
-    for coeffs in _coefficient_sweep(forward.dim):
-        cert = verified(forward.from_coordinates([Fraction(c) for c in coeffs]))
-        if cert:
-            return cert
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(forward.dim)]
-        if not any(coeffs):
+        if not is_isomorphism(f):
             continue
-        cert = verified(forward.from_coordinates(coeffs))
-        if cert:
-            return cert
-    return IsoCertificate("presumed_no")
+        g = inverse_morphism(f)
+        if g is not None and f.compose(g) == Morphism.identity(n) and g.compose(f) == Morphism.identity(m):
+            return IsoCertificate("iso", f, g)
+    if is_local(end_ring(m)) is True or is_local(end_ring(n)) is True:
+        return IsoCertificate("certified_no")
+    unmatched = indecompose(n)
+    for part in indecompose(m):
+        partner = next((i for i, other in enumerate(unmatched) if are_isomorphic(part, other)), None)
+        if partner is None:
+            return IsoCertificate("certified_no")
+        del unmatched[partner]
+    # the dimension vectors agree, so no summand of n is left over
+    return IsoCertificate("iso")
 
 
 # -- Fitting decomposition -----------------------------------------------------
@@ -522,22 +512,21 @@ def is_local(ring: EndoRing) -> bool | None:
     return None
 
 
-def noniso_subspace(m: Representation, n: Representation, seed: int = 0) -> HomSpace:
+def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     """The subspace of Hom(m, n) consisting of the non-isomorphisms.
 
-    For non-isomorphic ends this is all of Hom(m, n); for isomorphic
-    ends it is phi . J(End m) for a fixed isomorphism phi, which is
-    exactly the set of non-invertible homomorphisms when both rings
-    are local.
+    Both endomorphism rings must be verified local.  For non-isomorphic
+    ends this is all of Hom(m, n); for isomorphic ends it is
+    phi . J(End m), where phi is the witness of ``are_isomorphic`` (a
+    basis element of Hom(m, n), since m is local), and those are
+    exactly the non-invertible homomorphisms.
     """
     for rep in (m, n):
         if is_local(end_ring(rep)) is not True:
             raise LocalityUnverified(f"endomorphism ring of {rep!r} is not verified local")
-    cert = are_isomorphic(m, n, seed=seed)
+    cert = are_isomorphic(m, n)
     if cert.status == "certified_no":
         return hom_basis(m, n)
-    if cert.status == "presumed_no":
-        raise IsoUndecided("isomorphism status could not be certified")
     phi = cert.witness
     ring = end_ring(m)
     basis = [phi.compose(r) for r in ring.radical_morphisms()]

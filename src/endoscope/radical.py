@@ -69,7 +69,7 @@ class RadicalProfile:
         return self._members[self.labels.index(label)]
 
 
-def radical_profile(members, d_max: int, labels=None, seed: int = 0) -> RadicalProfile:
+def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     """Compute radical power dimensions up to d_max or until they vanish."""
     members = list(members)
     labels = list(labels) if labels is not None else list(range(len(members)))
@@ -93,7 +93,7 @@ def radical_profile(members, d_max: int, labels=None, seed: int = 0) -> RadicalP
     rad1 = {}
     for i in idx:
         for j in idx:
-            sub = noniso_subspace(members[i], members[j], seed=seed)
+            sub = noniso_subspace(members[i], members[j])
             coords = [hom[(i, j)].coordinates(f) for f in sub.basis]
             rad1[(i, j)] = Subspace.span(hom[(i, j)].dim, coords)
 
@@ -145,7 +145,7 @@ class HaradaSaiReport:
     profile: RadicalProfile
 
 
-def harada_sai_check(members, length_bound: int, labels=None, seed: int = 0) -> HaradaSaiReport:
+def harada_sai_check(members, length_bound: int, labels=None) -> HaradaSaiReport:
     """Measure the vanishing depth and compare against 2^b - 1.
 
     The bound is an upper-bound assertion only; the profile is computed
@@ -160,7 +160,7 @@ def harada_sai_check(members, length_bound: int, labels=None, seed: int = 0) -> 
                 f"member of length {m.length()} exceeds the stated bound {length_bound}"
             )
     bound = 2**length_bound - 1
-    profile = radical_profile(members, d_max=bound, labels=labels, seed=seed)
+    profile = radical_profile(members, d_max=bound, labels=labels)
     depth = profile.vanishing_depth
     return HaradaSaiReport(depth=depth, bound=bound, passed=depth is not None and depth <= bound, profile=profile)
 
@@ -185,7 +185,6 @@ def right_witness(
     depth: int,
     labels=None,
     distinct: bool = False,
-    seed: int = 0,
 ) -> WitnessChain | None:
     """Search for a depth-d chain of basis non-isomorphisms not killing x.
 
@@ -195,7 +194,7 @@ def right_witness(
     """
     members = list(members)
     labels = list(labels) if labels is not None else list(range(len(members)))
-    profile = radical_profile(members, d_max=max(depth, 1), labels=labels, seed=seed)
+    profile = radical_profile(members, d_max=max(depth, 1), labels=labels)
     start_pos = labels.index(start)
     if len(x) != members[start_pos].total_dim:
         raise RadicalError("starting element has wrong total dimension")
@@ -243,7 +242,7 @@ def right_witness(
     return WitnessChain(labels=chain_labels, morphisms=chain_maps, trail=tuple(trail))
 
 
-def left_profile(members, d_max: int, labels=None, seed: int = 0) -> RadicalProfile:
+def left_profile(members, d_max: int, labels=None) -> RadicalProfile:
     """The left-sided profile, computed on the dualized family.
 
     Composites on the left of the original family correspond to
@@ -253,4 +252,4 @@ def left_profile(members, d_max: int, labels=None, seed: int = 0) -> RadicalProf
     the returned profile.
     """
     duals = [dual(m) for m in members]
-    return radical_profile(duals, d_max=d_max, labels=labels, seed=seed)
+    return radical_profile(duals, d_max=d_max, labels=labels)

@@ -137,10 +137,17 @@ def pointed_matrix_from_json(data, presentation: AlgebraPresentation | None = No
 
 
 def load_family_file(path: str, field=QQ):
-    """Read {"algebra": ..., "members": [...]} and return the members."""
+    """Read {"algebra": ..., "members": [...]} and return the members.
+
+    Without a top-level algebra each member carries its own; all
+    members must then share one presentation.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if "members" not in data:
         raise SerializationError("family file lacks a members list")
     presentation = presentation_from_json(data["algebra"]) if "algebra" in data else None
-    return [representation_from_json(m, presentation, field) for m in data["members"]]
+    members = [representation_from_json(m, presentation, field) for m in data["members"]]
+    if any(m.presentation != members[0].presentation for m in members):
+        raise SerializationError("family members are representations of different algebras")
+    return members
