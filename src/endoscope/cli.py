@@ -4,17 +4,18 @@ Subcommands: ``endosoc`` (family endosocle report), ``sweep``
 (invariant vs truncation table), ``verify`` (named check suites),
 ``radical-profile``, ``transversal``, and ``matsub eval``.
 
-Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error (including unsupported field modes), 3 inconclusive
-(a locality or decomposition certificate was refused).  Reports are
-deterministic for a given input; ``--seed`` only drives ``verify``'s
-matrix-subgroup sampling.
+Exit codes: 0 success / all checks passed, 1 verification failure or
+a closed output pipe, 2 usage error (including unsupported field
+modes), 3 inconclusive (a locality or decomposition certificate was
+refused).  Reports are deterministic for a given input; ``--seed``
+only drives ``verify``'s matrix-subgroup sampling.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -267,11 +268,19 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "radical-profile": _cmd_radical_profile,
         "transversal": _cmd_transversal,
+        "matsub": _cmd_matsub_eval,
     }
     try:
-        if args.command == "matsub":
-            return _cmd_matsub_eval(args)
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # a closed pipe surfaces here, while the exit code can still be chosen
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`); stdout goes to devnull so the
+        # interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
     except (LocalityUnverified, DecompositionInconclusive) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

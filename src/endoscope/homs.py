@@ -166,19 +166,23 @@ def hom_dim(m: Representation, n: Representation) -> int:
     return hom_basis(m, n).dim
 
 
+_UNSEARCHED = object()
+
+
 class EndoRing:
     """End(M) with a fixed basis, the identity first.
 
     Products are compositions on M; no multiplication table is stored.
     """
 
-    __slots__ = ("module", "hom", "_radical", "_radical_morphisms")
+    __slots__ = ("module", "hom", "_radical", "_radical_morphisms", "_split")
 
     def __init__(self, module: Representation, hom: HomSpace):
         self.module = module
         self.hom = hom
         self._radical = None
         self._radical_morphisms = None
+        self._split = _UNSEARCHED
 
     @property
     def basis(self) -> tuple[Morphism, ...]:
@@ -206,6 +210,12 @@ class EndoRing:
     def radical_morphisms(self) -> list[Morphism]:
         self.radical  # built together with the radical by the nilpotency check
         return self._radical_morphisms
+
+    def split(self):
+        """A Fitting split (two summands) of the module, or None; searched once."""
+        if self._split is _UNSEARCHED:
+            self._split = _find_split(self.module, self)
+        return self._split
 
     def __repr__(self):
         return f"EndoRing(dim {self.dim} of {self.module!r})"
@@ -491,7 +501,7 @@ def indecompose(m: Representation) -> list[Representation]:
     ring = end_ring(m)
     if ring.dim_over_radical == 1:
         return [m]
-    split = _find_split(m, ring)
+    split = ring.split()
     if split is None:
         raise DecompositionInconclusive(
             "no Fitting split found but End/J has dimension > 1"
@@ -507,7 +517,7 @@ def is_local(ring: EndoRing) -> bool | None:
         return False
     if ring.dim_over_radical == 1:
         return True
-    if _find_split(ring.module, ring) is not None:
+    if ring.split() is not None:
         return False
     return None
 

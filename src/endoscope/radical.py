@@ -9,6 +9,14 @@ vanish.  For finite families of finite-length members the profile
 always vanishes; the classical bound says composites of 2^b - 1
 non-isomorphisms between indecomposables of length <= b are zero.
 
+The profile is built level by level, one ordered pair at a time.  The
+composites for a pair are spanned as flattened blocks
+(``Morphism.flatten`` layout); the basis of that span is mapped into
+hom coordinates and kept as the pair's maps for the next level, so no
+level's maps are rebuilt from coordinates.  From depth 3 on only the
+irreducible maps, a complement of rad^2 in rad, are composed on the
+left; ``radical_profile`` proves that this spans the same powers.
+
 Left-sided conditions are measured through vector-space duality: the
 left profile of a family is the right profile of the dualized family
 over the opposite presentation.
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 
 from .homs import (
     HomalgError,
+    HomSpace,
     LocalityUnverified,
     end_ring,
     hom_basis,
@@ -70,7 +79,27 @@ class RadicalProfile:
 
 
 def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
-    """Compute radical power dimensions up to d_max or until they vanish."""
+    """Compute radical power dimensions up to d_max or until they vanish.
+
+    Write R_d for the span of the d-fold composites of non-isomorphisms
+    through the family, so R_a R_b = R_{a+b}, and R_{d+1} is contained in R_d
+    because the members are local (the non-isomorphisms form an ideal).
+    Level d + 1 is built pair by pair: for each (i, j) the composites
+    g f of a left factor g: M_k -> M_j and a basis map f of R_d(i, k),
+    over every k, are spanned as flattened blocks; only the basis of
+    that span is mapped into Hom(i, j) coordinates (which raises if a
+    composite leaves the hom space), and it is kept as the pair's basis
+    maps for the next level.  Only the previous level's maps are held.
+
+    The left factor is a basis of R_1(k, j) at depth 2.  From depth 3 on
+    it is a complement C(k, j) of R_2(k, j) in R_1(k, j), a basis of the
+    irreducible maps, and that is exact: R_{d+1} = R_1 R_d = C R_d + R_{d+2},
+    and likewise R_{d+2} = C R_{d+1} + R_{d+3}, which lies in C R_d + R_{d+3}.
+    Iterating gives R_{d+1} = C R_d + R_N for every N > d + 1, and
+    R_N = 0 once N reaches the Harada-Sai bound 2^b - 1 for members of
+    length <= b (Auslander-Reiten-Smalo, Representation Theory of Artin
+    Algebras), whatever d_max is.  So R_{d+1} = C R_d.
+    """
     members = list(members)
     labels = list(labels) if labels is not None else list(range(len(members)))
     if len(labels) != len(members):
@@ -89,39 +118,32 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
             )
 
     idx = range(len(members))
-    hom = {(i, j): hom_basis(members[i], members[j]) for i in idx for j in idx}
+    pairs = [(i, j) for i in idx for j in idx]
+    hom = {(i, j): hom_basis(members[i], members[j]) for i, j in pairs}
+    maps = {}
     rad1 = {}
-    for i in idx:
-        for j in idx:
-            sub = noniso_subspace(members[i], members[j])
-            coords = [hom[(i, j)].coordinates(f) for f in sub.basis]
-            rad1[(i, j)] = Subspace.span(hom[(i, j)].dim, coords)
+    for i, j in pairs:
+        maps[(i, j)] = list(noniso_subspace(members[i], members[j]).basis)
+        rad1[(i, j)] = Subspace.span(hom[(i, j)].dim, [hom[(i, j)].coordinates(f) for f in maps[(i, j)]])
 
     levels = [rad1]
+    left = maps
     while len(levels) < d_max and any(s.dim for s in levels[-1].values()):
-        prev = levels[-1]
+        if len(levels) == 2:
+            left = _irreducible_maps(hom, rad1, levels[1])
         nxt = {}
-        for i in idx:
-            for j in idx:
-                vecs = []
-                for k in idx:
-                    left = rad1[(k, j)]
-                    right = prev[(i, k)]
-                    if left.dim == 0 or right.dim == 0:
-                        continue
-                    gs = [hom[(k, j)].from_coordinates(v) for v in left.vectors()]
-                    fs = [hom[(i, k)].from_coordinates(v) for v in right.vectors()]
-                    for g in gs:
-                        for f in fs:
-                            vecs.append(hom[(i, j)].coordinates(g.compose(f)))
-                nxt[(i, j)] = Subspace.span(hom[(i, j)].dim, vecs)
+        nxt_maps = {}
+        for i, j in pairs:
+            factors = [(left[(k, j)], maps[(i, k)]) for k in idx]
+            nxt[(i, j)], nxt_maps[(i, j)] = _composite_span(hom[(i, j)], factors)
         levels.append(nxt)
+        maps = nxt_maps
 
     dims = tuple(
-        {(labels[i], labels[j]): lvl[(i, j)].dim for i in idx for j in idx} for lvl in levels
+        {(labels[i], labels[j]): lvl[(i, j)].dim for i, j in pairs} for lvl in levels
     )
     spaces = tuple(
-        {(labels[i], labels[j]): lvl[(i, j)] for i in idx for j in idx} for lvl in levels
+        {(labels[i], labels[j]): lvl[(i, j)] for i, j in pairs} for lvl in levels
     )
     vanishing = None
     for d, level in enumerate(dims, start=1):
@@ -135,6 +157,35 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
         _spaces=spaces,
         _members=tuple(members),
     )
+
+
+def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
+    """Span of the composites g f over ``factors`` = [(gs, fs), ...]:
+    in coordinates of ``hom``, and as a basis of maps."""
+    flats = [g.compose(f).flatten() for gs, fs in factors for g in gs for f in fs]
+    if not flats:
+        return Subspace.zero(hom.dim), []
+    span = Subspace.span(len(flats[0]), flats)
+    basis = [Morphism.unflatten(hom.source, hom.target, v, _validate=False) for v in span.vectors()]
+    return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis]), basis
+
+
+def _irreducible_maps(hom, rad1, rad2) -> dict:
+    """Per pair, maps spanning a complement of rad^2 in rad.
+
+    Canonical bases are in reduced echelon form, and rad^2 lies in rad,
+    so the pivots of rad^2 are pivots of rad; the basis vectors of rad
+    at the other pivots complete a basis of rad^2 to one of rad.
+    """
+    out = {}
+    for pair, sub in rad1.items():
+        taken = {_pivot(v) for v in rad2[pair].vectors()}
+        out[pair] = [hom[pair].from_coordinates(v) for v in sub.vectors() if _pivot(v) not in taken]
+    return out
+
+
+def _pivot(vec) -> int:
+    return next(i for i, x in enumerate(vec) if x)
 
 
 @dataclass
@@ -194,14 +245,16 @@ def right_witness(
     """
     members = list(members)
     labels = list(labels) if labels is not None else list(range(len(members)))
-    profile = radical_profile(members, d_max=max(depth, 1), labels=labels)
+    # only the depth-1 basis maps are used
+    profile = radical_profile(members, d_max=1, labels=labels)
     start_pos = labels.index(start)
     if len(x) != members[start_pos].total_dim:
         raise RadicalError("starting element has wrong total dimension")
     if not any(x):
         raise RadicalError("starting element must be nonzero")
 
-    basis_maps = {}
+    # each basis map with its action on total spaces, built once
+    actions = {}
     idx = range(len(members))
     for i in idx:
         for j in idx:
@@ -209,30 +262,13 @@ def right_witness(
             for f in maps:
                 if is_isomorphism(f):
                     raise HomalgError("radical basis contains an isomorphism")
-            basis_maps[(i, j)] = maps
+            actions[(i, j)] = [(f, f.total_mat()) for f in maps]
 
     states = [((labels[start_pos],), (), tuple(x), start_pos, frozenset([start_pos]))]
     for _ in range(depth):
-        nxt = []
-        for chain_labels, chain_maps, vec, pos, used in states:
-            for j in idx:
-                if distinct and j in used:
-                    continue
-                for f in basis_maps[(pos, j)]:
-                    image = f.total_mat().apply(vec)
-                    if any(image):
-                        nxt.append(
-                            (
-                                chain_labels + (labels[j],),
-                                chain_maps + (f,),
-                                image,
-                                j,
-                                used | {j},
-                            )
-                        )
-        if not nxt:
+        states = _witness_step(states, actions, labels, distinct)
+        if not states:
             return None
-        states = nxt
     chain_labels, chain_maps, _, _, _ = states[0]
     trail = [tuple(x)]
     vec = tuple(x)
@@ -240,6 +276,34 @@ def right_witness(
         vec = f.total_mat().apply(vec)
         trail.append(vec)
     return WitnessChain(labels=chain_labels, morphisms=chain_maps, trail=tuple(trail))
+
+
+def _witness_step(states, actions, labels, distinct: bool) -> list:
+    """Extend every chain by each basis map that keeps its element nonzero.
+
+    Chains that end at the same member with the same element (and, with
+    ``distinct``, the same visited members) have the same extensions, so
+    only the first of them is kept: at most one state per (member,
+    element) pair survives a step, and the first chain found is the one
+    the full search would return.
+    """
+    nxt = []
+    seen = set()
+    for chain_labels, chain_maps, vec, pos, used in states:
+        for j in range(len(labels)):
+            if distinct and j in used:
+                continue
+            for f, mat in actions[(pos, j)]:
+                image = mat.apply(vec)
+                if not any(image):
+                    continue
+                visited = used | {j}
+                key = (j, image, visited) if distinct else (j, image)
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append((chain_labels + (labels[j],), chain_maps + (f,), image, j, visited))
+    return nxt
 
 
 def left_profile(members, d_max: int, labels=None) -> RadicalProfile:

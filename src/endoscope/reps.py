@@ -293,6 +293,21 @@ class Morphism:
                 out.extend(row)
         return tuple(out)
 
+    @classmethod
+    def unflatten(
+        cls, source: Representation, target: Representation, flat: Sequence, _validate: bool = True
+    ) -> "Morphism":
+        """The morphism source -> target whose ``flatten()`` is ``flat``."""
+        blocks = {}
+        pos = 0
+        for v in source.presentation.quiver.vertices:
+            rows, cols = target.dim(v), source.dim(v)
+            blocks[v] = Mat([flat[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)], rows, cols)
+            pos += rows * cols
+        if pos != len(flat):
+            raise RepresentationError("flattened morphism has the wrong length")
+        return cls(source, target, blocks, _validate=_validate)
+
     def total_mat(self) -> Mat:
         """The block-diagonal action on total spaces."""
         n, m = self.target.total_dim, self.source.total_dim

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import endoscope
 from endoscope.cli import main
 from endoscope.harness import (
     FamilySpec,
@@ -247,6 +251,45 @@ def test_cli_transversal(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["multiplicities"] == {"0": 1, "1": 1, "2": 1, "3": 1}
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away; ``fileno`` is a real descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_cli_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["transversal", "--family", "regular", "--range", "0..3"])
+        # the descriptor behind stdout now writes to the null device
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_pipe_closed_by_reader_exits_1_without_traceback():
+    src = os.path.dirname(os.path.dirname(endoscope.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["transversal", "--family", "regular", "--range", "0..3"]
+    script = "import sys; from endoscope.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_cli_matsub_eval(capsys):

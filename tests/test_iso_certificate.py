@@ -8,11 +8,13 @@ some basis pair f in Hom(m, n), g in Hom(n, m) has g f outside J(End m).
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from endoscope import homs
 from endoscope.cli import main
 from endoscope.harness import length_bounded_kronecker_family, transversal
 from endoscope.homs import (
@@ -129,6 +131,22 @@ def test_decomposable_base_change_is_matched_by_summands():
     cert = are_isomorphic(m, n)
     assert cert.status == "iso"
     assert cert.witness is None and cert.inverse is None
+
+
+def test_split_search_runs_once_per_ring(monkeypatch):
+    # is_local and indecompose both ask the same cached ring for its split
+    calls = Counter()
+    original = homs._find_split
+
+    def counted(m, ring):
+        calls[id(ring)] += 1
+        return original(m, ring)
+
+    monkeypatch.setattr(homs, "_find_split", counted)
+    homs.clear_caches()
+    m = dsum(I1, I2, R20)
+    assert are_isomorphic(m, fixed_conjugate(m)).status == "iso"
+    assert calls and max(calls.values()) == 1
 
 
 def test_decomposables_with_one_unmatched_summand_are_certified_no():

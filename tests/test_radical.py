@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from endoscope import radical
 from endoscope.homs import hom_basis, is_isomorphism
 from endoscope.radical import (
     RadicalError,
@@ -110,10 +111,36 @@ def test_right_witness_chain():
     chain = right_witness(members, start=3, x=x, depth=2, labels=labels)
     assert chain is not None
     assert chain.labels[0] == 3 and len(chain.morphisms) == 2
+    # demo 05's chain, as the search found it before states were deduplicated
+    assert chain.labels == (3, 2, 1)
+    assert chain.trail == ((1, 0, 0, 0, 0), (1, 0, 0), (1,))
     assert all(not is_isomorphism(f) for f in chain.morphisms)
     assert all(any(v) for v in chain.trail)
     # depth beyond the vanishing depth has no witness
     assert right_witness(members, start=3, x=x, depth=3, labels=labels) is None
+
+
+def test_right_witness_keeps_one_state_per_member_and_element(monkeypatch):
+    members, labels = preinj_family(10)
+    x = [Fraction(1)] * members[-1].total_dim
+    steps = []
+    step = radical._witness_step
+
+    def recorded(*args):
+        states = step(*args)
+        steps.append(states)
+        return states
+
+    monkeypatch.setattr(radical, "_witness_step", recorded)
+    chain = right_witness(members, start=10, x=x, depth=7, labels=labels)
+    # the chain the search found before states were deduplicated
+    assert chain.labels == (10, 7, 6, 5, 4, 3, 2, 1)
+    assert chain.trail == tuple((1,) * members[label - 1].total_dim for label in chain.labels)
+    assert len(steps) == 7
+    for states in steps:
+        vectors = {vec for _, _, vec, _, _ in states}
+        assert len(states) == len({(pos, vec) for _, _, vec, pos, _ in states})
+        assert len(states) <= len(members) * len(vectors)
 
 
 def test_right_witness_killed_socle_element():
