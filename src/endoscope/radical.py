@@ -166,7 +166,7 @@ def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
     if not flats:
         return Subspace.zero(hom.dim), []
     span = Subspace.span(len(flats[0]), flats)
-    basis = [Morphism.unflatten(hom.source, hom.target, v, _validate=False) for v in span.vectors()]
+    basis = [Morphism.unflatten(hom.source, hom.target, v) for v in span.vectors()]
     return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis]), basis
 
 
@@ -284,8 +284,9 @@ def _witness_step(states, actions, labels, distinct: bool) -> list:
     Chains that end at the same member with the same element (and, with
     ``distinct``, the same visited members) have the same extensions, so
     only the first of them is kept: at most one state per (member,
-    element) pair survives a step, and the first chain found is the one
-    the full search would return.
+    element) pair survives a step, or per (member, element, visited set)
+    with ``distinct``, and the first chain found is the one the full
+    search would return.
     """
     nxt = []
     seen = set()

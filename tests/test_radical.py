@@ -138,9 +138,7 @@ def test_right_witness_keeps_one_state_per_member_and_element(monkeypatch):
     assert chain.trail == tuple((1,) * members[label - 1].total_dim for label in chain.labels)
     assert len(steps) == 7
     for states in steps:
-        vectors = {vec for _, _, vec, _, _ in states}
         assert len(states) == len({(pos, vec) for _, _, vec, pos, _ in states})
-        assert len(states) <= len(members) * len(vectors)
 
 
 def test_right_witness_killed_socle_element():
