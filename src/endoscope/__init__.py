@@ -3,11 +3,11 @@
 The package computes endosocles and endosocle series of direct sums,
 radical-of-category power profiles, and finite matrix subgroups for
 representations of bound quiver algebras, with the Kronecker example
-families built in.  All arithmetic is exact (rational by default).
+families built in.  All arithmetic is exact, over the rationals by
+default or over a prime field GF(p).
 """
 
 from .linalg import (
-    GFElement,
     LinalgError,
     Mat,
     PrimeField,

@@ -259,7 +259,7 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
         )
         if report.total_dim == 0:
             break
-        spaces = {v: Subspace.zero(total.dim(v)) for v in vertices}
+        spaces = {v: Subspace.zero(total.dim(v), total.field) for v in vertices}
         for i in remaining:
             comp = report.components[labels[i]]
             emb = embeddings[i]

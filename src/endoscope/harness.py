@@ -248,7 +248,7 @@ def two_route_endosocle_agree(members, seed: int = 0) -> bool:
     direct = endosocle(total)
     vertices = total.presentation.quiver.vertices
     for v in vertices:
-        acc = Subspace.zero(total.dim(v))
+        acc = Subspace.zero(total.dim(v), total.field)
         for i, m in enumerate(members):
             comp = report.components[i]
             if comp.space(v).dim:
@@ -398,7 +398,7 @@ def _suite_matrix_subgroups(seed: int) -> list[dict]:
     distributes = True
     for _ in range(25):
         pm = random_pointed_matrix(pres, rng)
-        expected = Subspace.zero(total.total_dim)
+        expected = Subspace.zero(total.total_dim, total.field)
         for part, emb in zip(parts, embeddings):
             expected = expected.add(evaluate(pm, part).image(emb.total_mat()))
         if expected != evaluate(pm, total):

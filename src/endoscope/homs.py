@@ -65,9 +65,10 @@ class HomSpace:
             flats = [f.flatten() for f in self.basis]
             k = len(flats)
             ambient = len(flats[0]) if flats else 0
-            bt = Mat(flats, k, ambient)
+            field = self.source.field
+            bt = Mat(flats, k, ambient, field)
             _, pivots = rref(bt)
-            block = Mat([[flats[j][p] for j in range(k)] for p in pivots], k, k)
+            block = Mat([[flats[j][p] for j in range(k)] for p in pivots], k, k, field)
             inv = invert(block)
             if inv is None:
                 raise HomalgError("basis of hom space is linearly dependent")
@@ -124,7 +125,7 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
     if m.presentation != n.presentation:
         raise HomalgError("hom between different presentations")
     quiver = m.presentation.quiver
-    zero = m.field.zero
+    p = m.field.characteristic
     # unknown cells[idx] = (v, i, j) is entry (i, j) of the block f_v
     offsets = {}
     cells = []
@@ -139,7 +140,7 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
         # (f_t @ ma)[r, c] - (na @ f_s)[r, c] = 0 couples f_t[r, k] with ma[k, c]
         # and f_s[k, c] with na[r, k]; na_rows holds the negated entries
         ma_cols = [[(k, row[c]) for k, row in enumerate(ma) if row[c]] for c in range(m.dim(a.source))]
-        na_rows = [[(k, -x) for k, x in enumerate(row) if x] for row in na]
+        na_rows = [[(k, p - x if p else -x) for k, x in enumerate(row) if x] for row in na]
         width_t, width_s, off_s = m.dim(a.target), m.dim(a.source), offsets[a.source]
         for r, na_row in enumerate(na_rows):
             base_t = offsets[a.target] + r * width_t
@@ -148,16 +149,16 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
                 for k, y in na_row:
                     idx = off_s + k * width_s + c
                     x = eq.get(idx)
-                    eq[idx] = y if x is None else x + y
+                    eq[idx] = y if x is None else (x + y) % p if p else x + y
                 equations.append(eq)
 
     basis = []
     for vec in sparse_kernel(equations, len(cells), m.field):
-        grids = {v: [[zero] * m.dim(v) for _ in range(n.dim(v))] for v in quiver.vertices}
+        grids = {v: [[0] * m.dim(v) for _ in range(n.dim(v))] for v in quiver.vertices}
         for idx, x in vec.items():
             v, i, j = cells[idx]
             grids[v][i][j] = x
-        blocks = {v: Mat(g, n.dim(v), m.dim(v)) for v, g in grids.items()}
+        blocks = {v: Mat(g, n.dim(v), m.dim(v), m.field) for v, g in grids.items()}
         basis.append(Morphism(m, n, blocks, _validate=False))
     return HomSpace(m, n, basis)
 
@@ -229,7 +230,7 @@ def end_ring(m: Representation) -> EndoRing:
         return EndoRing(m, full)
     ident = Morphism.identity(m)
     flats = [ident.flatten()] + [f.flatten() for f in full.basis]
-    cols = Mat([[flats[j][i] for j in range(len(flats))] for i in range(len(flats[0]))])
+    cols = Mat(flats, field=m.field).transpose()
     # column-select a basis that keeps the identity in front
     _, col_pivots = rref(cols)
     chosen = [ident if p == 0 else full.basis[p - 1] for p in col_pivots]
@@ -250,15 +251,14 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, list[Morphism]]:
     if ring.module.field.characteristic != 0:
         raise UnsupportedFieldError("radical computation requires characteristic zero")
     if ring.dim == 0:
-        return Subspace.zero(0), []
+        return Subspace.zero(0, ring.module.field), []
     # tr_M(f g) = sum over vertices v and cells (a, b) of f_v[a][b] * g_v[b][a]
     cells = [
         {(v, a, b): x for v, blk in f.blocks.items() for a, row in enumerate(blk.entries) for b, x in enumerate(row) if x}
         for f in ring.basis
     ]
-    zero = ring.module.field.zero
-    gram = [[sum((x * g[v, b, a] for (v, a, b), x in f.items() if (v, b, a) in g), zero) for g in cells] for f in cells]
-    radical = kernel_basis(Mat(gram, ring.dim, ring.dim))
+    gram = [[sum(x * g[v, b, a] for (v, a, b), x in f.items() if (v, b, a) in g) for g in cells] for f in cells]
+    radical = kernel_basis(Mat(gram, ring.dim, ring.dim, ring.module.field))
     morphisms = [ring.hom.from_coordinates(v) for v in radical.vectors()]
     _check_nilpotent(ring.module, morphisms)
     return radical, morphisms
@@ -279,7 +279,9 @@ def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
             raise HomalgError("trace-form radical failed the nilpotency check")
         steps += 1
         layer = {
-            v: Subspace.span(m.dim(v), [col for r in morphisms for col in zip(*(r.blocks[v] @ w).entries)]).basis
+            v: Subspace.span(
+                m.dim(v), [col for r in morphisms for col in zip(*(r.blocks[v] @ w).entries)], m.field
+            ).basis
             for v, w in layer.items()
         }
 
@@ -386,14 +388,14 @@ def _charpoly(m: Mat) -> list[Fraction]:
     n = m.rows
     if n == 0:
         return [Fraction(1)]
-    work = Mat.identity(n)
+    work = Mat.identity(n, m.field)
     cs = [Fraction(1)]
     for k in range(1, n + 1):
         work = m @ work
-        c = -work.trace() / k
+        c = Fraction(-work.trace(), k)
         cs.append(c)
         if k < n:
-            work = work + Mat.identity(n).scale(c)
+            work = work + Mat.identity(n, m.field).scale(c)
     # cs = [1, c_1, ..., c_n] for x^n + c_1 x^{n-1} + ... + c_n
     return list(reversed(cs))
 

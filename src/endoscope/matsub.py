@@ -73,7 +73,7 @@ def evaluate(pm: PointedMatrix, rep: Representation) -> Subspace:
     nrows, ncols = pm.shape
     t = rep.total_dim
     if t == 0:
-        return Subspace.zero(0)
+        return Subspace.zero(0, rep.field)
     blocks = [[act(el, rep) for el in row] for row in pm.entries]
     rows = []
     for i in range(nrows):
@@ -82,10 +82,10 @@ def evaluate(pm: PointedMatrix, rep: Representation) -> Subspace:
             for j in range(ncols):
                 row.extend(blocks[i][j].row(r))
             rows.append(row)
-    ker = kernel_basis(Mat(rows, nrows * t, ncols * t))
+    ker = kernel_basis(Mat(rows, nrows * t, ncols * t, rep.field))
     lo = pm.pointer * t
     projected = [vec[lo : lo + t] for vec in ker.vectors()]
-    return Subspace.span(t, projected)
+    return Subspace.span(t, projected, rep.field)
 
 
 def image_subgroup(element: AlgebraElement, rep: Representation) -> Subspace:

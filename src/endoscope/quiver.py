@@ -61,26 +61,8 @@ class Quiver:
     def arrows_from(self, vertex: str) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.source == vertex)
 
-    def arrows_into(self, vertex: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.target == vertex)
-
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, [Arrow(a.name, a.target, a.source) for a in self.arrows])
-
-    def is_acyclic(self) -> bool:
-        adj = {v: [a.target for a in self.arrows_from(v)] for v in self.vertices}
-        state: dict[str, int] = {}
-
-        def visit(v):
-            state[v] = 1
-            for w in adj[v]:
-                s = state.get(w, 0)
-                if s == 1 or (s == 0 and not visit(w)):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(visit(v) for v in self.vertices if state.get(v, 0) == 0)
 
     def key(self):
         return (self.vertices, self.arrows)
@@ -352,24 +334,27 @@ def act(a: AlgebraElement, rep) -> Mat:
 
     A trivial path acts as the projection onto its vertex block; an
     arrow acts as its matrix placed in the (target, source) block; a
-    general path is the product of its arrow actions.
+    general path is the product of its arrow actions.  The rational
+    coefficients are mapped into the representation's field.
     """
     if rep.presentation != a.presentation:
         raise QuiverError("element and representation use different presentations")
     n = rep.total_dim
     field = rep.field
-    rows = [[field.zero] * n for _ in range(n)]
+    p = field.characteristic
+    rows = [[0] * n for _ in range(n)]
     for path, coeff in a.terms.items():
+        c = field.of(coeff)
         block = _path_block(path, rep)
         roff = rep.offset(path.target)
         coff = rep.offset(path.source)
-        for i in range(block.rows):
+        for i, row in enumerate(block.entries):
             target_row = rows[roff + i]
-            for j in range(block.cols):
-                v = block[i, j]
+            for j, v in enumerate(row):
                 if v:
-                    target_row[coff + j] = target_row[coff + j] + coeff * v
-    return Mat(rows, n, n)
+                    x = target_row[coff + j] + c * v
+                    target_row[coff + j] = x % p if p else x
+    return Mat(rows, n, n, field)
 
 
 def _path_block(path: Path, rep) -> Mat:

@@ -124,7 +124,9 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     rad1 = {}
     for i, j in pairs:
         maps[(i, j)] = list(noniso_subspace(members[i], members[j]).basis)
-        rad1[(i, j)] = Subspace.span(hom[(i, j)].dim, [hom[(i, j)].coordinates(f) for f in maps[(i, j)]])
+        rad1[(i, j)] = Subspace.span(
+            hom[(i, j)].dim, [hom[(i, j)].coordinates(f) for f in maps[(i, j)]], members[i].field
+        )
 
     levels = [rad1]
     left = maps
@@ -162,12 +164,13 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
 def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
     """Span of the composites g f over ``factors`` = [(gs, fs), ...]:
     in coordinates of ``hom``, and as a basis of maps."""
+    field = hom.source.field
     flats = [g.compose(f).flatten() for gs, fs in factors for g in gs for f in fs]
     if not flats:
-        return Subspace.zero(hom.dim), []
-    span = Subspace.span(len(flats[0]), flats)
+        return Subspace.zero(hom.dim, field), []
+    span = Subspace.span(len(flats[0]), flats, field)
     basis = [Morphism.unflatten(hom.source, hom.target, v) for v in span.vectors()]
-    return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis]), basis
+    return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis], field), basis
 
 
 def _irreducible_maps(hom, rad1, rad2) -> dict:

@@ -1,7 +1,9 @@
 """Finite-dimensional representations of bound quiver presentations.
 
 A representation assigns a dimension to every vertex and an exact
-matrix to every arrow (target dim x source dim).  The total space is
+matrix to every arrow (target dim x source dim), all over the
+representation's field; every matrix, morphism block and subspace built
+from it carries that field.  The total space is
 the direct sum of the vertex spaces, concatenated in declared vertex
 order; that convention fixes all block layouts used elsewhere.
 
@@ -13,7 +15,6 @@ opposite presentation, and socles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import Mat, QQ, Subspace, kernel_basis, solve
@@ -68,6 +69,8 @@ class Representation:
                     f"arrow {a.name}: matrix shape {m.shape} does not match dims "
                     f"({self.dims_by_vertex[a.target]}, {self.dims_by_vertex[a.source]})"
                 )
+            if m.field != field:
+                raise RepresentationError(f"arrow {a.name}: matrix over {m.field!r}, not {field!r}")
             mats[a.name] = m
         self.matrices = mats
         self.field = field
@@ -147,7 +150,7 @@ class SubspaceFamily:
 
     @classmethod
     def zero_for(cls, rep: Representation) -> "SubspaceFamily":
-        return cls({v: Subspace.zero(rep.dim(v)) for v in rep.presentation.quiver.vertices})
+        return cls({v: Subspace.zero(rep.dim(v), rep.field) for v in rep.presentation.quiver.vertices})
 
     @classmethod
     def full_for(cls, rep: Representation) -> "SubspaceFamily":
@@ -173,19 +176,6 @@ class SubspaceFamily:
 
     def contains(self, other: "SubspaceFamily") -> bool:
         return all(self.spaces[v].contains_subspace(s) for v, s in other.spaces.items())
-
-    def to_total(self, rep: Representation) -> Subspace:
-        """Embed as a subspace of the representation's total space."""
-        n = rep.total_dim
-        vectors = []
-        for v in rep.presentation.quiver.vertices:
-            off = rep.offset(v)
-            for col in self.spaces[v].vectors():
-                vec = [rep.field.zero] * n
-                for i, x in enumerate(col):
-                    vec[off + i] = x
-                vectors.append(vec)
-        return Subspace.span(n, vectors)
 
     def is_arrow_closed(self, rep: Representation) -> bool:
         for a in rep.presentation.quiver.arrows:
@@ -221,6 +211,8 @@ class Morphism:
     ):
         if source.presentation != target.presentation:
             raise RepresentationError("morphism between different presentations")
+        if source.field != target.field:
+            raise RepresentationError("morphism between representations over different fields")
         self.source = source
         self.target = target
         quiver = source.presentation.quiver
@@ -278,7 +270,7 @@ class Morphism:
         )
 
     def __sub__(self, other: "Morphism") -> "Morphism":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Morphism":
         return Morphism(
@@ -305,31 +297,22 @@ class Morphism:
         pos = 0
         for v in source.presentation.quiver.vertices:
             rows, cols = target.dim(v), source.dim(v)
-            blocks[v] = Mat([flat[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)], rows, cols)
+            grid = [flat[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)]
+            blocks[v] = Mat(grid, rows, cols, source.field)
             pos += rows * cols
         return cls(source, target, blocks, _validate=False)
 
     def total_mat(self) -> Mat:
         """The block-diagonal action on total spaces."""
         n, m = self.target.total_dim, self.source.total_dim
-        field = self.source.field
-        rows = [[field.zero] * m for _ in range(n)]
+        rows = [[0] * m for _ in range(n)]
         for v in self.source.presentation.quiver.vertices:
             roff, coff = self.target.offset(v), self.source.offset(v)
             for i, row in enumerate(self.blocks[v].entries):
                 for j, x in enumerate(row):
                     if x:
                         rows[roff + i][coff + j] = x
-        return Mat(rows, n, m)
-
-    def kernel_family(self) -> SubspaceFamily:
-        field = self.source.field
-        return SubspaceFamily({v: kernel_basis(m, field) for v, m in self.blocks.items()})
-
-    def image_family(self) -> SubspaceFamily:
-        return SubspaceFamily(
-            {v: Subspace(m.rows, m) for v, m in self.blocks.items()}
-        )
+        return Mat(rows, n, m, self.source.field)
 
     def __eq__(self, other):
         return (
@@ -392,7 +375,7 @@ def direct_sum(
     matrices = {}
     for a in quiver.arrows:
         rows_total, cols_total = dims[a.target], dims[a.source]
-        rows = [[field.zero] * cols_total for _ in range(rows_total)]
+        rows = [[0] * cols_total for _ in range(rows_total)]
         for p, off in zip(parts, offsets):
             block = p.matrix(a.name)
             ro, co = off[a.target], off[a.source]
@@ -400,21 +383,16 @@ def direct_sum(
                 for j, x in enumerate(row):
                     if x:
                         rows[ro + i][co + j] = x
-        matrices[a.name] = Mat(rows, rows_total, cols_total)
+        matrices[a.name] = Mat(rows, rows_total, cols_total, field)
     total = Representation(pres, dims, matrices, field, _validate=False)
 
     embeddings, projections = [], []
     for p, off in zip(parts, offsets):
-        emb, prj = {}, {}
+        emb = {}
         for v in quiver.vertices:
-            d_part, d_tot = p.dim(v), dims[v]
-            e = [[field.zero] * d_part for _ in range(d_tot)]
-            q = [[field.zero] * d_tot for _ in range(d_part)]
-            for i in range(d_part):
-                e[off[v] + i][i] = field.one
-                q[i][off[v] + i] = field.one
-            emb[v] = Mat(e, d_tot, d_part)
-            prj[v] = Mat(q, d_part, d_tot)
+            grid = [[int(r == off[v] + i) for i in range(p.dim(v))] for r in range(dims[v])]
+            emb[v] = Mat(grid, dims[v], p.dim(v), field)
+        prj = {v: e.transpose() for v, e in emb.items()}
         embeddings.append(Morphism(p, total, emb, _validate=False))
         projections.append(Morphism(total, p, prj, _validate=False))
     return total, embeddings, projections
@@ -446,7 +424,7 @@ def socle(rep: Representation) -> SubspaceFamily:
         stacked = rep.matrix(outgoing[0].name)
         for a in outgoing[1:]:
             stacked = stacked.vstack(rep.matrix(a.name))
-        spaces[v] = kernel_basis(stacked, rep.field)
+        spaces[v] = kernel_basis(stacked)
     return SubspaceFamily(spaces)
 
 
@@ -471,6 +449,7 @@ def sub_from_family(rep: Representation, fam: SubspaceFamily) -> Representation:
             [[cols[j][i] for j in range(len(cols))] for i in range(tgt.cols)],
             tgt.cols,
             len(cols),
+            rep.field,
         )
     return Representation(rep.presentation, dims, matrices, rep.field, _validate=False)
 
@@ -489,10 +468,6 @@ _KRONECKER = kronecker()
 _KRONECKER_OP = _KRONECKER.opposite()
 
 
-def kronecker_presentation() -> AlgebraPresentation:
-    return _KRONECKER
-
-
 def kronecker_preinjective(n: int, field=QQ) -> Representation:
     """The n-th preinjective string module, dim vector (n, n-1).
 
@@ -502,17 +477,11 @@ def kronecker_preinjective(n: int, field=QQ) -> Representation:
     """
     if n < 1:
         raise RepresentationError("index must be >= 1")
-    alpha = Mat.zeros(n - 1, n, field)
-    beta = Mat.zeros(n - 1, n, field)
-    a_rows = [list(r) for r in alpha.entries]
-    b_rows = [list(r) for r in beta.entries]
-    for j in range(n - 1):
-        a_rows[j][j + 1] = field.one
-        b_rows[j][j] = field.one
+    alpha, beta = _strings(n)
     return Representation(
         _KRONECKER,
         {"1": n, "2": n - 1},
-        {"alpha": Mat(a_rows, n - 1, n), "beta": Mat(b_rows, n - 1, n)},
+        {"alpha": Mat(alpha, n - 1, n, field), "beta": Mat(beta, n - 1, n, field)},
         field,
         _validate=False,
     )
@@ -523,18 +492,24 @@ def kronecker_preinjective_right(n: int, field=QQ) -> Representation:
     opposite quiver: n tops at vertex 2, n-1 valleys at vertex 1."""
     if n < 1:
         raise RepresentationError("index must be >= 1")
-    alpha = [[field.zero] * n for _ in range(n - 1)]
-    beta = [[field.zero] * n for _ in range(n - 1)]
-    for j in range(n - 1):
-        alpha[j][j + 1] = field.one
-        beta[j][j] = field.one
+    alpha, beta = _strings(n)
     return Representation(
         _KRONECKER_OP,
         {"1": n - 1, "2": n},
-        {"alpha": Mat(alpha, n - 1, n), "beta": Mat(beta, n - 1, n)},
+        {"alpha": Mat(alpha, n - 1, n, field), "beta": Mat(beta, n - 1, n, field)},
         field,
         _validate=False,
     )
+
+
+def _strings(n: int) -> tuple[list, list]:
+    """The (n-1) x n string matrices: alpha joins top j+1, beta top j, to valley j."""
+    alpha = [[0] * n for _ in range(n - 1)]
+    beta = [[0] * n for _ in range(n - 1)]
+    for j in range(n - 1):
+        alpha[j][j + 1] = 1
+        beta[j][j] = 1
+    return alpha, beta
 
 
 def kronecker_preprojective(n: int, field=QQ) -> Representation:
@@ -555,7 +530,7 @@ def kronecker_regular(n: int, lam, field=QQ) -> Representation:
     if n < 1:
         raise RepresentationError("index must be >= 1")
     if isinstance(lam, _Infinity):
-        alpha = _jordan(n, field.zero, field)
+        alpha = _jordan(n, 0, field)
         beta = Mat.identity(n, field)
     else:
         alpha = Mat.identity(n, field)
@@ -566,9 +541,9 @@ def kronecker_regular(n: int, lam, field=QQ) -> Representation:
 
 
 def _jordan(n: int, eig, field) -> Mat:
-    rows = [[field.zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = eig
         if i + 1 < n:
-            rows[i][i + 1] = field.one
-    return Mat(rows, n, n)
+            rows[i][i + 1] = 1
+    return Mat(rows, n, n, field)

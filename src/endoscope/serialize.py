@@ -1,7 +1,9 @@
 """JSON serialization for quivers, representations, morphisms, and
 pointed matrices.
 
-Scalars are rendered as "p/q" strings ("p" when the denominator is 1).
+Scalars are rendered as "p/q" strings ("p" when the denominator is 1);
+matrix entries are read into the representation's field with
+``field.of``, algebra coefficients as rationals.
 Algebra elements are lists of terms {"coeff", "path"}, where "path"
 lists arrow names in application order and a trivial path carries its
 vertex instead.
@@ -29,7 +31,7 @@ def matrix_to_json(m: Mat) -> list[list[str]]:
 def matrix_from_json(data, rows: int, cols: int, field=QQ) -> Mat:
     if len(data) != rows or any(len(r) != cols for r in data):
         raise SerializationError(f"matrix data is not {rows}x{cols}")
-    return Mat([[field.of(x) for x in row] for row in data], rows, cols)
+    return Mat([[field.of(x) for x in row] for row in data], rows, cols, field)
 
 
 def element_to_json(el: AlgebraElement) -> list[dict]:

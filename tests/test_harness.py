@@ -303,6 +303,44 @@ def test_cli_matsub_eval(capsys):
     assert payload["results"]["endo_invariant"] is True
 
 
+def test_cli_matsub_eval_over_a_prime_field(capsys):
+    matrix = json.dumps({"entries": [[[{"coeff": "1/2", "path": ["alpha"]}]]], "pointer": 0})
+    code, out = run_cli(
+        capsys, "matsub", "eval", "--matrix", matrix, "--family", "preinj", "--index", "3", "--field", "fp:101"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"]["dim"] == 3
+    assert payload["results"]["endo_invariant"] is True
+    assert all(0 <= int(x) < 101 for col in payload["results"]["basis"] for x in col)
+
+
+def test_cli_denominator_divisible_by_p_is_a_usage_error(capsys, tmp_path):
+    from endoscope.serialize import representation_to_json
+
+    data = representation_to_json(kronecker_preinjective(2))
+    assert data["matrices"]["alpha"] == [["0", "1"]]
+    data["matrices"]["alpha"] = [["0", "1/7"]]
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(data))
+    matrix = json.dumps({"entries": [[[{"coeff": "1", "path": ["alpha"]}]]], "pointer": 0})
+    code = main(["matsub", "eval", "--rep", str(rep_path), "--field", "fp:7", "--matrix", matrix])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "divisible by 7" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["fp:abc", "fp:561", "fp:3317044064679887385961981"])
+def test_cli_bad_field_is_a_usage_error(capsys, field):
+    code = main(["endosoc", "--family", "preinj", "--range", "1..3", "--field", field])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_cli_matsub_eval_file_carrier(capsys, tmp_path):
     from endoscope.serialize import representation_to_json
 

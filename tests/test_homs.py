@@ -19,7 +19,8 @@ from endoscope.homs import (
     jacobson_radical,
     noniso_subspace,
 )
-from endoscope.linalg import GFElement, Mat, PrimeField
+from endoscope.linalg import QQ, Mat, PrimeField
+from endoscope.matsub import PointedMatrix, evaluate
 from endoscope.quiver import kronecker
 from endoscope.reps import (
     Morphism,
@@ -28,6 +29,7 @@ from endoscope.reps import (
     kronecker_preinjective,
     kronecker_preprojective,
     kronecker_regular,
+    socle,
 )
 
 
@@ -148,14 +150,37 @@ def test_hom_basis_entries_stay_in_the_prime_field(p):
         for n in members:
             for f in hom_basis(m, n).basis:
                 for block in f.blocks.values():
+                    assert block.field == gf
                     for x in (x for row in block.entries for x in row):
-                        assert isinstance(x, GFElement) and x.p == p
+                        assert type(x) is int and 0 <= x < p
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_prime_field_results_carry_their_field(p):
+    gf = PrimeField(p)
+    parts = [kronecker_preinjective(n, field=gf) for n in (1, 2, 3)]
+    total, embeddings, projections = direct_sum(parts)
+    blocks = list(total.matrices.values())
+    blocks += [b for f in embeddings + projections for b in f.blocks.values()]
+    blocks += [b for f in hom_basis(total, parts[1]).basis for b in f.blocks.values()]
+    subspaces = list(socle(total).spaces.values())
+    pres = kronecker()
+    pm = PointedMatrix.of([[pres.arrow_element("alpha"), pres.arrow_element("beta").scale(Fraction(1, 3))]], 0)
+    subspaces.append(evaluate(pm, total))
+    blocks += [s.basis for s in subspaces]
+    assert all(s.field == gf for s in subspaces)
+    for block in blocks:
+        assert block.field == gf
+        assert all(type(x) is int and 0 <= x < p for row in block.entries for x in row)
 
 
 def test_hom_basis_entries_stay_rational(preinj):
     for f in hom_basis(preinj[1], preinj[1]).basis + hom_basis(preinj[2], preinj[3]).basis:
         for block in f.blocks.values():
-            assert all(type(x) is Fraction for row in block.entries for x in row)
+            assert block.field == QQ
+            # one value format: an int, or a Fraction only when not integral
+            values = [x for row in block.entries for x in row]
+            assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
 
 
 def test_radical_is_an_ideal(preinj):

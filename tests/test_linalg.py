@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endoscope import linalg
 from endoscope.linalg import (
-    GFElement,
+    QQ,
     LinalgError,
     Mat,
     PrimeField,
@@ -187,7 +189,7 @@ def test_scalar_round_trip():
 
 def test_prime_field_rank_and_kernel():
     gf = field_from_name("fp:5")
-    m = Mat([[gf.of(1), gf.of(2)], [gf.of(2), gf.of(4)]])
+    m = Mat([[gf.of(1), gf.of(2)], [gf.of(2), gf.of(4)]], field=gf)
     assert m.rank() == 1
     ker = kernel_basis(m)
     assert ker.dim == 1
@@ -200,13 +202,132 @@ def test_prime_field_rejects_composite():
         field_from_name("fp:6")
 
 
-def test_gf_element_arithmetic():
-    a = GFElement(3, 7)
-    b = GFElement(5, 7)
-    assert a + b == GFElement(1, 7)
-    assert a * b == GFElement(1, 7)
-    assert (a / b).value == (3 * pow(5, -1, 7)) % 7
-    assert PrimeField(7).of(Fraction(1, 2)) == GFElement(4, 7)
+def test_prime_field_values_are_residues():
+    gf = PrimeField(7)
+    assert gf.of(Fraction(1, 2)) == 4
+    assert gf.of("-3/2") == 2 and gf.of(-8) == 6
+    assert all(type(gf.of(x)) is int for x in (3, Fraction(1, 2), "5/3"))
+    a = Mat([[3]], field=gf)
+    b = Mat([[5]], field=gf)
+    assert a + b == Mat([[1]], field=gf)
+    assert a @ b == Mat([[1]], field=gf)
+    assert a - b == Mat([[5]], field=gf) and -a == Mat([[4]], field=gf)
+    assert a.scale(Fraction(1, 3)) == Mat([[1]], field=gf)
+    assert (a @ linalg.invert(b)).entries == (((3 * pow(5, -1, 7)) % 7,),)
+    assert Mat([[3, 5], [1, 6]], field=gf).trace() == 2
+    assert Mat([[3, 5]], field=gf).apply((4, 1)) == (3,)
+
+
+def test_prime_field_matrix_refuses_non_residues():
+    gf = PrimeField(5)
+    for bad in (5, -1, Fraction(1, 2), "1"):
+        with pytest.raises(LinalgError):
+            Mat([[1, bad]], field=gf)
+    assert Mat([[gf.of(x) for x in (5, -1, Fraction(1, 2))]], field=gf).entries == ((0, 4, 3),)
+
+
+def test_rational_values_are_ints_unless_fractional():
+    assert QQ.of("4/2") == 2 and type(QQ.of("4/2")) is int
+    assert QQ.of(Fraction(3, 6)) == Fraction(1, 2)
+    half = Mat([[Fraction(1, 2)]])
+    for m in (half @ Mat([[2]]), half + half, half.scale(4), half - Mat([[Fraction(-1, 2)]])):
+        assert all(type(x) is int for row in m.entries for x in row)
+    assert type(Mat([[Fraction(1, 2), 0], [0, Fraction(3, 2)]]).trace()) is int
+    assert half.apply((Fraction(4),)) == (2,) and type(half.apply((Fraction(4),))[0]) is int
+
+
+def test_prime_field_refuses_a_denominator_divisible_by_p():
+    with pytest.raises(LinalgError):
+        PrimeField(7).of(Fraction(1, 7))
+    with pytest.raises(LinalgError):
+        PrimeField(7).of("3/14")
+
+
+def test_field_is_part_of_matrix_identity():
+    gf = PrimeField(5)
+    q, f = Mat([[1]]), Mat([[1]], field=gf)
+    assert q != f
+    assert len({q, f}) == 2
+    assert Subspace.full(2) != Subspace.full(2, gf)
+    assert len({Subspace.zero(2), Subspace.zero(2, gf)}) == 2
+
+
+def test_entry_less_matrix_keeps_its_field():
+    gf = PrimeField(5)
+    x = solve(Mat.zeros(0, 3, gf), [])
+    assert x == (0, 0, 0) and all(type(a) is int for a in x)
+    ker = kernel_basis(Mat.zeros(0, 3, gf))
+    assert ker == Subspace.full(3, gf) and ker.field == gf
+    assert rref(Mat.zeros(2, 0, gf))[0].field == gf
+
+
+def test_mixed_fields_raise():
+    gf5, gf7 = PrimeField(5), PrimeField(7)
+    q, f5, f7 = Mat.identity(2), Mat.identity(2, gf5), Mat.identity(2, gf7)
+    for a, b in ((q, f5), (f5, f7)):
+        with pytest.raises(LinalgError):
+            a @ b
+        with pytest.raises(LinalgError):
+            a + b
+        with pytest.raises(LinalgError):
+            a - b
+        with pytest.raises(LinalgError):
+            a.hstack(b)
+        with pytest.raises(LinalgError):
+            a.vstack(b)
+        with pytest.raises(LinalgError):
+            intersect(Subspace(2, a), Subspace(2, b))
+        with pytest.raises(LinalgError):
+            intersect(Subspace.zero(2, a.field), Subspace(2, b))
+
+
+def test_zero_subspace_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Subspace.zero ran the elimination kernel")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    gf = PrimeField(3)
+    z = Subspace.zero(4, gf)
+    assert z.dim == 0 and z.ambient_dim == 4 and z.field == gf
+    assert z.basis.shape == (4, 0) and z.basis.field == gf
+    assert z.vectors() == []
+
+
+def test_zero_subspace_is_canonical():
+    for field in (QQ, PrimeField(5)):
+        z = Subspace.zero(3, field)
+        assert z == Subspace.span(3, [], field) == Subspace.span(3, [(0, 0, 0)], field)
+        assert hash(z) == hash(Subspace(3, Mat.zeros(3, 2, field)))
+
+
+@pytest.mark.parametrize("n", [1, 561, 3215031751, 10**18 + 1, 2**61 + 1])
+def test_prime_field_rejects_composites_and_pseudoprimes(n):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(LinalgError):
+        PrimeField(n)
+
+
+def test_prime_field_accepts_a_large_prime_quickly():
+    started = time.perf_counter()
+    gf = PrimeField(10**18 + 3)  # the least prime above 10**18
+    assert time.perf_counter() - started < 0.1
+    assert gf.of(Fraction(1, 2)) == (10**18 + 4) // 2
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
+def test_prime_field_refuses_p_beyond_the_primality_bound():
+    with pytest.raises(LinalgError):
+        PrimeField(3317044064679887385961981)
+    with pytest.raises(LinalgError):
+        field_from_name("fp:1000000000000000000000000000057")
+
+
+def test_field_names():
+    assert field_from_name("q") == QQ
+    assert field_from_name("fp:101") == PrimeField(101)
+    for bad in ("fp:abc", "fp:", "r", "fp:6"):
+        with pytest.raises(LinalgError):
+            field_from_name(bad)
 
 
 def test_zero_shape_matrices():

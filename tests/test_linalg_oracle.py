@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from endoscope.linalg import QQ, GFElement, Mat, PrimeField, invert, kernel_basis, rref, solve  # noqa: E402
+from endoscope.linalg import QQ, LinalgError, Mat, PrimeField, invert, kernel_basis, rref, solve  # noqa: E402
 
 PRIMES = (2, 3, 7, 101)
 
@@ -74,8 +74,10 @@ def test_rationals_agree_with_sympy(shape_grid, data):
     b = _rhs(data, rows)
     with_rhs = oracle.row_join(sympy.Matrix(rows, 1, b)).rank() if rows else 0
     ker, x = _check_kernel_and_solve(m, len(expected_pivots), with_rhs, [Fraction(v) for v in b])
+    assert red.field == QQ and ker.field == QQ
+    # one value format over the rationals: an int, or a Fraction only when not integral
     scalars = [a for r in red.entries + ker.basis.entries for a in r] + list(x or ())
-    assert all(type(a) is Fraction for a in scalars)
+    assert all(type(a) is int or (type(a) is Fraction and a.denominator != 1) for a in scalars)
 
 
 @given(st.sampled_from(PRIMES), sparse_int_grids(), st.data())
@@ -83,7 +85,7 @@ def test_rationals_agree_with_sympy(shape_grid, data):
 def test_prime_fields_agree_with_sympy(p, shape_grid, data):
     rows, cols, grid = shape_grid
     gf = PrimeField(p)
-    m = Mat([[gf.of(v) for v in row] for row in grid], rows, cols)
+    m = Mat([[gf.of(v) for v in row] for row in grid], rows, cols, gf)
     dom = sympy.GF(p)
     oracle = DomainMatrix([[dom(v) for v in row] for row in grid], (rows, cols), dom)
     expected, expected_pivots = oracle.rref()
@@ -91,15 +93,15 @@ def test_prime_fields_agree_with_sympy(p, shape_grid, data):
 
     red, pivots = rref(m)
     assert pivots == list(expected_pivots)
-    assert [[a.value for a in r] for r in red.entries] == [[int(a) % p for a in r] for r in expected]
+    assert [list(r) for r in red.entries] == [[int(a) % p for a in r] for r in expected]
     assert m.rank() == len(expected_pivots)
 
     b = _rhs(data, rows)
     augmented = DomainMatrix([[dom(v) for v in row] + [dom(bv)] for row, bv in zip(grid, b)], (rows, cols + 1), dom)
     ker, x = _check_kernel_and_solve(m, len(expected_pivots), augmented.rank(), [gf.of(v) for v in b])
-    if rows and cols:
-        scalars = [a for r in red.entries + ker.basis.entries for a in r] + list(x or ())
-        assert all(isinstance(a, GFElement) and a.p == p for a in scalars)
+    assert red.field == gf and ker.field == gf
+    scalars = [a for r in red.entries + ker.basis.entries for a in r] + list(x or ())
+    assert all(type(a) is int and 0 <= a < p for a in scalars)
 
 
 @given(st.sampled_from((0,) + PRIMES), sparse_int_grids(max_rows=8, max_cols=8))
@@ -108,7 +110,7 @@ def test_invert_agrees_with_sympy(p, shape_grid):
     _, n, grid = shape_grid
     grid = (grid + [[0] * n] * n)[:n]
     field = PrimeField(p) if p else QQ
-    m = Mat([[field.of(v) for v in row] for row in grid], n, n)
+    m = Mat([[field.of(v) for v in row] for row in grid], n, n, field)
     if p:
         dom = sympy.GF(p)
         singular = DomainMatrix([[dom(v) for v in row] for row in grid], (n, n), dom).rank() < n
@@ -118,6 +120,7 @@ def test_invert_agrees_with_sympy(p, shape_grid):
     assert (inv is None) == singular
     if inv is not None:
         one = Mat.identity(n, field)
+        assert inv.field == field
         assert m @ inv == one and inv @ m == one
 
 
@@ -130,10 +133,21 @@ def test_empty_shapes(shape, p):
     red, pivots = rref(m)
     assert red == m and pivots == []
     assert m.rank() == 0
-    ker = kernel_basis(m, field)
+    ker = kernel_basis(m)
     assert ker.dim == cols
-    x = solve(m, [field.zero] * rows)
-    assert x == (field.zero,) * cols
-    # with no rows, neither m nor b names the field, so x's zeros may be Fractions
-    scalars = [a for r in ker.basis.entries for a in r] + (list(x) if rows else [])
-    assert all(type(a) is type(field.zero) for a in scalars)
+    assert red.field == field and ker.field == field
+    x = solve(m, [0] * rows)
+    assert x == (0,) * cols
+    # m names its field even without entries, so every zero is the int 0
+    scalars = [a for r in ker.basis.entries for a in r] + list(x)
+    assert all(type(a) is int and (not p or 0 <= a < p) for a in scalars)
+
+
+def test_primality_agrees_with_sympy():
+    for n in range(2, 10**4 + 1):
+        try:
+            PrimeField(n)
+            accepted = True
+        except LinalgError:
+            accepted = False
+        assert accepted == sympy.isprime(n), n
