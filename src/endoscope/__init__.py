@@ -14,6 +14,7 @@ from .linalg import (
     QQ,
     Scalar,
     Subspace,
+    assemble,
     field_from_name,
     intersect,
     intersect_all,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Literal, Sequence
 
@@ -59,20 +59,24 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def flat_dim(self) -> int:
+        """The length of the ``Morphism.flatten`` layout of maps source -> target."""
+        return sum(self.target.dim(v) * self.source.dim(v) for v in self.source.presentation.quiver.vertices)
+
     def _coordinatizer(self):
         # pivot coordinate positions + inverse of the corresponding square block
         if self._coord is None:
             flats = [f.flatten() for f in self.basis]
             k = len(flats)
-            ambient = len(flats[0]) if flats else 0
             field = self.source.field
-            bt = Mat(flats, k, ambient, field)
+            bt = Mat.sparse(flats, self.flat_dim, field)
             _, pivots = rref(bt)
-            block = Mat([[flats[j][p] for j in range(k)] for p in pivots], k, k, field)
+            block = Mat.sparse([{j: f[p] for j, f in enumerate(flats) if p in f} for p in pivots], k, field)
             inv = invert(block)
             if inv is None:
                 raise HomalgError("basis of hom space is linearly dependent")
-            self._coord = (pivots, inv, bt.transpose())
+            self._coord = (pivots, inv, bt)
         return self._coord
 
     def coordinates(self, f: Morphism) -> tuple:
@@ -87,10 +91,11 @@ class HomSpace:
             raise HomalgError("morphism has different ends")
         flat = f.flatten()
         if self.dim == 0:
-            return () if not any(flat) else None
-        pivots, inv, bmat = self._coordinatizer()
-        coords = inv.apply([flat[p] for p in pivots])
-        if bmat.apply(coords) != flat:
+            return () if not flat else None
+        pivots, inv, bt = self._coordinatizer()
+        coords = inv.apply([flat.get(p, 0) for p in pivots])
+        # f lies in the span iff the combination of the basis rebuilds it
+        if (Mat.sparse([dict(enumerate(coords))], self.dim, bt.field) @ bt).row(0) != flat:
             return None
         return coords
 
@@ -126,21 +131,22 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
         raise HomalgError("hom between different presentations")
     quiver = m.presentation.quiver
     p = m.field.characteristic
-    # unknown cells[idx] = (v, i, j) is entry (i, j) of the block f_v
+    # unknown offsets[v] + i * m.dim(v) + j is entry (i, j) of the block f_v,
+    # the layout of Morphism.flatten
     offsets = {}
-    cells = []
+    unknowns = 0
     for v in quiver.vertices:
-        offsets[v] = len(cells)
-        cells += [(v, i, j) for i in range(n.dim(v)) for j in range(m.dim(v))]
+        offsets[v] = unknowns
+        unknowns += n.dim(v) * m.dim(v)
 
     equations = []
     for a in quiver.arrows:
-        ma = m.matrix(a.name).entries
-        na = n.matrix(a.name).entries
+        ma = m.matrix(a.name).transpose()
+        na = n.matrix(a.name)
         # (f_t @ ma)[r, c] - (na @ f_s)[r, c] = 0 couples f_t[r, k] with ma[k, c]
         # and f_s[k, c] with na[r, k]; na_rows holds the negated entries
-        ma_cols = [[(k, row[c]) for k, row in enumerate(ma) if row[c]] for c in range(m.dim(a.source))]
-        na_rows = [[(k, p - x if p else -x) for k, x in enumerate(row) if x] for row in na]
+        ma_cols = [ma.row(c).items() for c in range(ma.rows)]
+        na_rows = [[(k, p - x if p else -x) for k, x in na.row(r).items()] for r in range(na.rows)]
         width_t, width_s, off_s = m.dim(a.target), m.dim(a.source), offsets[a.source]
         for r, na_row in enumerate(na_rows):
             base_t = offsets[a.target] + r * width_t
@@ -152,14 +158,7 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
                     eq[idx] = y if x is None else (x + y) % p if p else x + y
                 equations.append(eq)
 
-    basis = []
-    for vec in sparse_kernel(equations, len(cells), m.field):
-        grids = {v: [[0] * m.dim(v) for _ in range(n.dim(v))] for v in quiver.vertices}
-        for idx, x in vec.items():
-            v, i, j = cells[idx]
-            grids[v][i][j] = x
-        blocks = {v: Mat(g, n.dim(v), m.dim(v), m.field) for v, g in grids.items()}
-        basis.append(Morphism(m, n, blocks, _validate=False))
+    basis = [Morphism.unflatten(m, n, vec) for vec in sparse_kernel(equations, unknowns, m.field)]
     return HomSpace(m, n, basis)
 
 
@@ -229,17 +228,12 @@ def end_ring(m: Representation) -> EndoRing:
     if m.total_dim == 0:
         return EndoRing(m, full)
     ident = Morphism.identity(m)
-    flats = [ident.flatten()] + [f.flatten() for f in full.basis]
-    cols = Mat(flats, field=m.field).transpose()
-    # column-select a basis that keeps the identity in front
-    _, col_pivots = rref(cols)
-    chosen = [ident if p == 0 else full.basis[p - 1] for p in col_pivots]
-    if chosen[0] is not ident:
-        raise HomalgError("identity endomorphism unexpectedly dependent")
-    hom = HomSpace(m, m, chosen)
-    if hom.dim != full.dim:
-        raise HomalgError("re-based endomorphism basis has wrong dimension")
-    return EndoRing(m, hom)
+    # exchange the identity for the last basis element it involves: the rest
+    # stays independent, and it is the basis a left-to-right column
+    # selection of [identity, basis...] picks
+    coords = full.coordinates(ident)
+    drop = max(i for i, c in enumerate(coords) if c)
+    return EndoRing(m, HomSpace(m, m, [ident] + [f for i, f in enumerate(full.basis) if i != drop]))
 
 
 def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, list[Morphism]]:
@@ -254,7 +248,7 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, list[Morphism]]:
         return Subspace.zero(0, ring.module.field), []
     # tr_M(f g) = sum over vertices v and cells (a, b) of f_v[a][b] * g_v[b][a]
     cells = [
-        {(v, a, b): x for v, blk in f.blocks.items() for a, row in enumerate(blk.entries) for b, x in enumerate(row) if x}
+        {(v, a, b): x for v, blk in f.blocks.items() for a in range(blk.rows) for b, x in blk.row(a).items()}
         for f in ring.basis
     ]
     gram = [[sum(x * g[v, b, a] for (v, a, b), x in f.items() if (v, b, a) in g) for g in cells] for f in cells]
@@ -272,6 +266,8 @@ def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
     acts faithfully on M, so J^s = 0 iff J^s M = 0, and a nilpotent J
     shrinks W at every step, so W = 0 within dim M steps.
     """
+    if not morphisms:
+        return
     layer = {v: Mat.identity(m.dim(v), m.field) for v in m.presentation.quiver.vertices}
     steps = 0
     while any(w.cols for w in layer.values()):
@@ -279,9 +275,7 @@ def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
             raise HomalgError("trace-form radical failed the nilpotency check")
         steps += 1
         layer = {
-            v: Subspace.span(
-                m.dim(v), [col for r in morphisms for col in zip(*(r.blocks[v] @ w).entries)], m.field
-            ).basis
+            v: Subspace(m.dim(v), reduce(Mat.hstack, [r.blocks[v] @ w for r in morphisms])).basis
             for v, w in layer.items()
         }
 

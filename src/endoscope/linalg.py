@@ -2,37 +2,42 @@
 
 Everything downstream (representations, hom spaces, endomorphism rings)
 reduces to row reduction of exact matrices.  Every ``Mat`` and
-``Subspace`` names its field, and the field is part of its identity:
-``==`` and ``hash`` include it, and combining objects over two fields
-raises ``LinalgError``.  Values have one format everywhere: over the
-rationals (``QQ``) a value is an ``int``, or a ``fractions.Fraction``
-when it is not integral; over GF(p) (``PrimeField(p)``) it is an ``int``
-residue in ``range(p)``.  ``field.of`` turns an int, a Fraction or a
-"p/q" string into a value of the field.  All values are immutable and
-all operations are pure, so concurrent reads are safe.
+``Subspace`` names its field, which is part of its identity (``==`` and
+``hash``); combining objects over two fields raises ``LinalgError``.
+Values have one format: over the rationals (``QQ``) an ``int``, or a
+``fractions.Fraction`` when not integral; over GF(p) (``PrimeField(p)``)
+an ``int`` residue in ``range(p)``.  ``field.of`` makes a value from an
+int, a Fraction or a "p/q" string and refuses floats and bools.  Values
+are immutable and operations pure, so concurrent reads are safe.
+
+A ``Mat`` stores one dict ``{column: nonzero value}`` per row, the rows
+the elimination kernel reads and writes, and never a zero, so equal
+matrices have equal rows.  ``@``, ``+``, ``transpose``, ``hstack`` and
+``vstack`` cost O(nonzeros), not rows x columns.  Matrices are built
+from a dense grid (``Mat``), from sparse rows (``Mat.sparse``) or from
+placed blocks (``assemble``) and read through ``row``; ``entries`` is a
+dense view computed on demand.  A ``Subspace`` keeps the reduced row
+echelon rows of its canonical basis in the same format.
 
 Every elimination (``rref``, ``kernel_basis``, ``solve``, ``invert``,
-``Mat.rank`` and, through the kernel, ``intersect``) runs one sparse
-Gauss-Jordan kernel, ``_eliminate``.  Its rows are dicts ``column ->
-nonzero value``, read straight off the matrix entries.  Rows are folded
-in one at a time: each is reduced against the pivot rows found so far,
-which are kept fully reduced, and its smallest column becomes its pivot,
-so the pivot rows sorted by pivot are exactly the canonical reduced row
-echelon form.  A column -> pivot-row index limits back-substitution to
-the rows that hold the new pivot column, so the work follows the
-nonzeros rather than rows x columns.  A pivot other than +-1 is inverted
-as ``Fraction(1, pivot)`` over the rationals and by ``pow(pivot, -1, p)``
-over GF(p).  ``sparse_kernel`` is the entry point for systems that are
-sparse from the start (the hom systems): it takes and returns dicts of
-values, so no dense row is ever built.
+``Mat.rank``, ``Subspace``, ``intersect``) runs one sparse Gauss-Jordan
+kernel, ``_eliminate``.  Rows are folded in one at a time, each reduced
+against the pivot rows so far, which are kept fully reduced; its
+smallest column becomes its pivot, so the pivot rows sorted by pivot
+are the canonical reduced row echelon form.  A column -> pivot-row
+index limits back-substitution to the rows holding the new pivot
+column, so the work follows the nonzeros.  A pivot other than +-1 is
+inverted as ``Fraction(1, pivot)`` over the rationals and by
+``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and returns
+dicts of values, for systems that are sparse from the start (the hom
+systems).
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import chain
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 Scalar = int | Fraction  # a value over either kind of field
 
@@ -51,6 +56,17 @@ def scalar_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _fraction(v) -> Fraction:
+    """An int, Fraction or "p/q" string as a Fraction; a float or bool is refused,
+    since a binary float is rarely the rational its writer meant."""
+    if isinstance(v, (bool, float)):
+        raise LinalgError(f'{v!r} is not exact: write an integer or a "p/q" string')
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise LinalgError(f'{v!r} is not an integer, a Fraction or a "p/q" string') from None
+
+
 class RationalField:
     characteristic = 0
     name = "q"
@@ -60,7 +76,9 @@ class RationalField:
 
     def of(self, v):
         """The value of an int, Fraction or "p/q" string: an int when integral."""
-        x = Fraction(v)
+        if type(v) is int:
+            return v
+        x = _fraction(v)
         return x.numerator if x.denominator == 1 else x
 
     def __repr__(self):
@@ -121,7 +139,7 @@ class PrimeField:
         """The residue of an int, Fraction or "p/q" string."""
         if type(v) is int:
             return v % self.p
-        x = Fraction(v)
+        x = _fraction(v)
         if x.denominator % self.p == 0:
             raise LinalgError(f"{v} has a denominator divisible by {self.p}")
         return x.numerator * pow(x.denominator, -1, self.p) % self.p
@@ -159,155 +177,180 @@ def _common_field(a, b):
     return a.field
 
 
-class Mat:
-    """Immutable dense matrix over ``field``.
+def _checked(rows: Iterable[Iterable[tuple]], cols: int, field) -> tuple:
+    """Stored rows from ``(column, value)`` pairs, zeros dropped; refuses a
+    column outside ``range(cols)`` and any value not in the field's format,
+    except that an integral Fraction is stored as an int."""
+    p = field.characteristic
+    out = []
+    for row in rows:
+        kept = {}
+        for j, x in row:
+            if type(x) is Fraction and not p:
+                x = _qq(x)
+            elif type(x) is not int or p and not 0 <= x < p:
+                kind = f"int residues in range({p})" if p else "ints or Fractions"
+                raise LinalgError(f"entries over {field!r} must be {kind}, not {x!r}; field.of makes them")
+            if not 0 <= j < cols:
+                raise LinalgError(f"column {j} outside range({cols})")
+            if x:
+                kept[j] = x
+        out.append(kept)
+    return tuple(out)
 
-    Rows are tuples of values of the field (see the module docstring);
-    ``field.of`` makes them from other numbers, and over GF(p) anything
-    but a residue is refused.  Zero-row and zero-column shapes are
-    allowed.
+
+class Mat:
+    """Immutable matrix over ``field``, stored as sparse rows.
+
+    Row i is a dict ``{column: nonzero value}`` of values of the field
+    (see the module docstring).  ``Mat(entries, rows, cols, field)``
+    reads a dense grid of values, which ``field.of`` makes from other
+    numbers, and refuses anything else; ``entries`` is that grid again,
+    computed on demand.  Zero-row and zero-column shapes are allowed.
     """
 
-    __slots__ = ("rows", "cols", "entries", "field", "_hash")
+    __slots__ = ("rows", "cols", "field", "_data", "_hash")
 
-    def __init__(
-        self, entries: Iterable[Iterable], rows: int | None = None, cols: int | None = None, field=QQ
-    ):
-        ent = tuple(tuple(r) for r in entries)
+    def __init__(self, entries: Iterable[Iterable], rows: int | None = None, cols: int | None = None, field=QQ):
+        ent = [tuple(r) for r in entries]
         if rows is None:
             rows = len(ent)
         if cols is None:
             cols = len(ent[0]) if ent else 0
         if len(ent) != rows or any(len(r) != cols for r in ent):
             raise LinalgError("ragged or mis-shaped entry grid")
-        p = field.characteristic
-        if p and not all(type(x) is int and 0 <= x < p for x in set(chain.from_iterable(ent))):
-            raise LinalgError(f"entries over {field!r} must be int residues in range({p}); field.of makes them")
+        self._set(_checked(map(enumerate, ent), cols, field), rows, cols, field)
+
+    def _set(self, data: tuple, rows: int, cols: int, field):
+        self._data = data
         self.rows = rows
         self.cols = cols
-        self.entries = ent
         self.field = field
         self._hash = None
 
     @classmethod
+    def sparse(cls, rows: Sequence[Mapping], cols: int, field=QQ) -> "Mat":
+        """The matrix whose row i has the entries ``rows[i]`` = {column: value};
+        values are checked as by ``Mat`` and zeros dropped."""
+        return _mat(_checked((r.items() for r in rows), cols, field), len(rows), cols, field)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, field=QQ) -> "Mat":
-        return _mat(((0,) * cols,) * rows, rows, cols, field)
+        return _mat(tuple({} for _ in range(rows)), rows, cols, field)
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
-        return _mat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n, n, field)
+        return _mat(tuple({i: 1} for i in range(n)), n, n, field)
+
+    @property
+    def entries(self) -> tuple:
+        """The dense grid: a tuple of row tuples, zeros included."""
+        return tuple(tuple(r.get(j, 0) for j in range(self.cols)) for r in self._data)
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.entries[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside range({self.cols})")
+        return self._data[i].get(j, 0)
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+    def row(self, i: int) -> Mapping:
+        """The nonzero entries of row i, as a read-only {column: value} mapping."""
+        return MappingProxyType(self._data[i])
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def transpose(self) -> "Mat":
-        ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return _mat(ent, self.cols, self.rows, self.field)
-
-    def _entrywise(self, other: "Mat", f) -> "Mat":
-        field = _common_field(self, other)
-        if self.shape != other.shape:
-            raise LinalgError(f"shape mismatch {self.shape} vs {other.shape}")
-        p = field.characteristic
-        ent = tuple(_values(map(f, ra, rb), p) for ra, rb in zip(self.entries, other.entries))
-        return _mat(ent, self.rows, self.cols, field)
+        out = tuple({} for _ in range(self.cols))
+        for i, row in enumerate(self._data):
+            for j, x in row.items():
+                out[j][i] = x
+        return _mat(out, self.cols, self.rows, self.field)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._entrywise(other, operator.add)
+        if self.shape != other.shape:
+            raise LinalgError(f"shape mismatch {self.shape} vs {other.shape}")
+        return assemble(self.rows, self.cols, [(0, 0, self), (0, 0, other)], self.field)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._entrywise(other, operator.sub)
+        return self + -other
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c) -> "Mat":
-        p = self.field.characteristic
-        if p:
-            c = self.field.of(c)
-        ent = tuple(_values([c * a for a in r], p) for r in self.entries)
-        return _mat(ent, self.rows, self.cols, self.field)
+        c = self.field.of(c)
+        if not c:
+            return Mat.zeros(self.rows, self.cols, self.field)
+        out = tuple(_subtract({}, -c, r, -1, self.field.characteristic) for r in self._data)  # 0 - (-c) r
+        return _mat(out, self.rows, self.cols, self.field)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         field = _common_field(self, other)
         if self.cols != other.rows:
             raise LinalgError(f"shape mismatch {self.shape} @ {other.shape}")
         p = field.characteristic
-        # only nonzero products are formed; the matrices around here are mostly sparse
-        nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.entries]
+        b = other._data
         out = []
-        for arow in self.entries:
-            acc = [0] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in nonzero[k]:
-                        acc[j] += a * b
-            out.append(_values(acc, p))
+        for arow in self._data:
+            acc = {}
+            for k, a in arow.items():
+                for j, x in b[k].items():
+                    acc[j] = acc.get(j, 0) + a * x
+            if p:
+                out.append({j: r for j, v in acc.items() if (r := v % p)})
+            else:
+                out.append({j: _qq(v) for j, v in acc.items() if v})
         return _mat(tuple(out), self.rows, other.cols, field)
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product."""
+        """Matrix-vector product of dense vectors."""
         if len(vec) != self.cols:
             raise LinalgError("vector length mismatch")
         p = self.field.characteristic
-        out = []
-        for row in self.entries:
-            s = 0
-            for a, v in zip(row, vec):
-                if a and v:
-                    s += a * v
-            out.append(s)
-        return _values(out, p)
+        out = (sum(a * vec[j] for j, a in row.items()) for row in self._data)
+        return tuple(x % p for x in out) if p else tuple(map(_qq, out))
 
     def hstack(self, other: "Mat") -> "Mat":
-        field = _common_field(self, other)
         if self.rows != other.rows:
             raise LinalgError("row count mismatch in hstack")
-        ent = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        return _mat(ent, self.rows, self.cols + other.cols, field)
+        return assemble(self.rows, self.cols + other.cols, [(0, 0, self), (0, self.cols, other)], self.field)
 
     def vstack(self, other: "Mat") -> "Mat":
         field = _common_field(self, other)
         if self.cols != other.cols:
             raise LinalgError("column count mismatch in vstack")
-        return _mat(self.entries + other.entries, self.rows + other.rows, self.cols, field)
+        return _mat(self._data + other._data, self.rows + other.rows, self.cols, field)
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.entries)
+        return not any(self._data)
 
     def rank(self) -> int:
-        p = self.field.characteristic
-        return len(_eliminate(_rows(map(enumerate, self.entries), p), p))
+        return len(_eliminate(self._copy(), self.field.characteristic))
 
     def trace(self):
         if self.rows != self.cols:
             raise LinalgError("trace of non-square matrix")
         p = self.field.characteristic
-        s = sum(self.entries[i][i] for i in range(self.rows))
+        s = sum(r.get(i, 0) for i, r in enumerate(self._data))
         return s % p if p else _qq(s)
+
+    def _copy(self) -> list[dict]:
+        """Fresh copies of the rows, for the kernel to consume."""
+        return [dict(r) for r in self._data]
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.shape == other.shape
             and self.field == other.field
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.field, self.entries))
+            self._hash = hash((self.rows, self.cols, self.field, _key(self._data)))
         return self._hash
 
     def __repr__(self):
@@ -317,30 +360,39 @@ class Mat:
         return f"Mat[{body}]" if self.field == QQ else f"Mat[{body}] over {self.field!r}"
 
 
-def _values(xs: Iterable, p: int) -> tuple:
-    """Results of arithmetic on values, in value format: residues mod p, or
-    over the rationals with integral Fractions turned into ints."""
-    if p:
-        return tuple(x % p for x in xs)
-    return tuple(x.numerator if x.denominator == 1 else x for x in xs)
-
-
-def _mat(entries: tuple, rows: int, cols: int, field) -> Mat:
-    """A Mat from a tuple of row tuples already of the given shape; not checked."""
+def _mat(data: tuple, rows: int, cols: int, field) -> Mat:
+    """A Mat from stored rows already of the given shape and format; not checked."""
     m = Mat.__new__(Mat)
-    m.entries = entries
-    m.rows = rows
-    m.cols = cols
-    m.field = field
-    m._hash = None
+    m._set(data, rows, cols, field)
     return m
 
 
+def _key(rows: Iterable[dict]) -> tuple:
+    """A hashable form of stored rows; equal rows give equal keys."""
+    return tuple(frozenset(r.items()) for r in rows)
+
+
+def assemble(rows: int, cols: int, blocks: Iterable[tuple[int, int, Mat]], field=QQ) -> Mat:
+    """The rows x cols matrix that is the sum of the ``blocks``: each
+    ``(row_off, col_off, block)`` has its (0, 0) entry at (row_off, col_off).
+    Overlapping entries add; every block must lie over ``field`` and fit."""
+    p = field.characteristic
+    out = tuple({} for _ in range(rows))
+    for roff, coff, block in blocks:
+        if block.field != field:
+            raise LinalgError(f"mixed fields {block.field!r} and {field!r}")
+        if roff < 0 or coff < 0 or roff + block.rows > rows or coff + block.cols > cols:
+            raise LinalgError(f"{block.shape} block at ({roff}, {coff}) outside a {rows}x{cols} matrix")
+        for i, src in enumerate(block._data):
+            _subtract(out[roff + i], -1, {coff + j: x for j, x in src.items()}, -1, p)
+    return _mat(out, rows, cols, field)
+
+
 # -- the elimination kernel ----------------------------------------------------
-# Kernel rows are dicts column -> nonzero value; ``p`` is the characteristic
-# (0 for the rationals).  Over the rationals every value the kernel makes
-# goes through ``_qq``, so it computes with ints wherever it can and its
-# results are in value format.
+# Kernel rows are dicts column -> nonzero value, the rows a Mat stores;
+# ``p`` is the characteristic (0 for the rationals).  Over the rationals
+# every value the kernel makes goes through ``_qq``, so it computes with
+# ints wherever it can and its results are in value format.
 
 
 def _qq(x):
@@ -348,15 +400,8 @@ def _qq(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _rows(rows: Iterable[Iterable[tuple]], p: int) -> list[dict]:
-    """Kernel rows from ``(column, value)`` pairs, zeros dropped."""
-    if p:
-        return [{j: x for j, x in row if x} for row in rows]
-    return [{j: _qq(x) for j, x in row if x} for row in rows]
-
-
-def _subtract(dst: dict, f, src: dict, skip: int, p: int, holders=None, owner=None):
-    """dst -= f * src on the columns of src other than ``skip``.
+def _subtract(dst: dict, f, src: dict, skip: int, p: int, holders=None, owner=None) -> dict:
+    """dst -= f * src on the columns of src other than ``skip``; returns dst.
 
     With ``holders``, keep the column index of the pivot row ``owner``
     (which is ``dst``) up to date.
@@ -378,6 +423,18 @@ def _subtract(dst: dict, f, src: dict, skip: int, p: int, holders=None, owner=No
             del dst[j]
             if holders is not None:
                 holders[j].discard(owner)
+    return dst
+
+
+def _reduce(row: dict, reduced: dict[int, dict], p: int) -> dict:
+    """Reduce ``row`` in place against fully reduced pivot rows ``{pivot: row}``.
+
+    The pivot rows vanish on each other's pivots, so one pass clears
+    them all; the row left over is zero iff ``row`` was in their span.
+    """
+    for c in [c for c in row if c in reduced]:
+        _subtract(row, row.pop(c), reduced[c], c, p)
+    return row
 
 
 def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
@@ -390,9 +447,7 @@ def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
     reduced: dict[int, dict] = {}
     holders: dict[int, set] = {}  # column -> pivots of the rows with an entry there
     for row in rows:
-        # pivot rows vanish on each other's pivots, so one pass clears them all
-        for c in [c for c in row if c in reduced]:
-            _subtract(row, row.pop(c), reduced[c], c, p)
+        _reduce(row, reduced, p)
         if not row:
             continue
         piv = min(row)
@@ -414,16 +469,7 @@ def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
     return reduced
 
 
-def _sorted_rows(reduced: dict[int, dict]) -> list[dict]:
-    return [reduced[c] for c in sorted(reduced)]
-
-
-def _span_rows(vectors: Iterable[Sequence], p: int) -> list[dict]:
-    """The RREF rows of the canonical basis of the span of dense vectors."""
-    return _sorted_rows(_eliminate(_rows(map(enumerate, vectors), p), p))
-
-
-def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> list[dict]:
+def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> dict[int, dict]:
     """The right kernel of sparse kernel rows, as the RREF rows of its canonical basis."""
     reduced = _eliminate(rows, p)
     free = {f: {f: 1} for f in range(ncols) if f not in reduced}
@@ -431,34 +477,31 @@ def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> list[dict]:
         for j, v in row.items():
             if j != q:
                 free[j][q] = -v % p if p else -v
-    return _sorted_rows(_eliminate(free.values(), p))
+    return _eliminate(free.values(), p)
 
 
-def sparse_kernel(equations: Iterable[dict], ncols: int, field) -> list[dict]:
+def sparse_kernel(equations: Iterable[Mapping], ncols: int, field) -> list[dict]:
     """The right kernel of sparse equations ``{column: value}`` over ``field``.
 
     Zero entries and empty equations are allowed.  Returns the canonical
     basis (the RREF rows of the kernel) as dicts ``{column: nonzero value}``.
     """
     p = field.characteristic
-    return _kernel_rows(_rows((eq.items() for eq in equations), p), ncols, p)
+    reduced = _kernel_rows(_checked((eq.items() for eq in equations), ncols, field), ncols, p)
+    return [reduced[c] for c in sorted(reduced)]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    p = m.field.characteristic
-    reduced = _eliminate(_rows(map(enumerate, m.entries), p), p)
+    reduced = _eliminate(m._copy(), m.field.characteristic)
     pivots = sorted(reduced)
-    rows = [tuple(reduced[c].get(j, 0) for j in range(m.cols)) for c in pivots]
-    rows += [(0,) * m.cols] * (m.rows - len(pivots))
-    return _mat(tuple(rows), m.rows, m.cols, m.field), pivots
+    rows = tuple(reduced[c] for c in pivots) + tuple({} for _ in range(m.rows - len(pivots)))
+    return _mat(rows, m.rows, m.cols, m.field), pivots
 
 
 def kernel_basis(m: Mat) -> "Subspace":
     """Basis of the right kernel {x : m @ x = 0}."""
-    p = m.field.characteristic
-    vecs = _kernel_rows(_rows(map(enumerate, m.entries), p), m.cols, p)
-    return Subspace._from_rref(m.cols, vecs, m.field)
+    return Subspace._from_rref(m.cols, _kernel_rows(m._copy(), m.cols, m.field.characteristic), m.field)
 
 
 def invert(m: Mat) -> Mat | None:
@@ -468,16 +511,12 @@ def invert(m: Mat) -> Mat | None:
     n = m.rows
     if n == 0:
         return m
-    p = m.field.characteristic
-    rows = _rows(map(enumerate, m.entries), p)
-    for i, row in enumerate(rows):
-        row[n + i] = 1
-    reduced = _eliminate(rows, p)
+    reduced = _eliminate(m.hstack(Mat.identity(n, m.field))._data, m.field.characteristic)
     # [m | 1] always has rank n; m is invertible iff no pivot lies in the identity half
     if max(reduced) >= n:
         return None
-    ent = tuple(tuple(reduced[i].get(n + j, 0) for j in range(n)) for i in range(n))
-    return _mat(ent, n, n, m.field)
+    inv = tuple({j - n: x for j, x in reduced[i].items() if j >= n} for i in range(n))
+    return _mat(inv, n, n, m.field)
 
 
 def solve(m: Mat, b: Sequence) -> tuple | None:
@@ -487,93 +526,98 @@ def solve(m: Mat, b: Sequence) -> tuple | None:
     """
     if len(b) != m.rows:
         raise LinalgError("right-hand side length mismatch")
-    p = m.field.characteristic
-    rows = _rows(map(enumerate, ((*r, bv) for r, bv in zip(m.entries, b))), p)
-    reduced = _eliminate(rows, p)
-    if m.cols in reduced:
+    n = m.cols
+    augmented = m.hstack(Mat([[x] for x in b], m.rows, 1, m.field))
+    reduced = _eliminate(augmented._data, m.field.characteristic)
+    if n in reduced:
         return None
-    x = [0] * m.cols
+    x = [0] * n
     for c, row in reduced.items():
-        if m.cols in row:
-            x[c] = row[m.cols]
+        x[c] = row.get(n, 0)
     return tuple(x)
 
 
 class Subspace:
-    """A linear subspace of K^n, held as a canonical column basis.
+    """A linear subspace of K^n, held as its canonical basis.
 
-    The basis matrix is normalized so that its transpose is in reduced
-    row echelon form; two subspaces are equal iff their fields and
-    canonical bases coincide, which gives a deterministic normal form
-    for comparisons.  The field is that of the basis matrix.
+    The canonical basis is the set of reduced row echelon rows of any
+    spanning set, stored sparse as the kernel makes them; two subspaces
+    are equal iff their fields and canonical bases coincide, which gives
+    a deterministic normal form for comparisons.  ``basis`` is the
+    n x dim matrix with these vectors as columns, built on demand.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_hash")
+    __slots__ = ("ambient_dim", "field", "_rows", "_hash")
 
     def __init__(self, ambient_dim: int, basis: Mat):
+        """The span of the columns of ``basis``."""
         if basis.rows != ambient_dim:
             raise LinalgError("basis rows must equal ambient dimension")
-        self._set(ambient_dim, _span_rows(zip(*basis.entries), basis.field.characteristic), basis.field)
+        rows = basis.transpose()._data  # fresh dicts, for the kernel to consume
+        self._set(ambient_dim, _eliminate(rows, basis.field.characteristic), basis.field)
 
     @classmethod
-    def _from_rref(cls, ambient_dim: int, rows: list[dict], field) -> "Subspace":
-        """The subspace whose canonical basis has these RREF rows."""
+    def _from_rref(cls, ambient_dim: int, reduced: dict[int, dict], field) -> "Subspace":
+        """The subspace whose canonical basis has these RREF rows ``{pivot: row}``."""
         sub = cls.__new__(cls)
-        sub._set(ambient_dim, rows, field)
+        sub._set(ambient_dim, reduced, field)
         return sub
 
-    def _set(self, ambient_dim: int, rows: list[dict], field):
-        grid = [[0] * len(rows) for _ in range(ambient_dim)]
-        for k, row in enumerate(rows):
-            for i, x in row.items():
-                grid[i][k] = x
+    def _set(self, ambient_dim: int, reduced: dict[int, dict], field):
         self.ambient_dim = ambient_dim
-        self.basis = _mat(tuple(map(tuple, grid)), ambient_dim, len(rows), field)
+        self.field = field
+        self._rows = {c: reduced[c] for c in sorted(reduced)}
         self._hash = None
-
-    @property
-    def field(self):
-        return self.basis.field
 
     @classmethod
     def zero(cls, ambient_dim: int, field=QQ) -> "Subspace":
-        return cls._from_rref(ambient_dim, [], field)
+        return cls._from_rref(ambient_dim, {}, field)
 
     @classmethod
     def full(cls, ambient_dim: int, field=QQ) -> "Subspace":
-        return cls._from_rref(ambient_dim, [{i: 1} for i in range(ambient_dim)], field)
+        return cls._from_rref(ambient_dim, {i: {i: 1} for i in range(ambient_dim)}, field)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence], field=QQ) -> "Subspace":
-        vecs = [tuple(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vecs):
-            raise LinalgError("spanning vector length differs from the ambient dimension")
-        return cls._from_rref(ambient_dim, _span_rows(vecs, field.characteristic), field)
+        rows = Mat(vectors, None, ambient_dim, field)._data  # checked; a fresh Mat's rows
+        return cls._from_rref(ambient_dim, _eliminate(rows, field.characteristic), field)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self._rows)
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
+    def _row_mat(self) -> Mat:
+        """The dim x n matrix whose rows are the canonical basis."""
+        return _mat(tuple(self._rows.values()), self.dim, self.ambient_dim, self.field)
+
+    @property
+    def basis(self) -> Mat:
+        return self._row_mat().transpose()
 
     def vectors(self) -> list[tuple]:
-        return [self.basis.col(j) for j in range(self.basis.cols)]
+        return [tuple(r.get(i, 0) for i in range(self.ambient_dim)) for r in self._rows.values()]
 
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.ambient_dim:
             raise LinalgError("ambient mismatch")
-        if not any(vec):
-            return True
-        if self.dim == 0:
-            return False
-        return solve(self.basis, vec) is not None
+        row = _checked([enumerate(vec)], self.ambient_dim, self.field)[0]
+        return not _reduce(row, self._rows, self.field.characteristic)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        _common_field(self, other)
+        p = _common_field(self, other).characteristic
         if other.ambient_dim != self.ambient_dim:
             raise LinalgError("ambient mismatch")
-        return all(self.contains(v) for v in other.vectors())
+        return not any(_reduce(dict(r), self._rows, p) for r in other._rows.values())
+
+    def coordinates(self, m: Mat) -> Mat | None:
+        """The matrix c with ``basis @ c == m``, or None if a column of m lies outside.
+
+        A canonical basis vector is 1 at its pivot and 0 at the other pivots,
+        so a vector of the span has its coordinates at the pivots."""
+        if m.rows != self.ambient_dim:
+            raise LinalgError("ambient mismatch")
+        c = _mat(tuple(m._data[i] for i in self._rows), self.dim, m.cols, _common_field(self, m))
+        return c if self.basis @ c == m else None
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -590,20 +634,23 @@ class Subspace:
         """{x : m @ x lies in this subspace}."""
         if m.rows != self.ambient_dim:
             raise LinalgError("map codomain mismatch")
-        # the rows q with q @ basis = 0 cut out the column span
-        ann = kernel_basis(self.basis.transpose()).basis.transpose()
-        return kernel_basis(ann @ m)
+        return kernel_basis(self._annihilator() @ m)
+
+    def _annihilator(self) -> Mat:
+        """A matrix whose kernel is this subspace: its rows q have q @ basis = 0."""
+        return kernel_basis(self._row_mat())._row_mat()
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.field == other.field
+            and self._rows == other._rows
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ambient_dim, self.basis))
+            self._hash = hash((self.ambient_dim, self.field, _key(self._rows.values())))
         return self._hash
 
     def __repr__(self):
@@ -611,16 +658,11 @@ class Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Basis of a ∩ b, by the kernel of the stacked basis matrix [A | -B]."""
-    field = _common_field(a, b)
+    """a ∩ b, the common kernel of their annihilators."""
+    _common_field(a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError(f"ambient mismatch {a.ambient_dim} vs {b.ambient_dim}")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim, field)
-    ker = kernel_basis(a.basis.hstack(-b.basis))
-    # kernel columns are (u, v) with A u = B v; the intersection is A @ u
-    u = _mat(ker.basis.entries[: a.dim], a.dim, ker.dim, field)
-    return Subspace(a.ambient_dim, a.basis @ u)
+    return kernel_basis(a._annihilator().vstack(b._annihilator()))
 
 
 def intersect_all(subs: Sequence[Subspace]) -> Subspace:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .homs import hom_basis
-from .linalg import Mat, Subspace, intersect_all, kernel_basis
+from .linalg import Mat, Subspace, assemble, intersect_all, kernel_basis
 from .quiver import AlgebraElement, AlgebraPresentation, QuiverError, act
 from .reps import Representation
 
@@ -74,18 +74,10 @@ def evaluate(pm: PointedMatrix, rep: Representation) -> Subspace:
     t = rep.total_dim
     if t == 0:
         return Subspace.zero(0, rep.field)
-    blocks = [[act(el, rep) for el in row] for row in pm.entries]
-    rows = []
-    for i in range(nrows):
-        for r in range(t):
-            row = []
-            for j in range(ncols):
-                row.extend(blocks[i][j].row(r))
-            rows.append(row)
-    ker = kernel_basis(Mat(rows, nrows * t, ncols * t, rep.field))
-    lo = pm.pointer * t
-    projected = [vec[lo : lo + t] for vec in ker.vectors()]
-    return Subspace.span(t, projected, rep.field)
+    blocks = [(i * t, j * t, act(el, rep)) for i, row in enumerate(pm.entries) for j, el in enumerate(row)]
+    ker = kernel_basis(assemble(nrows * t, ncols * t, blocks, rep.field))
+    pointed = assemble(t, ncols * t, [(0, pm.pointer * t, Mat.identity(t, rep.field))], rep.field)
+    return ker.image(pointed)
 
 
 def image_subgroup(element: AlgebraElement, rep: Representation) -> Subspace:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Mat, Scalar
+from .linalg import Mat, Scalar, assemble
 
 
 class QuiverError(ValueError):
@@ -339,22 +339,11 @@ def act(a: AlgebraElement, rep) -> Mat:
     """
     if rep.presentation != a.presentation:
         raise QuiverError("element and representation use different presentations")
-    n = rep.total_dim
-    field = rep.field
-    p = field.characteristic
-    rows = [[0] * n for _ in range(n)]
-    for path, coeff in a.terms.items():
-        c = field.of(coeff)
-        block = _path_block(path, rep)
-        roff = rep.offset(path.target)
-        coff = rep.offset(path.source)
-        for i, row in enumerate(block.entries):
-            target_row = rows[roff + i]
-            for j, v in enumerate(row):
-                if v:
-                    x = target_row[coff + j] + c * v
-                    target_row[coff + j] = x % p if p else x
-    return Mat(rows, n, n, field)
+    blocks = [
+        (rep.offset(path.target), rep.offset(path.source), _path_block(path, rep).scale(coeff))
+        for path, coeff in a.terms.items()
+    ]
+    return assemble(rep.total_dim, rep.total_dim, blocks, rep.field)
 
 
 def _path_block(path: Path, rep) -> Mat:

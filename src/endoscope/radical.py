@@ -36,7 +36,7 @@ from .homs import (
     is_local,
     noniso_subspace,
 )
-from .linalg import Subspace
+from .linalg import Mat, Subspace, rref
 from .reps import Morphism, Representation, dual
 
 
@@ -168,8 +168,8 @@ def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
     flats = [g.compose(f).flatten() for gs, fs in factors for g in gs for f in fs]
     if not flats:
         return Subspace.zero(hom.dim, field), []
-    span = Subspace.span(len(flats[0]), flats, field)
-    basis = [Morphism.unflatten(hom.source, hom.target, v) for v in span.vectors()]
+    red, pivots = rref(Mat.sparse(flats, hom.flat_dim, field))
+    basis = [Morphism.unflatten(hom.source, hom.target, red.row(r)) for r in range(len(pivots))]
     return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis], field), basis
 
 

@@ -15,9 +15,10 @@ opposite presentation, and socles.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from bisect import bisect_right
+from typing import Mapping
 
-from .linalg import Mat, QQ, Subspace, kernel_basis, solve
+from .linalg import Mat, QQ, Subspace, assemble, kernel_basis
 from .quiver import AlgebraPresentation, QuiverError, act, kronecker
 
 
@@ -123,7 +124,7 @@ class Representation:
                 self.presentation.key(),
                 self.field,
                 tuple(sorted(self.dims_by_vertex.items())),
-                tuple(sorted((n, m.entries) for n, m in self.matrices.items())),
+                tuple(sorted(self.matrices.items())),
             )
         return self._key
 
@@ -277,42 +278,46 @@ class Morphism:
             self.source, self.target, {v: m.scale(c) for v, m in self.blocks.items()}, _validate=False
         )
 
-    def flatten(self) -> tuple:
-        """Coordinates in the fixed (vertex order, row-major) layout."""
-        out = []
+    def flatten(self) -> dict:
+        """The nonzero coordinates {index: value} in the fixed (vertex order,
+        row-major) layout; ``hom_basis`` numbers its unknowns the same way."""
+        out = {}
+        pos = 0
         for v in self.source.presentation.quiver.vertices:
-            for row in self.blocks[v].entries:
-                out.extend(row)
-        return tuple(out)
+            blk = self.blocks[v]
+            for i in range(blk.rows):
+                for j, x in blk.row(i).items():
+                    out[pos + i * blk.cols + j] = x
+            pos += blk.rows * blk.cols
+        return out
 
     @classmethod
-    def unflatten(cls, source: Representation, target: Representation, flat: Sequence) -> "Morphism":
+    def unflatten(cls, source: Representation, target: Representation, flat: Mapping) -> "Morphism":
         """The blocks source -> target whose ``flatten()`` is ``flat``.
 
         Not checked to commute with the arrows: callers check membership
         themselves (the radical profile maps every result through
         ``HomSpace.coordinates``, which raises outside the hom space).
         """
-        blocks = {}
-        pos = 0
-        for v in source.presentation.quiver.vertices:
-            rows, cols = target.dim(v), source.dim(v)
-            grid = [flat[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)]
-            blocks[v] = Mat(grid, rows, cols, source.field)
-            pos += rows * cols
+        vertices = source.presentation.quiver.vertices
+        starts, pos = [], 0
+        for v in vertices:
+            starts.append(pos)
+            pos += target.dim(v) * source.dim(v)
+        rows = [[{} for _ in range(target.dim(v))] for v in vertices]
+        for idx, x in flat.items():
+            # an empty block starts where the next one does, so this finds the block holding idx
+            k = bisect_right(starts, idx) - 1
+            i, j = divmod(idx - starts[k], source.dim(vertices[k]))
+            rows[k][i][j] = x
+        blocks = {v: Mat.sparse(r, source.dim(v), source.field) for v, r in zip(vertices, rows)}
         return cls(source, target, blocks, _validate=False)
 
     def total_mat(self) -> Mat:
         """The block-diagonal action on total spaces."""
-        n, m = self.target.total_dim, self.source.total_dim
-        rows = [[0] * m for _ in range(n)]
-        for v in self.source.presentation.quiver.vertices:
-            roff, coff = self.target.offset(v), self.source.offset(v)
-            for i, row in enumerate(self.blocks[v].entries):
-                for j, x in enumerate(row):
-                    if x:
-                        rows[roff + i][coff + j] = x
-        return Mat(rows, n, m, self.source.field)
+        src, tgt = self.source, self.target
+        blocks = [(tgt.offset(v), src.offset(v), b) for v, b in self.blocks.items()]
+        return assemble(tgt.total_dim, src.total_dim, blocks, src.field)
 
     def __eq__(self, other):
         return (
@@ -374,24 +379,16 @@ def direct_sum(
 
     matrices = {}
     for a in quiver.arrows:
-        rows_total, cols_total = dims[a.target], dims[a.source]
-        rows = [[0] * cols_total for _ in range(rows_total)]
-        for p, off in zip(parts, offsets):
-            block = p.matrix(a.name)
-            ro, co = off[a.target], off[a.source]
-            for i, row in enumerate(block.entries):
-                for j, x in enumerate(row):
-                    if x:
-                        rows[ro + i][co + j] = x
-        matrices[a.name] = Mat(rows, rows_total, cols_total, field)
+        blocks = [(off[a.target], off[a.source], p.matrix(a.name)) for p, off in zip(parts, offsets)]
+        matrices[a.name] = assemble(dims[a.target], dims[a.source], blocks, field)
     total = Representation(pres, dims, matrices, field, _validate=False)
 
     embeddings, projections = [], []
     for p, off in zip(parts, offsets):
-        emb = {}
-        for v in quiver.vertices:
-            grid = [[int(r == off[v] + i) for i in range(p.dim(v))] for r in range(dims[v])]
-            emb[v] = Mat(grid, dims[v], p.dim(v), field)
+        emb = {
+            v: assemble(dims[v], p.dim(v), [(off[v], 0, Mat.identity(p.dim(v), field))], field)
+            for v in quiver.vertices
+        }
         prj = {v: e.transpose() for v, e in emb.items()}
         embeddings.append(Morphism(p, total, emb, _validate=False))
         projections.append(Morphism(total, p, prj, _validate=False))
@@ -436,21 +433,11 @@ def sub_from_family(rep: Representation, fam: SubspaceFamily) -> Representation:
     dims = {v: fam.space(v).dim for v in quiver.vertices}
     matrices = {}
     for a in quiver.arrows:
-        src = fam.space(a.source).basis
-        tgt = fam.space(a.target).basis
-        mapped = rep.matrix(a.name) @ src
-        cols = []
-        for j in range(mapped.cols):
-            x = solve(tgt, mapped.col(j))
-            if x is None:
-                raise RepresentationError("family is not closed under the arrow actions")
-            cols.append(x)
-        matrices[a.name] = Mat(
-            [[cols[j][i] for j in range(len(cols))] for i in range(tgt.cols)],
-            tgt.cols,
-            len(cols),
-            rep.field,
-        )
+        # the arrow's matrix on the submodule: coordinates of the mapped basis
+        mapped = rep.matrix(a.name) @ fam.space(a.source).basis
+        matrices[a.name] = fam.space(a.target).coordinates(mapped)
+        if matrices[a.name] is None:
+            raise RepresentationError("family is not closed under the arrow actions")
     return Representation(rep.presentation, dims, matrices, rep.field, _validate=False)
 
 
@@ -477,11 +464,11 @@ def kronecker_preinjective(n: int, field=QQ) -> Representation:
     """
     if n < 1:
         raise RepresentationError("index must be >= 1")
-    alpha, beta = _strings(n)
+    alpha, beta = _strings(n, field)
     return Representation(
         _KRONECKER,
         {"1": n, "2": n - 1},
-        {"alpha": Mat(alpha, n - 1, n, field), "beta": Mat(beta, n - 1, n, field)},
+        {"alpha": alpha, "beta": beta},
         field,
         _validate=False,
     )
@@ -492,23 +479,20 @@ def kronecker_preinjective_right(n: int, field=QQ) -> Representation:
     opposite quiver: n tops at vertex 2, n-1 valleys at vertex 1."""
     if n < 1:
         raise RepresentationError("index must be >= 1")
-    alpha, beta = _strings(n)
+    alpha, beta = _strings(n, field)
     return Representation(
         _KRONECKER_OP,
         {"1": n - 1, "2": n},
-        {"alpha": Mat(alpha, n - 1, n, field), "beta": Mat(beta, n - 1, n, field)},
+        {"alpha": alpha, "beta": beta},
         field,
         _validate=False,
     )
 
 
-def _strings(n: int) -> tuple[list, list]:
+def _strings(n: int, field) -> tuple[Mat, Mat]:
     """The (n-1) x n string matrices: alpha joins top j+1, beta top j, to valley j."""
-    alpha = [[0] * n for _ in range(n - 1)]
-    beta = [[0] * n for _ in range(n - 1)]
-    for j in range(n - 1):
-        alpha[j][j + 1] = 1
-        beta[j][j] = 1
+    alpha = Mat.sparse([{j + 1: 1} for j in range(n - 1)], n, field)
+    beta = Mat.sparse([{j: 1} for j in range(n - 1)], n, field)
     return alpha, beta
 
 
@@ -541,9 +525,4 @@ def kronecker_regular(n: int, lam, field=QQ) -> Representation:
 
 
 def _jordan(n: int, eig, field) -> Mat:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = eig
-        if i + 1 < n:
-            rows[i][i + 1] = 1
-    return Mat(rows, n, n, field)
+    return Mat.sparse([{i: eig, i + 1: 1} for i in range(n - 1)] + [{n - 1: eig}], n, field)

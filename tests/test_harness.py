@@ -332,6 +332,23 @@ def test_cli_denominator_divisible_by_p_is_a_usage_error(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+def test_cli_float_matrix_entry_is_a_usage_error(capsys, tmp_path, field):
+    from endoscope.serialize import representation_to_json
+
+    data = representation_to_json(kronecker_preinjective(2))
+    data["matrices"]["alpha"] = [[0.1, 1]]
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(data))
+    matrix = json.dumps({"entries": [[[{"coeff": "1", "path": ["alpha"]}]]], "pointer": 0})
+    code = main(["matsub", "eval", "--rep", str(rep_path), "--field", field, "--matrix", matrix])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field", ["fp:abc", "fp:561", "fp:3317044064679887385961981"])
 def test_cli_bad_field_is_a_usage_error(capsys, field):
     code = main(["endosoc", "--family", "preinj", "--range", "1..3", "--field", field])

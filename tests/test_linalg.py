@@ -336,3 +336,27 @@ def test_zero_shape_matrices():
     wide = Mat.zeros(0, 4)
     assert kernel_basis(wide) == Subspace.full(4)
     assert (wide @ Mat.zeros(4, 2)).shape == (0, 2)
+
+
+def test_rational_matrix_stores_ints_and_refuses_inexact_values():
+    m = Mat([[F(2), F(0)], [F(1, 2), 3]])
+    assert m == Mat([[2, 0], [F(1, 2), 3]]) and hash(m) == hash(Mat([[2, 0], [F(1, 2), 3]]))
+    assert type(m[0, 0]) is int and all(type(x) is int for x in m.entries[0])
+    for bad in (0.5, 1.0, 0.0, True, "1", None):
+        with pytest.raises(LinalgError):
+            Mat([[bad, 1], [1, 2]])
+    with pytest.raises(LinalgError):
+        Mat([[0.5, 1.0], [1, 2]]).rank()
+    with pytest.raises(LinalgError):
+        Mat.sparse([{0: 0.5}], 2)
+    with pytest.raises(LinalgError):
+        Mat.sparse([{2: 1}], 2)
+    assert Mat.sparse([{1: F(4, 2), 0: 0}], 2).entries == ((0, 2),)
+
+
+def test_field_of_refuses_floats_and_bools():
+    for field in (QQ, PrimeField(7)):
+        for bad in (0.1, 2.0, True, False, "abc", "1/0", None):
+            with pytest.raises(LinalgError):
+                field.of(bad)
+    assert QQ.of("0.1") == F(1, 10) and QQ.of(F(6, 3)) == 2

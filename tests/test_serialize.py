@@ -109,3 +109,12 @@ def test_family_file(tmp_path):
     bad.write_text(json.dumps({"algebra": payload["algebra"]}))
     with pytest.raises(SerializationError):
         load_family_file(str(bad))
+
+
+def test_matrix_from_json_refuses_json_floats():
+    from endoscope.linalg import LinalgError, PrimeField
+
+    for field in (None, PrimeField(7)):
+        with pytest.raises(LinalgError):
+            matrix_from_json([[0.1, 1]], 1, 2, *([field] if field else []))
+    assert matrix_from_json([["1/10", 1]], 1, 2).entries == ((Fraction(1, 10), 1),)
