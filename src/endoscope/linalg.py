@@ -30,11 +30,13 @@ column, so the work follows the nonzeros.  A pivot other than +-1 is
 inverted as ``Fraction(1, pivot)`` over the rationals and by
 ``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and returns
 dicts of values, for systems that are sparse from the start (the hom
-systems).
+systems).  ``primitive_row`` scales a rational row to coprime ints, for
+callers that only need its span and want int products.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -489,6 +491,24 @@ def sparse_kernel(equations: Iterable[Mapping], ncols: int, field) -> list[dict]
     p = field.characteristic
     reduced = _kernel_rows(_checked((eq.items() for eq in equations), ncols, field), ncols, p)
     return [reduced[c] for c in sorted(reduced)]
+
+
+def primitive_row(row: Mapping, field) -> dict:
+    """A nonzero multiple of the sparse row ``{column: nonzero value}`` with
+    coprime int entries, for work where only the row's span matters.
+
+    Over the rationals the row is multiplied by the lcm of its
+    denominators and divided by the gcd of the numerators, a positive
+    factor, so the signs are kept.  Over GF(p) the values are already
+    ints and every nonzero one is a unit, so the row comes back as it
+    is.  The empty row stays empty.
+    """
+    if field.characteristic or not row:
+        return dict(row)
+    den = math.lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = math.gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()}
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

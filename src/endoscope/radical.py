@@ -10,12 +10,17 @@ always vanishes; the classical bound says composites of 2^b - 1
 non-isomorphisms between indecomposables of length <= b are zero.
 
 The profile is built level by level, one ordered pair at a time.  The
-composites for a pair are spanned as flattened blocks
-(``Morphism.flatten`` layout); the basis of that span is mapped into
-hom coordinates and kept as the pair's maps for the next level, so no
-level's maps are rebuilt from coordinates.  From depth 3 on only the
+composites for a pair are formed straight in the flattened block layout
+(``Morphism.composite_flats``) and spanned there; the basis of that
+span is mapped into hom coordinates and kept as the pair's maps for the
+next level, so no level's maps are rebuilt from coordinates.  Every map
+the profile composes is scaled to coprime ints first
+(``linalg.primitive_row``), which leaves each span as it is and makes
+every product in a composite an int product.  From depth 3 on only the
 irreducible maps, a complement of rad^2 in rad, are composed on the
-left; ``radical_profile`` proves that this spans the same powers.
+left, and the composites are threaded through one member of each
+isomorphism class; ``radical_profile`` proves that both span the same
+powers.
 
 Left-sided conditions are measured through vector-space duality: the
 left profile of a family is the right profile of the dualized family
@@ -36,7 +41,7 @@ from .homs import (
     is_local,
     noniso_subspace,
 )
-from .linalg import Mat, Subspace, rref
+from .linalg import Mat, Subspace, primitive_row, rref
 from .reps import Morphism, Representation, dual
 
 
@@ -83,18 +88,29 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
 
     Write R_d for the span of the d-fold composites of non-isomorphisms
     through the family, so R_a R_b = R_{a+b}, and R_{d+1} is contained in R_d
-    because the members are local (the non-isomorphisms form an ideal).
-    Level d + 1 is built pair by pair: for each (i, j) the composites
-    g f of a left factor g: M_k -> M_j and a basis map f of R_d(i, k),
-    over every k, are spanned as flattened blocks; only the basis of
+    because the members are local (the non-isomorphisms form an ideal, so
+    each R_d is one too).  Level d + 1 is built pair by pair: for each
+    (i, j) the composites g f of a left factor g: M_k -> M_j and a basis
+    map f of R_d(i, k) are spanned as flattened blocks; only the basis of
     that span is mapped into Hom(i, j) coordinates (which raises if a
     composite leaves the hom space), and it is kept as the pair's basis
     maps for the next level.  Only the previous level's maps are held.
+    Each map is held as its multiple with coprime int entries; a span
+    does not change when a vector of it is scaled by a nonzero rational.
+
+    The middle member k runs over the first member of each isomorphism
+    class only.  Level 1 tells the classes apart: for q != k, M_q and M_k
+    are isomorphic iff R_1(q, k) is a proper subspace of Hom(q, k).  If
+    phi: M_k' -> M_k is an isomorphism, then R_1(k', j) = R_1(k, j) phi and
+    R_d(i, k') = phi^-1 R_d(i, k), since both are ideals, so
+    R_1(k', j) R_d(i, k') = R_1(k, j) phi phi^-1 R_d(i, k) = R_1(k, j) R_d(i, k):
+    the composites through k' span nothing the ones through k do not.
 
     The left factor is a basis of R_1(k, j) at depth 2.  From depth 3 on
     it is a complement C(k, j) of R_2(k, j) in R_1(k, j), a basis of the
-    irreducible maps, and that is exact: R_{d+1} = R_1 R_d = C R_d + R_{d+2},
-    and likewise R_{d+2} = C R_{d+1} + R_{d+3}, which lies in C R_d + R_{d+3}.
+    irreducible maps, and that is exact: summed over the middle members
+    above, R_{d+1} = R_1 R_d = C R_d + R_2 R_d = C R_d + R_{d+2}, and likewise
+    R_{d+2} = C R_{d+1} + R_{d+3}, which lies in C R_d + R_{d+3}.
     Iterating gives R_{d+1} = C R_d + R_N for every N > d + 1, and
     R_N = 0 once N reaches the Harada-Sai bound 2^b - 1 for members of
     length <= b (Auslander-Reiten-Smalo, Representation Theory of Artin
@@ -123,20 +139,24 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     maps = {}
     rad1 = {}
     for i, j in pairs:
-        maps[(i, j)] = list(noniso_subspace(members[i], members[j]).basis)
+        basis = noniso_subspace(members[i], members[j]).basis
         rad1[(i, j)] = Subspace.span(
-            hom[(i, j)].dim, [hom[(i, j)].coordinates(f) for f in maps[(i, j)]], members[i].field
+            hom[(i, j)].dim, [hom[(i, j)].coordinates(f) for f in basis], members[i].field
         )
+        maps[(i, j)] = [_integral(f) for f in basis]
+    # the first member of each isomorphism class; M_q and M_k (q != k) are
+    # isomorphic iff the non-isomorphisms are a proper subspace of Hom(q, k)
+    middles = [k for k in idx if all(rad1[(q, k)].dim == hom[(q, k)].dim for q in range(k))]
 
     levels = [rad1]
     left = maps
     while len(levels) < d_max and any(s.dim for s in levels[-1].values()):
         if len(levels) == 2:
-            left = _irreducible_maps(hom, rad1, levels[1])
+            left = _irreducible_maps(hom, rad1, levels[1], [(k, j) for k in middles for j in idx])
         nxt = {}
         nxt_maps = {}
         for i, j in pairs:
-            factors = [(left[(k, j)], maps[(i, k)]) for k in idx]
+            factors = [(left[(k, j)], maps[(i, k)]) for k in middles]
             nxt[(i, j)], nxt_maps[(i, j)] = _composite_span(hom[(i, j)], factors)
         levels.append(nxt)
         maps = nxt_maps
@@ -163,27 +183,44 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
 
 def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
     """Span of the composites g f over ``factors`` = [(gs, fs), ...]:
-    in coordinates of ``hom``, and as a basis of maps."""
+    in coordinates of ``hom``, and as a basis of maps.
+
+    The composites are formed in the flatten layout, and their span's
+    reduced echelon basis is scaled to coprime ints before it becomes
+    maps, so that the next level multiplies ints.  Every basis map goes
+    through ``hom.coordinates``, which raises if it is not a
+    homomorphism.
+    """
     field = hom.source.field
-    flats = [g.compose(f).flatten() for gs, fs in factors for g in gs for f in fs]
+    flats = [flat for gs, fs in factors for flat in Morphism.composite_flats(gs, fs)]
     if not flats:
         return Subspace.zero(hom.dim, field), []
     red, pivots = rref(Mat.sparse(flats, hom.flat_dim, field))
-    basis = [Morphism.unflatten(hom.source, hom.target, red.row(r)) for r in range(len(pivots))]
+    basis = [
+        Morphism.unflatten(hom.source, hom.target, primitive_row(red.row(r), field)) for r in range(len(pivots))
+    ]
     return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis], field), basis
 
 
-def _irreducible_maps(hom, rad1, rad2) -> dict:
-    """Per pair, maps spanning a complement of rad^2 in rad.
+def _integral(f: Morphism) -> Morphism:
+    """The multiple of f with coprime int entries (``linalg.primitive_row``)."""
+    return Morphism.unflatten(f.source, f.target, primitive_row(f.flatten(), f.source.field))
+
+
+def _irreducible_maps(hom, rad1, rad2, pairs) -> dict:
+    """For each of ``pairs``, maps spanning a complement of rad^2 in rad,
+    scaled to coprime ints.
 
     Canonical bases are in reduced echelon form, and rad^2 lies in rad,
     so the pivots of rad^2 are pivots of rad; the basis vectors of rad
     at the other pivots complete a basis of rad^2 to one of rad.
     """
     out = {}
-    for pair, sub in rad1.items():
+    for pair in pairs:
         taken = {_pivot(v) for v in rad2[pair].vectors()}
-        out[pair] = [hom[pair].from_coordinates(v) for v in sub.vectors() if _pivot(v) not in taken]
+        out[pair] = [
+            _integral(hom[pair].from_coordinates(v)) for v in rad1[pair].vectors() if _pivot(v) not in taken
+        ]
     return out
 
 

@@ -16,7 +16,7 @@ opposite presentation, and socles.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .linalg import Mat, QQ, Subspace, assemble, kernel_basis
 from .quiver import AlgebraPresentation, QuiverError, act, kronecker
@@ -312,6 +312,50 @@ class Morphism:
             rows[k][i][j] = x
         blocks = {v: Mat.sparse(r, source.dim(v), source.field) for v, r in zip(vertices, rows)}
         return cls(source, target, blocks, _validate=False)
+
+    @staticmethod
+    def composite_flats(gs: Sequence["Morphism"], fs: Sequence["Morphism"]) -> list[dict]:
+        """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major.
+
+        Each composite block is multiplied out from the blocks' sparse
+        rows straight into the flatten layout, so no composite
+        ``Morphism`` or ``Mat`` is built.  Every f must end where every
+        g starts.
+        """
+        if not gs or not fs:
+            return []
+        source, middle, target = fs[0].source, fs[0].target, gs[0].target
+        if any(f.source != source or f.target != middle for f in fs) or any(
+            g.source != middle or g.target != target for g in gs
+        ):
+            raise RepresentationError("composition mismatch")
+        vertices = source.presentation.quiver.vertices
+        # per f and vertex: the (column, value) pairs of each block row
+        f_rows = [
+            [[tuple(blk.row(r).items()) for r in range(blk.rows)] for blk in map(f.blocks.get, vertices)]
+            for f in fs
+        ]
+        # per g: (vertex position, flat index of the composite block row, block row entries)
+        g_rows = []
+        for g in gs:
+            entries, pos = [], 0
+            for t, v in enumerate(vertices):
+                blk, width = g.blocks[v], source.dim(v)
+                entries += [(t, pos + r * width, row) for r in range(blk.rows) if (row := tuple(blk.row(r).items()))]
+                pos += blk.rows * width
+            g_rows.append(entries)
+        of = source.field.of
+        out = []
+        for entries in g_rows:
+            for blocks in f_rows:
+                acc = {}
+                for t, base, grow in entries:
+                    rows = blocks[t]
+                    for k, a in grow:
+                        for c, x in rows[k]:
+                            acc[base + c] = acc.get(base + c, 0) + a * x
+                out.append({idx: y for idx, x in acc.items() if (y := of(x))})
+        return out
 
     def total_mat(self) -> Mat:
         """The block-diagonal action on total spaces."""

@@ -3,7 +3,9 @@ pointed matrices.
 
 Scalars are rendered as "p/q" strings ("p" when the denominator is 1);
 matrix entries are read into the representation's field with
-``field.of``, algebra coefficients as rationals.
+``field.of``, algebra coefficients as rationals.  Vertex dimensions and
+the pointer of a pointed matrix are non-negative JSON integers; a float,
+bool or string there is refused, never truncated.
 Algebra elements are lists of terms {"coeff", "path"}, where "path"
 lists arrow names in application order and a trivial path carries its
 vertex instead.
@@ -22,6 +24,14 @@ from .reps import Morphism, Representation
 
 class SerializationError(ValueError):
     pass
+
+
+def _count(x, what: str) -> int:
+    """A non-negative JSON integer; a float, bool, string or negative number
+    is refused rather than truncated or coerced."""
+    if type(x) is not int or x < 0:
+        raise SerializationError(f"{what} must be a non-negative integer, not {json.dumps(x)}")
+    return x
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
@@ -96,7 +106,10 @@ def representation_from_json(data, presentation: AlgebraPresentation | None = No
         if "algebra" not in data:
             raise SerializationError("representation data lacks an algebra")
         presentation = presentation_from_json(data["algebra"])
-    dims = {v: int(d) for v, d in data["dims"].items()}
+    raw_dims = data.get("dims")
+    if not isinstance(raw_dims, dict):
+        raise SerializationError("representation data needs a dims object")
+    dims = {v: _count(d, f"dimension at vertex {v!r}") for v, d in raw_dims.items()}
     matrices = {}
     for a in presentation.quiver.arrows:
         rows, cols = dims.get(a.target, 0), dims.get(a.source, 0)
@@ -135,7 +148,7 @@ def pointed_matrix_from_json(data, presentation: AlgebraPresentation | None = No
     entries = tuple(
         tuple(element_from_json(presentation, el) for el in row) for row in data["entries"]
     )
-    return PointedMatrix(entries, int(data["pointer"]))
+    return PointedMatrix(entries, _count(data["pointer"], "pointer"))
 
 
 def load_family_file(path: str, field=QQ):

@@ -425,3 +425,31 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     )
     code, _ = run_cli(capsys, "verify", "all")
     assert code == 1
+
+
+@pytest.mark.parametrize("value", [2.9, "x", True, -1], ids=["float", "string", "bool", "negative"])
+def test_cli_family_file_dimension_not_a_count_is_a_usage_error(capsys, tmp_path, value):
+    from endoscope.serialize import presentation_to_json, representation_to_json
+
+    i2 = kronecker_preinjective(2)
+    member = representation_to_json(i2, include_algebra=False)
+    member["dims"]["1"] = value
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps({"algebra": presentation_to_json(i2.presentation), "members": [member]}))
+    code = main(["radical-profile", "--family", "file", "--file", str(family_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [0.7, "0", True, -1], ids=["float", "string", "bool", "negative"])
+def test_cli_pointer_not_a_count_is_a_usage_error(capsys, value):
+    matrix = json.dumps({"entries": [[[{"coeff": "1", "path": ["alpha"]}]]], "pointer": value})
+    code = main(["matsub", "eval", "--matrix", matrix, "--family", "preinj", "--index", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from endoscope.linalg import (
     intersect,
     intersect_all,
     kernel_basis,
+    primitive_row,
     rref,
     scalar_from_str,
     scalar_to_str,
@@ -360,3 +362,41 @@ def test_field_of_refuses_floats_and_bools():
             with pytest.raises(LinalgError):
                 field.of(bad)
     assert QQ.of("0.1") == F(1, 10) and QQ.of(F(6, 3)) == 2
+
+
+nonzero_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=20), nonzero_rationals, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_primitive_row_is_a_coprime_int_multiple(row):
+    row = {j: QQ.of(x) for j, x in row.items()}
+    out = primitive_row(row, QQ)
+    assert out.keys() == row.keys()
+    assert all(type(v) is int for v in out.values())
+    if not row:
+        assert out == {}
+        return
+    assert math.gcd(*out.values()) == 1
+    # one positive factor takes the row to its image, so the span and the signs are kept
+    ratios = {Fraction(out[j]) / row[j] for j in row}
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_primitive_row_examples():
+    assert primitive_row({0: F(1, 2), 3: F(-1, 3)}, QQ) == {0: 3, 3: -2}
+    assert primitive_row({1: 6, 2: -4}, QQ) == {1: 3, 2: -2}
+    assert primitive_row({4: F(-7, 5)}, QQ) == {4: -1}
+    assert primitive_row({}, QQ) == {}
+    # a Mat row, read through its read-only view
+    assert primitive_row(Mat([[F(2, 3), 0, F(4, 9)]]).row(0), QQ) == {0: 3, 2: 2}
+
+
+@pytest.mark.parametrize("p", [2, 7, 101])
+def test_primitive_row_over_a_prime_field_returns_the_row_as_it_is(p):
+    # over GF(p) every nonzero value is already an int and a unit, so there is nothing to clear
+    field = PrimeField(p)
+    row = {0: p - 1, 5: 1, 9: p // 2 or 1}
+    out = primitive_row(row, field)
+    assert out == row and out is not row
+    assert primitive_row({}, field) == {}

@@ -2,10 +2,13 @@
 
 The oracle is the direct definition: level d + 1 of the pair (i, j) is
 spanned by the coordinates in Hom(i, j) of every composite g f with g a
-basis map of rad(k, j) and f a basis map of rad^d(i, k), over every k.
-``radical_profile`` spans the composites in block layout and, from depth
-3 on, uses only the irreducible maps as left factors; both must give the
-same canonical subspaces at every depth.
+basis map of rad(k, j) and f a basis map of rad^d(i, k), over every k,
+with the maps as the hom bases give them.  ``radical_profile`` scales
+every map to coprime ints, forms the composites in block layout, threads
+them through one member per isomorphism class and, from depth 3 on, uses
+only the irreducible maps as left factors; both must give the same
+canonical subspaces at every depth.  The families with isomorphic copies
+are the ones where the class shortcut drops middle members.
 """
 
 import random
@@ -19,7 +22,7 @@ from endoscope.homs import end_ring, hom_basis, is_local, noniso_subspace
 from endoscope.linalg import Mat, Subspace, invert
 from endoscope.quiver import kronecker
 from endoscope.radical import radical_profile
-from endoscope.reps import kronecker_regular, simple
+from endoscope.reps import kronecker_preinjective, kronecker_preprojective, kronecker_regular, simple
 from test_iso_certificate import conjugate
 from test_properties import kronecker_reps
 
@@ -62,10 +65,10 @@ def assert_agrees_with_oracle(members, d_max):
     return prof
 
 
-def random_invertible(size, rng):
+def random_invertible(size, rng, max_den=3):
     while True:
         g = Mat(
-            [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)] for _ in range(size)],
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, max_den)) for _ in range(size)] for _ in range(size)],
             size,
             size,
         )
@@ -73,18 +76,58 @@ def random_invertible(size, rng):
             return g
 
 
-def conjugated_family(bound, seed):
+def random_conjugate(m, rng, max_den=3):
+    return conjugate(m, {v: random_invertible(m.dim(v), rng, max_den) for v in m.presentation.quiver.vertices})
+
+
+def conjugated_family(bound, seed, max_den=3):
     """The length-bounded Kronecker family plus one seeded rational base
     change of each member of total dimension > 1, shuffled."""
     rng = random.Random(seed)
     originals, _ = length_bounded_kronecker_family(bound)
-    pool = originals + [
-        conjugate(m, {v: random_invertible(m.dim(v), rng) for v in m.presentation.quiver.vertices})
-        for m in originals
-        if m.total_dim > 1
-    ]
+    pool = originals + [random_conjugate(m, rng, max_den) for m in originals if m.total_dim > 1]
     rng.shuffle(pool)
     return pool
+
+
+def classes(members):
+    """The number of isomorphism classes among local members."""
+    reps = []
+    for m in members:
+        if not any(hom_basis(r, m).dim > noniso_subspace(r, m).dim for r in reps):
+            reps.append(m)
+    return len(reps)
+
+
+def test_family_with_repeated_classes_agrees_with_oracle():
+    # three copies of I3 and of R2(0), and copies of the one-dimensional S1 = I1 and P1
+    rng = random.Random(5)
+    i3, r2, s1, p1 = kronecker_preinjective(3), kronecker_regular(2, 0), kronecker_preinjective(1), kronecker_preprojective(1)
+    members = [
+        i3, random_conjugate(i3, rng), s1, r2, random_conjugate(i3, rng, 7), p1, s1,
+        random_conjugate(r2, rng), kronecker_preprojective(2), p1, random_conjugate(r2, rng, 7), s1,
+    ]
+    assert classes(members) == 5
+    for order in (members, members[::-1]):
+        assert_agrees_with_oracle(order, d_max=15)
+
+
+def test_conjugated_family_with_denominators_up_to_7_agrees_with_oracle():
+    # base changes with denominators up to 7 give hom bases and radical maps
+    # full of such denominators, which the profile clears before composing
+    members = conjugated_family(4, seed=3, max_den=7)
+    denominators = {
+        x.denominator
+        for m in members
+        for n in members
+        for f in noniso_subspace(m, n).basis
+        for x in f.flatten().values()
+        if type(x) is Fraction
+    }
+    assert {5, 7, 35} <= denominators
+    assert classes(members) == 10
+    prof = assert_agrees_with_oracle(members, d_max=63)
+    assert prof.vanishing_depth == 6
 
 
 def test_conjugated_length_4_family_agrees_with_oracle():
@@ -118,3 +161,13 @@ local_reps = kronecker_reps(max_dim=2).filter(lambda m: is_local(end_ring(m)) is
 @settings(max_examples=40, deadline=None)
 def test_hypothesis_families_agree_with_oracle(members, d_max):
     assert_agrees_with_oracle(members, d_max)
+
+
+@given(st.lists(local_reps, min_size=1, max_size=3), st.integers(min_value=1, max_value=8), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_hypothesis_families_with_conjugated_copies_agree_with_oracle(members, d_max, seed):
+    # every class appears at least twice, and a copy may come before its original
+    rng = random.Random(seed)
+    pool = members + [random_conjugate(m, rng, 7) for m in members]
+    rng.shuffle(pool)
+    assert_agrees_with_oracle(pool, d_max)

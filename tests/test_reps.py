@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from endoscope.linalg import Mat, Subspace
+from endoscope.linalg import QQ, Mat, PrimeField, Subspace
 from endoscope.quiver import kronecker
 from endoscope.reps import (
     INFINITY,
@@ -179,3 +179,20 @@ def test_morphism_validates_commuting_squares():
     Morphism(i2, s1, {"1": Mat([[Fraction(1), Fraction(7)]])})
     with pytest.raises(RepresentationError):
         Morphism(i2, i2, {"1": Mat.identity(2), "2": Mat([[Fraction(2)]])})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+def test_composite_flats_are_the_flattened_composites(field):
+    from endoscope.homs import hom_basis
+
+    p2, r2, i3 = kronecker_preprojective(2, field), kronecker_regular(2, 1, field), kronecker_preinjective(3, field)
+    # scaled so that over the rationals the products have denominators
+    fs = [f.scale(Fraction(1, 3)) for f in hom_basis(p2, r2).basis] if field == QQ else list(hom_basis(p2, r2).basis)
+    gs = list(hom_basis(r2, i3).basis) + [Morphism.zero(r2, i3)]
+    assert fs and len(gs) > 1
+    flats = Morphism.composite_flats(gs, fs)
+    assert flats == [g.compose(f).flatten() for g in gs for f in fs]
+    assert any(flats) and {} in flats
+    assert Morphism.composite_flats([], fs) == Morphism.composite_flats(gs, []) == []
+    with pytest.raises(RepresentationError, match="composition mismatch"):
+        Morphism.composite_flats(fs, gs)

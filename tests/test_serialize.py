@@ -118,3 +118,27 @@ def test_matrix_from_json_refuses_json_floats():
         with pytest.raises(LinalgError):
             matrix_from_json([[0.1, 1]], 1, 2, *([field] if field else []))
     assert matrix_from_json([["1/10", 1]], 1, 2).entries == ((Fraction(1, 10), 1),)
+
+
+@pytest.mark.parametrize("value", [2.9, 1.0, "2", True, -1, None])
+def test_representation_dims_must_be_json_counts(value):
+    data = representation_to_json(kronecker_preinjective(2))
+    data["dims"]["1"] = value
+    with pytest.raises(SerializationError, match="non-negative integer"):
+        representation_from_json(data)
+
+
+def test_representation_without_a_dims_object_is_refused():
+    data = representation_to_json(kronecker_preinjective(2))
+    for dims in ([2, 1], None):
+        data["dims"] = dims
+        with pytest.raises(SerializationError, match="dims object"):
+            representation_from_json(data)
+
+
+def test_pointer_must_be_a_json_count():
+    data ={"entries": [[[{"coeff": "1", "path": ["alpha"]}]]], "pointer": 0}
+    assert pointed_matrix_from_json(data, kronecker()).pointer == 0
+    for value in (0.0, 0.7, "0", False, -1):
+        with pytest.raises(SerializationError, match="pointer must be a non-negative integer"):
+            pointed_matrix_from_json(dict(data, pointer=value), kronecker())
