@@ -4,10 +4,17 @@ Subcommands: ``endosoc`` (family endosocle report), ``sweep``
 (invariant vs truncation table), ``verify`` (named check suites),
 ``radical-profile``, ``transversal``, and ``matsub eval``.
 
-Exit codes: 0 success / all checks passed, 1 verification failure or
-a closed output pipe, 2 usage error (including unsupported field
-modes), 3 inconclusive (a locality or decomposition certificate was
-refused).  Reports are deterministic for a given input; ``--seed``
+``COMMANDS`` maps each report name to a results builder
+``(args, field) -> (results, exit code)`` and a CSV renderer (None:
+JSON only).  ``main`` parses ``--field``, refuses an unsupported
+``--format``, times the builder, writes the report
+``{"command", "config", "results", "timing_ms"}`` to ``--out`` or
+stdout, and maps every expected exception to an exit code: 1 for a
+closed output pipe, 3 inconclusive (a locality or decomposition
+certificate was refused), 2 usage error (bad options or input data,
+unsupported field modes, unreadable or unwritable files).  A builder
+returns 0 on success, 1 on a failed verification.  Reports are
+deterministic for a given input apart from ``timing_ms``; ``--seed``
 only drives ``verify``'s matrix-subgroup sampling.
 """
 
@@ -18,35 +25,25 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from .endosocle import EndostructureError, family_endosocle, relative_endosocle_series
 from .harness import (
     FamilySpec,
     HarnessError,
     SWEEP_INVARIANTS,
-    finish_report,
-    make_report,
-    report_to_json,
     suite_names,
     sweep,
     transversal,
     verify,
 )
-from .homs import (
-    DecompositionInconclusive,
-    LocalityUnverified,
-    UnsupportedFieldError,
-)
+from .homs import DecompositionInconclusive, LocalityUnverified, UnsupportedFieldError
 from .linalg import LinalgError, field_from_name, scalar_to_str
 from .matsub import MatrixSubgroupError, check_endo_invariant, evaluate
 from .quiver import QuiverError
 from .radical import RadicalError, radical_profile
 from .reps import RepresentationError
-from .serialize import (
-    SerializationError,
-    pointed_matrix_from_json,
-    representation_from_json,
-)
+from .serialize import SerializationError, pointed_matrix_from_json, representation_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,25 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _family(args, field):
+    return FamilySpec.parse(args.family, args.range_arg, size=args.size, path=args.path).build(field)
 
 
-def _build_family(args, field):
-    spec = FamilySpec.parse(args.family, args.range_arg, size=args.size, path=getattr(args, "path", None))
-    return spec, spec.build(field)
-
-
-def _cmd_endosoc(args) -> int:
-    started = time.perf_counter()
-    field = field_from_name(args.field)
-    if args.fmt != "json":
-        raise HarnessError("endosoc reports are JSON only")
-    spec, fam = _build_family(args, field)
+def _endosoc(args, field):
+    fam = _family(args, field)
     report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
     results = {
         "members": [str(l) for l in fam.labels],
@@ -146,45 +130,30 @@ def _cmd_endosoc(args) -> int:
             "dims": [t.dim for t in series.terms],
             "relative_length": series.stabilization_index,
         }
-    payload = make_report("endosoc", _config(args), results)
-    _emit(args, report_to_json(finish_report(payload, started)))
-    return EXIT_OK
+    return results, EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    field = field_from_name(args.field)
-    spec = FamilySpec.parse(args.family, args.range_arg or f"1..{args.hi}", size=args.size, path=getattr(args, "path", None))
-    rows = sweep(spec, args.invariant, range(args.lo, args.hi + 1), field=field)
-    if args.fmt == "csv":
-        lines = ["truncation,invariant,value,boundary_flag"]
-        lines += [
-            f"{r['truncation']},{r['invariant']},{r['value']},{str(r['boundary_flag']).lower()}"
-            for r in rows
-        ]
-        _emit(args, "\n".join(lines))
-        return EXIT_OK
-    payload = make_report("sweep", _config(args), {"rows": rows})
-    _emit(args, report_to_json(finish_report(payload, started)))
-    return EXIT_OK
+def _sweep(args, field):
+    spec = FamilySpec.parse(args.family, args.range_arg or f"1..{args.hi}", size=args.size, path=args.path)
+    return {"rows": sweep(spec, args.invariant, range(args.lo, args.hi + 1), field=field)}, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    if args.fmt != "json":
-        raise HarnessError("verify reports are JSON only")
+def _sweep_csv(results) -> str:
+    lines = ["truncation,invariant,value,boundary_flag"]
+    lines += [
+        f"{r['truncation']},{r['invariant']},{r['value']},{str(r['boundary_flag']).lower()}"
+        for r in results["rows"]
+    ]
+    return "\n".join(lines)
+
+
+def _verify(args, field):
     result = verify(args.suite, seed=args.seed)
-    payload = make_report("verify", _config(args, suite=args.suite), result)
-    _emit(args, report_to_json(finish_report(payload, started)))
-    return EXIT_OK if result["passed"] else EXIT_FAIL
+    return result, EXIT_OK if result["passed"] else EXIT_FAIL
 
 
-def _cmd_radical_profile(args) -> int:
-    started = time.perf_counter()
-    field = field_from_name(args.field)
-    if args.fmt != "json":
-        raise HarnessError("radical-profile reports are JSON only")
-    spec, fam = _build_family(args, field)
+def _radical_profile(args, field):
+    fam = _family(args, field)
     profile = radical_profile(fam.members, d_max=args.depth, labels=fam.labels)
     pairs = {}
     for i in fam.labels:
@@ -193,85 +162,84 @@ def _cmd_radical_profile(args) -> int:
             if any(dims):
                 pairs[f"{i}->{j}"] = dims
     results = {"pairs": pairs, "vanishing_depth": profile.vanishing_depth, "depth_computed": profile.depth_reached()}
-    payload = make_report("radical-profile", _config(args), results)
-    _emit(args, report_to_json(finish_report(payload, started)))
-    return EXIT_OK
+    return results, EXIT_OK
 
 
-def _cmd_transversal(args) -> int:
-    started = time.perf_counter()
-    field = field_from_name(args.field)
-    if args.fmt != "json":
-        raise HarnessError("transversal reports are JSON only")
-    spec, fam = _build_family(args, field)
+def _transversal(args, field):
+    fam = _family(args, field)
     report = transversal(fam.members, labels=fam.labels)
-    results = {
+    return {
         "representatives": [str(l) for l in report.labels],
         "multiplicities": {str(k): v for k, v in report.multiplicities.items()},
-    }
-    payload = make_report("transversal", _config(args), results)
-    _emit(args, report_to_json(finish_report(payload, started)))
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _load_carrier(args, field):
-    if args.rep:
-        with open(args.rep) as fh:
-            return representation_from_json(json.load(fh), field=field)
-    if args.family and args.index is not None:
-        spec = FamilySpec.parse(args.family, f"{args.index}..{args.index}", size=args.size)
-        return spec.build(field).members[0]
-    raise HarnessError("matsub eval needs --rep FILE or --family/--index")
-
-
-def _cmd_matsub_eval(args) -> int:
-    started = time.perf_counter()
-    field = field_from_name(args.field)
-    if args.fmt != "json":
-        raise HarnessError("matsub reports are JSON only")
+def _matsub_eval(args, field):
     raw = args.matrix
-    if raw.startswith("@"):
-        with open(raw[1:]) as fh:
-            data = json.load(fh)
+    data = json.loads(Path(raw[1:]).read_text() if raw.startswith("@") else raw)
+    if args.rep:
+        rep = representation_from_json(json.loads(Path(args.rep).read_text()), field=field)
+    elif args.family and args.index is not None:
+        rep = FamilySpec.parse(args.family, f"{args.index}..{args.index}", size=args.size).build(field).members[0]
     else:
-        data = json.loads(raw)
-    rep = _load_carrier(args, field)
-    pm = pointed_matrix_from_json(data, rep.presentation)
-    sub = evaluate(pm, rep)
-    invariant = check_endo_invariant(sub, rep)
-    results = {
+        raise HarnessError("matsub eval needs --rep FILE or --family/--index")
+    sub = evaluate(pointed_matrix_from_json(data, rep.presentation), rep)
+    return {
         "dim": sub.dim,
         "ambient_dim": sub.ambient_dim,
         "basis": [[scalar_to_str(x) for x in col] for col in sub.vectors()],
-        "endo_invariant": invariant,
-    }
-    payload = make_report("matsub eval", _config(args), results)
-    _emit(args, report_to_json(finish_report(payload, started)))
-    return EXIT_OK
+        "endo_invariant": check_endo_invariant(sub, rep),
+    }, EXIT_OK
 
 
-def _config(args, **extra) -> dict:
+# report name -> (results builder, CSV renderer or None)
+COMMANDS = {
+    "endosoc": (_endosoc, None),
+    "sweep": (_sweep, _sweep_csv),
+    "verify": (_verify, None),
+    "radical-profile": (_radical_profile, None),
+    "transversal": (_transversal, None),
+    "matsub eval": (_matsub_eval, None),
+}
+
+_INCONCLUSIVE = (LocalityUnverified, DecompositionInconclusive)
+_USAGE = (HarnessError, UnsupportedFieldError, SerializationError, LinalgError, RadicalError, RepresentationError,
+          QuiverError, EndostructureError, MatrixSubgroupError, OSError, UnicodeDecodeError, json.JSONDecodeError)
+
+
+def _config(args) -> dict:
     config = {"seed": args.seed, "field": args.field}
-    for key in ("family", "range_arg", "size", "invariant", "lo", "hi", "depth", "relative"):
-        if hasattr(args, key) and getattr(args, key) is not None:
+    for key in ("family", "range_arg", "size", "invariant", "lo", "hi", "depth", "relative", "suite"):
+        if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
-    config.update(extra)
     return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "endosoc": _cmd_endosoc,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "radical-profile": _cmd_radical_profile,
-        "transversal": _cmd_transversal,
-        "matsub": _cmd_matsub_eval,
-    }
+    args = build_parser().parse_args(argv)
+    name = f"matsub {args.matsub_command}" if args.command == "matsub" else args.command
+    build, render_csv = COMMANDS[name]
     try:
-        code = handlers[args.command](args)
+        started = time.perf_counter()
+        field = field_from_name(args.field)
+        if args.fmt == "csv" and render_csv is None:
+            raise HarnessError(f"{name} reports are JSON only")
+        results, code = build(args, field)
+        if args.fmt == "csv":
+            text = render_csv(results)
+        else:
+            report = {
+                "command": name,
+                "config": _config(args),
+                "results": results,
+                "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+            }
+            text = json.dumps(report, indent=2, sort_keys=True, default=str)
+        if args.out:
+            with open(args.out, "w") as fh:
+                print(text, file=fh)
+        else:
+            print(text)
         # a closed pipe surfaces here, while the exit code can still be chosen
         sys.stdout.flush()
         return code
@@ -281,11 +249,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_FAIL
-    except (LocalityUnverified, DecompositionInconclusive) as exc:
+    except _INCONCLUSIVE as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (HarnessError, UnsupportedFieldError, SerializationError, LinalgError, RadicalError, RepresentationError,
-            QuiverError, EndostructureError, MatrixSubgroupError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except _USAGE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

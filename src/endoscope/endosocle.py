@@ -29,7 +29,7 @@ from .homs import (
     is_local,
     noniso_subspace,
 )
-from .linalg import Subspace, intersect, kernel_basis
+from .linalg import intersect, kernel_basis
 from .reps import Morphism, Representation, SubspaceFamily, direct_sum
 
 
@@ -70,14 +70,10 @@ def power_endosocle(m: Representation, k: int) -> SubspaceFamily:
     total, embeddings, _ = direct_sum([m] * k)
     got = endosocle(total)
     single = endosocle(m)
-    expected = {}
-    for v in m.presentation.quiver.vertices:
-        copies = [single.space(v).image(emb.block(v)) for emb in embeddings]
-        acc = copies[0]
-        for c in copies[1:]:
-            acc = acc.add(c)
-        expected[v] = acc
-    if SubspaceFamily(expected) != got:
+    expected = SubspaceFamily.zero_for(total)
+    for emb in embeddings:
+        expected = expected.add(single.image(emb))
+    if expected != got:
         raise EndostructureError("endosocle of a power is not homogeneous")
     return got
 
@@ -259,16 +255,10 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
         )
         if report.total_dim == 0:
             break
-        spaces = {v: Subspace.zero(total.dim(v), total.field) for v in vertices}
+        term = SubspaceFamily.zero_for(total)
         for i in remaining:
-            comp = report.components[labels[i]]
-            emb = embeddings[i]
-            for v in vertices:
-                if comp.space(v).dim:
-                    spaces[v] = spaces[v].add(comp.space(v).image(emb.block(v)))
-        terms.append(
-            SeriesTerm(family=SubspaceFamily(spaces), support=report.support, dim=report.total_dim)
-        )
+            term = term.add(report.components[labels[i]].image(embeddings[i]))
+        terms.append(SeriesTerm(family=term, support=report.support, dim=report.total_dim))
         supported = set(report.support)
         remaining = [i for i in remaining if labels[i] not in supported]
 

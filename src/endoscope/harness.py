@@ -9,16 +9,14 @@ the untruncated family.  Regular families are orthogonal (no maps
 between distinct parameters), so truncating them is exact and nothing
 is flagged.
 
-Reports are plain dicts, deterministic for a given input; only the
-timing entry varies between runs.  The seed of ``verify`` drives only
-the matrix-subgroup suite's random pointed matrices.
+Sweeps and suites return plain, deterministic dicts and lists; the CLI
+wraps them in its reports.  The seed of ``verify`` drives only the
+matrix-subgroup suite's random pointed matrices.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import time
 from dataclasses import dataclass
 
 from .endosocle import (
@@ -35,6 +33,7 @@ from .radical import harada_sai_check, radical_profile
 from .reps import (
     INFINITY,
     Representation,
+    SubspaceFamily,
     direct_sum,
     dual,
     kronecker_preinjective,
@@ -179,6 +178,8 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ) -> list[dict]
     rows = []
     for n in truncations:
         fam = spec.truncated_family(n, field)
+        if not fam.members:
+            raise HarnessError(f"truncation {n} leaves the family empty")
         if invariant in ("endosoc-support", "endosoc-dim"):
             report = family_endosocle(fam.members, labels=fam.labels, boundary=fam.boundary)
             flag = any(l in report.support for l in report.boundary)
@@ -245,17 +246,10 @@ def two_route_endosocle_agree(members, seed: int = 0) -> bool:
     """
     report = family_endosocle(members)
     total, embeddings, _ = direct_sum(list(members))
-    direct = endosocle(total)
-    vertices = total.presentation.quiver.vertices
-    for v in vertices:
-        acc = Subspace.zero(total.dim(v), total.field)
-        for i, m in enumerate(members):
-            comp = report.components[i]
-            if comp.space(v).dim:
-                acc = acc.add(comp.space(v).image(embeddings[i].block(v)))
-        if acc != direct.space(v):
-            return False
-    return True
+    routed = SubspaceFamily.zero_for(total)
+    for i, emb in enumerate(embeddings):
+        routed = routed.add(report.components[i].image(emb))
+    return routed == endosocle(total)
 
 
 def _suite_lemma_b2(seed: int) -> list[dict]:
@@ -442,20 +436,3 @@ def verify(suite: str, seed: int = 0) -> dict:
         checks.extend(_SUITES[name](seed))
     return {"suite": suite, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
-
-def make_report(command: str, config: dict, results) -> dict:
-    return {
-        "command": command,
-        "config": dict(sorted(config.items())),
-        "results": results,
-        "timing_ms": None,
-    }
-
-
-def finish_report(report: dict, started: float) -> dict:
-    report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=str)

@@ -57,9 +57,10 @@ class Representation:
     ):
         self.presentation = presentation
         quiver = presentation.quiver
-        self.dims_by_vertex = {v: int(dims.get(v, 0)) for v in quiver.vertices}
-        if any(d < 0 for d in self.dims_by_vertex.values()):
-            raise RepresentationError("negative dimension")
+        self.dims_by_vertex = {v: dims.get(v, 0) for v in quiver.vertices}
+        for v, d in self.dims_by_vertex.items():
+            if type(d) is not int or d < 0:
+                raise RepresentationError(f"dimension at vertex {v!r} must be a non-negative int, not {d!r}")
         mats = {}
         for a in quiver.arrows:
             m = matrices.get(a.name)
@@ -174,6 +175,13 @@ class SubspaceFamily:
 
     def add(self, other: "SubspaceFamily") -> "SubspaceFamily":
         return SubspaceFamily({v: s.add(other.spaces[v]) for v, s in self.spaces.items()})
+
+    def image(self, f: "Morphism") -> "SubspaceFamily":
+        """The image under f, a family in f.target; zero components map without a product."""
+        return SubspaceFamily({
+            v: s.image(f.block(v)) if s.dim else Subspace.zero(f.target.dim(v), f.target.field)
+            for v, s in self.spaces.items()
+        })
 
     def contains(self, other: "SubspaceFamily") -> bool:
         return all(self.spaces[v].contains_subspace(s) for v, s in other.spaces.items())

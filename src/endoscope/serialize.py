@@ -5,7 +5,9 @@ Scalars are rendered as "p/q" strings ("p" when the denominator is 1);
 matrix entries are read into the representation's field with
 ``field.of``, algebra coefficients as rationals.  Vertex dimensions and
 the pointer of a pointed matrix are non-negative JSON integers; a float,
-bool or string there is refused, never truncated.
+bool or string there is refused, never truncated.  Data of the wrong
+JSON shape (a number where an object or array is due, a term without a
+coeff) raises ``SerializationError`` as well.
 Algebra elements are lists of terms {"coeff", "path"}, where "path"
 lists arrow names in application order and a trivial path carries its
 vertex instead.
@@ -34,12 +36,21 @@ def _count(x, what: str) -> int:
     return x
 
 
+def _shaped(x, kind: type, what: str):
+    """x if it is a JSON object (kind dict) or array (kind list); otherwise refused."""
+    if not isinstance(x, kind):
+        raise SerializationError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return x
+
+
 def matrix_to_json(m: Mat) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in m.entries]
 
 
 def matrix_from_json(data, rows: int, cols: int, field=QQ) -> Mat:
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if not isinstance(data, list) or len(data) != rows or any(
+        not isinstance(r, list) or len(r) != cols for r in data
+    ):
         raise SerializationError(f"matrix data is not {rows}x{cols}")
     return Mat([[field.of(x) for x in row] for row in data], rows, cols, field)
 
@@ -56,9 +67,11 @@ def element_to_json(el: AlgebraElement) -> list[dict]:
 
 def element_from_json(presentation: AlgebraPresentation, data) -> AlgebraElement:
     terms = {}
-    for term in data:
+    for term in _shaped(data, list, "an algebra element"):
+        if "coeff" not in _shaped(term, dict, "a term"):
+            raise SerializationError("a term needs a coeff")
         coeff = QQ.of(term["coeff"])
-        arrows = term.get("path", [])
+        arrows = _shaped(term.get("path", []), list, "a term's path")
         if arrows:
             el = presentation.path_element(arrows)
             path = next(iter(el.terms))
@@ -82,12 +95,16 @@ def presentation_to_json(pres: AlgebraPresentation) -> dict:
 
 
 def presentation_from_json(data) -> AlgebraPresentation:
+    _shaped(data, dict, "an algebra")
+    arrows = [_shaped(a, dict, "an arrow") for a in _shaped(data.get("arrows"), list, "algebra arrows")]
+    if any(key not in a for a in arrows for key in ("name", "source", "target")):
+        raise SerializationError("an arrow needs a name, a source and a target")
     quiver = Quiver(
-        data["vertices"],
-        [(a["name"], a["source"], a["target"]) for a in data["arrows"]],
+        _shaped(data.get("vertices"), list, "algebra vertices"),
+        [(a["name"], a["source"], a["target"]) for a in arrows],
     )
     bare = AlgebraPresentation(quiver, ())
-    relations = [element_from_json(bare, rel) for rel in data.get("relations", [])]
+    relations = [element_from_json(bare, rel) for rel in _shaped(data.get("relations", []), list, "algebra relations")]
     return AlgebraPresentation(quiver, relations)
 
 
@@ -102,6 +119,7 @@ def representation_to_json(rep: Representation, include_algebra: bool = True) ->
 
 
 def representation_from_json(data, presentation: AlgebraPresentation | None = None, field=QQ) -> Representation:
+    _shaped(data, dict, "representation data")
     if presentation is None:
         if "algebra" not in data:
             raise SerializationError("representation data lacks an algebra")
@@ -113,7 +131,7 @@ def representation_from_json(data, presentation: AlgebraPresentation | None = No
     matrices = {}
     for a in presentation.quiver.arrows:
         rows, cols = dims.get(a.target, 0), dims.get(a.source, 0)
-        raw = data.get("matrices", {}).get(a.name)
+        raw = _shaped(data.get("matrices", {}), dict, "matrices").get(a.name)
         if raw is None:
             continue
         matrices[a.name] = matrix_from_json(raw, rows, cols, field)
@@ -139,6 +157,7 @@ def pointed_matrix_to_json(pm: PointedMatrix, include_algebra: bool = True) -> d
 
 
 def pointed_matrix_from_json(data, presentation: AlgebraPresentation | None = None) -> PointedMatrix:
+    _shaped(data, dict, "pointed matrix data")
     if presentation is None:
         if "algebra" not in data:
             raise SerializationError("pointed matrix data lacks an algebra")
@@ -146,7 +165,8 @@ def pointed_matrix_from_json(data, presentation: AlgebraPresentation | None = No
     if "entries" not in data or "pointer" not in data:
         raise SerializationError("pointed matrix data needs entries and a pointer")
     entries = tuple(
-        tuple(element_from_json(presentation, el) for el in row) for row in data["entries"]
+        tuple(element_from_json(presentation, el) for el in _shaped(row, list, "an entries row"))
+        for row in _shaped(data["entries"], list, "entries")
     )
     return PointedMatrix(entries, _count(data["pointer"], "pointer"))
 
@@ -159,10 +179,11 @@ def load_family_file(path: str, field=QQ):
     """
     with open(path) as fh:
         data = json.load(fh)
-    if "members" not in data:
+    if "members" not in _shaped(data, dict, "a family file"):
         raise SerializationError("family file lacks a members list")
     presentation = presentation_from_json(data["algebra"]) if "algebra" in data else None
-    members = [representation_from_json(m, presentation, field) for m in data["members"]]
+    members = _shaped(data["members"], list, "members")
+    members = [representation_from_json(m, presentation, field) for m in members]
     if any(m.presentation != members[0].presentation for m in members):
         raise SerializationError("family members are representations of different algebras")
     return members

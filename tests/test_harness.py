@@ -196,10 +196,20 @@ def test_cli_verify_pass_and_exit_codes(capsys):
 def test_cli_usage_errors(capsys):
     code, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 2
+    code, _ = run_cli(capsys, "verify", "all", "--field", "fp:abc")
+    assert code == 2
     code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "9..3")
     assert code == 2
     code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "1..4", "--field", "fp:5")
     assert code == 2
+
+
+def _matsub_eval(matrix):
+    return ["matsub", "eval", "--family", "preinj", "--index", "2", "--matrix", matrix]
+
+
+# family files written into the working directory of each case below
+BAD_FAMILY_FILES = {"top-level-5.json": "5", "member-5.json": '{"members": [5]}'}
 
 
 @pytest.mark.parametrize(
@@ -207,16 +217,34 @@ def test_cli_usage_errors(capsys):
     [
         ["radical-profile", "--family", "preinj", "--range", "1..4", "--depth", "0"],
         ["endosoc", "--family", "preinj", "--range", "0..3"],
-        ["matsub", "eval", "--family", "preinj", "--index", "2", "--matrix", '{"pointer": 0}'],
+        _matsub_eval('{"pointer": 0}'),
         ["sweep", "--family", "regular", "--size", "3", "--invariant", "endosoc-support", "--max", "2"],
+        _matsub_eval("5"),
+        _matsub_eval('{"entries": 5, "pointer": 0}'),
+        _matsub_eval('{"entries": [[5]], "pointer": 0}'),
+        _matsub_eval('{"entries": [[[{"path": ["alpha"]}]]], "pointer": 0}'),
+        ["endosoc", "--family", "file", "--file", "top-level-5.json"],
+        ["transversal", "--family", "file", "--file", "member-5.json"],
+        ["endosoc", "--family", "preinj", "--range", "1..3", "--out", "."],
+        ["endosoc", "--family", "file", "--file", "."],
+        ["sweep", "--family", "preinj", "--invariant", "radical-depth", "--min", "0", "--max", "2"],
+        ["sweep", "--family", "preinj", "--invariant", "endosoc-dim", "--min", "-2", "--max", "2"],
     ],
-    ids=["radical-profile-depth-0", "endosoc-index-0", "matsub-no-entries", "sweep-max-below-min"],
+    ids=[
+        "radical-profile-depth-0", "endosoc-index-0", "matsub-no-entries", "sweep-max-below-min",
+        "matsub-matrix-5", "matsub-entries-5", "matsub-term-list-5", "matsub-term-without-coeff",
+        "family-file-top-level-5", "family-file-member-5", "out-directory", "family-file-directory",
+        "sweep-radical-depth-empty-truncation", "sweep-endosoc-dim-negative-truncation",
+    ],
 )
-def test_cli_bad_input_is_a_usage_error(capsys, argv):
+def test_cli_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    for name, text in BAD_FAMILY_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -89,6 +89,15 @@ def test_direct_sum_dims_and_calculus():
                 assert comp.is_zero()
 
 
+def test_subspace_family_image_under_embeddings_fills_the_sum():
+    parts = [kronecker_preinjective(1), kronecker_preinjective(2)]
+    total, embs, _ = direct_sum(parts)
+    images = [SubspaceFamily.full_for(p).image(e) for p, e in zip(parts, embs)]
+    assert [im.dims() for im in images] == [{"1": 1, "2": 0}, {"1": 2, "2": 1}]
+    assert images[0].add(images[1]) == SubspaceFamily.full_for(total)
+    assert SubspaceFamily.zero_for(parts[1]).image(embs[1]) == SubspaceFamily.zero_for(total)
+
+
 def test_empty_direct_sum_is_zero():
     pres = kronecker()
     total, embs, prjs = direct_sum([], presentation=pres)
@@ -170,6 +179,12 @@ def test_representation_validates_relation_action():
 def test_representation_shape_validation():
     with pytest.raises(RepresentationError):
         Representation(kronecker(), {"1": 2, "2": 1}, {"alpha": Mat.identity(2)})
+
+
+@pytest.mark.parametrize("value", [2.9, True, "2", -1], ids=["float", "bool", "string", "negative"])
+def test_representation_refuses_a_dimension_that_is_not_a_count(value):
+    with pytest.raises(RepresentationError, match="non-negative int"):
+        Representation(kronecker(), {"1": value, "2": 1}, {})
 
 
 def test_morphism_validates_commuting_squares():
