@@ -74,6 +74,7 @@ from .homs import (
     is_local,
     jacobson_radical,
     noniso_subspace,
+    require_local,
 )
 from .endosocle import (
     EndosocleReport,

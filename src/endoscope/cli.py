@@ -10,9 +10,10 @@ JSON only).  ``main`` parses ``--field``, refuses an unsupported
 ``--format``, times the builder, writes the report
 ``{"command", "config", "results", "timing_ms"}`` to ``--out`` or
 stdout, and maps every expected exception to an exit code: 1 for a
-closed output pipe, 3 inconclusive (a locality or decomposition
-certificate was refused), 2 usage error (bad options or input data,
-unsupported field modes, unreadable or unwritable files).  A builder
+closed output pipe, 3 inconclusive (``LocalityUnverified``: a member
+is not certified local; its stderr line names it), 2 usage error (bad
+options or input data, unsupported field modes, unreadable or
+unwritable files).  A builder
 returns 0 on success, 1 on a failed verification.  Reports are
 deterministic for a given input apart from ``timing_ms``; ``--seed``
 only drives ``verify``'s matrix-subgroup sampling.
@@ -37,7 +38,7 @@ from .harness import (
     transversal,
     verify,
 )
-from .homs import DecompositionInconclusive, LocalityUnverified, UnsupportedFieldError
+from .homs import LocalityUnverified, UnsupportedFieldError
 from .linalg import LinalgError, field_from_name, scalar_to_str
 from .matsub import MatrixSubgroupError, check_endo_invariant, evaluate
 from .quiver import QuiverError
@@ -202,7 +203,6 @@ COMMANDS = {
     "matsub eval": (_matsub_eval, None),
 }
 
-_INCONCLUSIVE = (LocalityUnverified, DecompositionInconclusive)
 _USAGE = (HarnessError, UnsupportedFieldError, SerializationError, LinalgError, RadicalError, RepresentationError,
           QuiverError, EndostructureError, MatrixSubgroupError, OSError, UnicodeDecodeError, json.JSONDecodeError)
 
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_FAIL
-    except _INCONCLUSIVE as exc:
+    except LocalityUnverified as exc:  # DecompositionInconclusive too
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except _USAGE as exc:

@@ -12,6 +12,14 @@ quotients (equivalently, annihilators of powers of the radical), and
 the relative one repeatedly trims away the members supporting the
 current endosocle and recomputes on the remainder.
 
+The endosocle, each component B_i and each term of the ascending series
+are one computation, ``_annihilated``: at every vertex v, the elements x
+of M_v with f_v(x) in a subspace W_v (zero unless given) for each of some
+morphisms f, which is the kernel of the stacked blocks
+annihilator(W_v) @ f_v; with no morphisms it is all of M_v.  Members must
+have certified-local endomorphism rings (``homs.EndoRing.local``);
+decomposable ones are split by ``homs.indecompose`` first.
+
 Family-level reports carry optional "boundary" labels: members of a
 truncated infinite family whose components may be inflated because
 their annihilating maps into the excluded tail are missing.  Reports
@@ -21,16 +29,11 @@ flag those labels instead of asserting limit values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .homs import (
-    LocalityUnverified,
-    end_ring,
-    indecompose,
-    is_local,
-    noniso_subspace,
-)
-from .linalg import intersect, kernel_basis
-from .reps import Morphism, Representation, SubspaceFamily, direct_sum
+from .homs import end_ring, indecompose, noniso_subspace, require_local
+from .linalg import Mat, Subspace, kernel_basis
+from .reps import Representation, SubspaceFamily, direct_sum, family_labels
 
 
 class EndostructureError(ValueError):
@@ -39,21 +42,25 @@ class EndostructureError(ValueError):
 
 def endosocle(m: Representation) -> SubspaceFamily:
     """The socle of m over its endomorphism ring, vertex by vertex."""
-    ring = end_ring(m)
-    rad = ring.radical_morphisms()
-    if not rad:
+    return _annihilated(m, end_ring(m).radical_morphisms())
+
+
+def _annihilated(m: Representation, morphisms, within: SubspaceFamily | None = None) -> SubspaceFamily:
+    """Vertex by vertex, the elements of m that every morphism sends into
+    ``within``, a subspace family of their common target (zero when None).
+
+    One kernel per vertex, of the stacked blocks annihilator(W_v) @ f_v;
+    all of m when there are no morphisms.
+    """
+    if not morphisms:
         return SubspaceFamily.full_for(m)
-    return _common_kernel(m, rad)
-
-
-def _common_kernel(m: Representation, morphisms) -> SubspaceFamily:
     spaces = {}
     for v in m.presentation.quiver.vertices:
         blocks = [f.block(v) for f in morphisms]
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = stacked.vstack(b)
-        spaces[v] = kernel_basis(stacked)
+        if within is not None:
+            annihilator = within.space(v).annihilator()
+            blocks = [annihilator @ b for b in blocks]
+        spaces[v] = kernel_basis(reduce(Mat.vstack, blocks))
     return SubspaceFamily(spaces)
 
 
@@ -65,8 +72,7 @@ def power_endosocle(m: Representation, k: int) -> SubspaceFamily:
     """
     if k < 1:
         raise EndostructureError("power must be >= 1")
-    if is_local(end_ring(m)) is not True:
-        raise LocalityUnverified("power endosocle requires a verified-local summand")
+    require_local(m)
     total, embeddings, _ = direct_sum([m] * k)
     got = endosocle(total)
     single = endosocle(m)
@@ -101,27 +107,19 @@ class EndosocleReport:
 
 
 def _prepare_members(members, labels):
-    """Verify locality, splitting decomposable members into summands.
+    """The members' indecomposable summands (``homs.indecompose``), labelled.
 
-    A member whose endomorphism ring is certified non-local is replaced
-    by its indecomposable summands (labelled "<label>.<k>"); a member
-    whose locality cannot be certified either way raises.
+    A member that is its one summand keeps its label; the summands of a
+    decomposable one are labelled "<label>.<k>".  ``labels`` are checked
+    first, and the new labels must not collide with them either.
     """
+    labels = family_labels(members, labels, EndostructureError)
     out_members, out_labels = [], []
     for m, label in zip(members, labels):
-        local = is_local(end_ring(m))
-        if local is True:
-            out_members.append(m)
-            out_labels.append(label)
-        elif local is False:
-            for k, part in enumerate(indecompose(m)):
-                out_members.append(part)
-                out_labels.append(f"{label}.{k}")
-        else:
-            raise LocalityUnverified(
-                f"member {m!r}: endomorphism ring locality could not be certified"
-            )
-    return out_members, out_labels
+        parts = indecompose(m)
+        out_members += parts
+        out_labels += [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]
+    return out_members, family_labels(out_members, out_labels, EndostructureError)
 
 
 def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
@@ -132,24 +130,14 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     Decomposable members are split into their indecomposable summands
     first; members with uncertifiable locality are refused.
     """
-    members = list(members)
-    labels = list(labels) if labels is not None else list(range(len(members)))
-    if len(labels) != len(members):
-        raise EndostructureError("labels and members differ in length")
-    members, labels = _prepare_members(members, labels)
+    members, labels = _prepare_members(list(members), labels)
 
     components = {}
     for i, m in enumerate(members):
-        annihilators: list[Morphism] = []
+        annihilators = []
         for j, n in enumerate(members):
-            if i == j:
-                annihilators.extend(end_ring(m).radical_morphisms())
-            else:
-                annihilators.extend(noniso_subspace(m, n).basis)
-        if not annihilators:
-            components[labels[i]] = SubspaceFamily.full_for(m)
-        else:
-            components[labels[i]] = _common_kernel(m, annihilators)
+            annihilators += end_ring(m).radical_morphisms() if i == j else noniso_subspace(m, n).basis
+        components[labels[i]] = _annihilated(m, annihilators)
 
     support = tuple(sorted((l for l in labels if components[l].total_dim > 0), key=_label_key))
     total = sum(components[l].total_dim for l in labels)
@@ -200,32 +188,16 @@ def endosocle_series(m: Representation) -> SeriesReport:
     until it stabilizes, which for a faithful finite-dimensional module
     happens at the full module.
     """
-    ring = end_ring(m)
-    rad = ring.radical_morphisms()
+    rad = end_ring(m).radical_morphisms()
     vertices = m.presentation.quiver.vertices
     current = SubspaceFamily.zero_for(m)
     terms = []
     while True:
-        if not rad:
-            nxt = SubspaceFamily.full_for(m)
-        else:
-            spaces = {}
-            for v in vertices:
-                constraint = None
-                for r in rad:
-                    pre = current.space(v).preimage(r.block(v))
-                    constraint = pre if constraint is None else intersect(constraint, pre)
-                spaces[v] = constraint
-            nxt = SubspaceFamily(spaces)
+        # term k + 1 is sent into term k by every radical map
+        nxt = _annihilated(m, rad, current)
         if nxt == current:
             break
-        terms.append(
-            SeriesTerm(
-                family=nxt,
-                support=tuple(v for v in vertices if nxt.space(v).dim > 0),
-                dim=nxt.total_dim,
-            )
-        )
+        terms.append(SeriesTerm(nxt, tuple(v for v in vertices if nxt.space(v).dim), nxt.total_dim))
         current = nxt
     return SeriesReport(kind="ascending", terms=tuple(terms), stabilization_index=len(terms))
 
@@ -239,9 +211,7 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
     have pairwise disjoint supports, so their sum is direct; this is
     verified.  The stabilization index is the number of nonzero terms.
     """
-    members = list(members)
-    labels = list(labels) if labels is not None else list(range(len(members)))
-    members, labels = _prepare_members(members, labels)
+    members, labels = _prepare_members(list(members), labels)
     total, embeddings, _ = direct_sum(members) if members else (None, [], [])
     vertices = members[0].presentation.quiver.vertices if members else ()
 
@@ -276,11 +246,6 @@ def _verify_direct(terms, vertices):
     if not terms:
         return
     for v in vertices:
-        acc = None
-        dim_sum = 0
-        for t in terms:
-            s = t.family.space(v)
-            dim_sum += s.dim
-            acc = s if acc is None else acc.add(s)
-        if acc is not None and acc.dim != dim_sum:
+        spaces = [t.family.space(v) for t in terms]
+        if reduce(Subspace.add, spaces).dim != sum(s.dim for s in spaces):
             raise EndostructureError("sum of series terms is not direct")

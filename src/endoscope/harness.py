@@ -36,6 +36,7 @@ from .reps import (
     SubspaceFamily,
     direct_sum,
     dual,
+    family_labels,
     kronecker_preinjective,
     kronecker_preinjective_right,
     kronecker_preprojective,
@@ -142,7 +143,7 @@ def transversal(members, labels=None) -> TransversalReport:
     certificate (``DecompositionInconclusive``) propagates.
     """
     members = list(members)
-    labels = list(labels) if labels is not None else list(range(len(members)))
+    labels = family_labels(members, labels, HarnessError)
     reps: list[Representation] = []
     rep_labels: list = []
     mult: dict = {}

@@ -8,6 +8,11 @@ on M.  Its Jacobson radical is the kernel of the trace form
 criterion; valid in characteristic zero, the only supported mode for
 radical-dependent operations).
 
+Locality is decided in one place: ``EndoRing.local`` holds when End/J is
+one-dimensional.  ``indecompose`` splits what is not local, ``is_local``
+tells "decomposable" from "undecided", and ``require_local`` refuses,
+naming the module's dimension vector and dim End/J.
+
 Hom and End computations are cached by value, so repeated family-level
 invariants reuse the underlying kernels.
 """
@@ -33,10 +38,17 @@ class UnsupportedFieldError(HomalgError):
 
 
 class LocalityUnverified(HomalgError):
-    """Raised when an operation requires verified-local endomorphism rings."""
+    """Raised when an operation needs a certified-local endomorphism ring.
+
+    The message names the module by its dimension vector and gives dim End/J.
+    """
+
+    def __init__(self, ring: "EndoRing", why: str = "is not certified local"):
+        dims = ring.module.dim_vector
+        super().__init__(f"member with dimension vector {dims} {why}: dim End/J = {ring.dim_over_radical}")
 
 
-class DecompositionInconclusive(HomalgError):
+class DecompositionInconclusive(LocalityUnverified):
     """No splitting was found, but the ring data does not certify indecomposability."""
 
 
@@ -207,6 +219,12 @@ class EndoRing:
     def dim_over_radical(self) -> int:
         return self.dim - self.radical.dim
 
+    @property
+    def local(self) -> bool:
+        """Certified local: End/J is one-dimensional, so End(M) != 0 and End/J
+        is the ground field."""
+        return self.dim > 0 and self.dim_over_radical == 1
+
     def radical_morphisms(self) -> list[Morphism]:
         self.radical  # built together with the radical by the nilpotency check
         return self._radical_morphisms
@@ -242,10 +260,10 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, list[Morphism]]:
     End(M) acts faithfully on M, so in characteristic zero this kernel is
     the Jacobson radical (Dickson's criterion).  It is checked nilpotent.
     """
-    if ring.module.field.characteristic != 0:
-        raise UnsupportedFieldError("radical computation requires characteristic zero")
     if ring.dim == 0:
         return Subspace.zero(0, ring.module.field), []
+    if ring.module.field.characteristic != 0:
+        raise UnsupportedFieldError("radical computation requires characteristic zero")
     # tr_M(f g) = sum over vertices v and cells (a, b) of f_v[a][b] * g_v[b][a]
     cells = [
         {(v, a, b): x for v, blk in f.blocks.items() for a in range(blk.rows) for b, x in blk.row(a).items()}
@@ -362,7 +380,7 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
         g = inverse_morphism(f)
         if g is not None and f.compose(g) == Morphism.identity(n) and g.compose(f) == Morphism.identity(m):
             return IsoCertificate("iso", f, g)
-    if is_local(end_ring(m)) is True or is_local(end_ring(n)) is True:
+    if end_ring(m).local or end_ring(n).local:
         return IsoCertificate("certified_no")
     unmatched = indecompose(n)
     for part in indecompose(m):
@@ -486,55 +504,56 @@ def _find_split(m: Representation, ring: EndoRing):
 def indecompose(m: Representation) -> list[Representation]:
     """Indecomposable summands of m, by iterated Fitting splits.
 
-    Candidate endomorphisms are the End basis elements and their
-    pairwise sums, split along their rational eigenvalues.  When no
-    candidate splits and End/J has dimension one, m is certified
-    indecomposable; otherwise the decomposition is reported
-    inconclusive rather than guessed.
+    A summand whose ring is ``local`` is certified indecomposable.  Any
+    other is split along the rational eigenvalues of the End basis
+    elements and their pairwise sums; when none splits it, the
+    decomposition is refused (``DecompositionInconclusive``) rather than
+    guessed.
     """
     if m.total_dim == 0:
         return []
     ring = end_ring(m)
-    if ring.dim_over_radical == 1:
+    if ring.local:
         return [m]
     split = ring.split()
     if split is None:
-        raise DecompositionInconclusive(
-            "no Fitting split found but End/J has dimension > 1"
-        )
+        raise DecompositionInconclusive(ring, "is not certified local and no Fitting split was found")
     a, b = split
     return indecompose(a) + indecompose(b)
 
 
 def is_local(ring: EndoRing) -> bool | None:
-    """True if End/J is one-dimensional, False if a splitting idempotent
+    """True if the ring is ``local``, False if it is zero or a Fitting split
     exists, None when neither could be certified."""
-    if ring.dim == 0:
-        return False
-    if ring.dim_over_radical == 1:
+    if ring.local:
         return True
-    if ring.split() is not None:
-        return False
-    return None
+    return False if ring.dim == 0 or ring.split() is not None else None
+
+
+def require_local(m: Representation) -> EndoRing:
+    """End(m) if it is ``local``; otherwise ``LocalityUnverified``, with no
+    split searched, since the module is refused whether or not it splits."""
+    ring = end_ring(m)
+    if not ring.local:
+        raise LocalityUnverified(ring)
+    return ring
 
 
 def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     """The subspace of Hom(m, n) consisting of the non-isomorphisms.
 
-    Both endomorphism rings must be verified local.  For non-isomorphic
-    ends this is all of Hom(m, n); for isomorphic ends it is
-    phi . J(End m), where phi is the witness of ``are_isomorphic`` (a
+    Both endomorphism rings must be certified local (``require_local``).
+    For non-isomorphic ends this is all of Hom(m, n); for isomorphic ends
+    it is phi . J(End m), where phi is the witness of ``are_isomorphic`` (a
     basis element of Hom(m, n), since m is local), and those are
     exactly the non-invertible homomorphisms.
     """
-    for rep in (m, n):
-        if is_local(end_ring(rep)) is not True:
-            raise LocalityUnverified(f"endomorphism ring of {rep!r} is not verified local")
+    ring = require_local(m)
+    require_local(n)
     cert = are_isomorphic(m, n)
     if cert.status == "certified_no":
         return hom_basis(m, n)
     phi = cert.witness
-    ring = end_ring(m)
     basis = [phi.compose(r) for r in ring.radical_morphisms()]
     sub = HomSpace(m, n, basis)
     if sub.dim != hom_basis(m, n).dim - 1:

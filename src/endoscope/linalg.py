@@ -654,9 +654,9 @@ class Subspace:
         """{x : m @ x lies in this subspace}."""
         if m.rows != self.ambient_dim:
             raise LinalgError("map codomain mismatch")
-        return kernel_basis(self._annihilator() @ m)
+        return kernel_basis(self.annihilator() @ m)
 
-    def _annihilator(self) -> Mat:
+    def annihilator(self) -> Mat:
         """A matrix whose kernel is this subspace: its rows q have q @ basis = 0."""
         return kernel_basis(self._row_mat())._row_mat()
 
@@ -682,7 +682,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     _common_field(a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError(f"ambient mismatch {a.ambient_dim} vs {b.ambient_dim}")
-    return kernel_basis(a._annihilator().vstack(b._annihilator()))
+    return kernel_basis(a.annihilator().vstack(b.annihilator()))
 
 
 def intersect_all(subs: Sequence[Subspace]) -> Subspace:

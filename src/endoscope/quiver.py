@@ -15,10 +15,9 @@ first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Mat, Scalar, assemble
+from .linalg import QQ, Mat, Scalar, assemble
 
 
 class QuiverError(ValueError):
@@ -117,7 +116,11 @@ def trivial_path(vertex: str) -> Path:
 
 
 class AlgebraElement:
-    """A formal linear combination of paths of one presentation."""
+    """A formal linear combination of paths of one presentation.
+
+    Coefficients are rationals in the value format, made by ``QQ.of``: an
+    int when integral, else a Fraction; floats and bools are refused.
+    """
 
     __slots__ = ("presentation", "terms")
 
@@ -126,6 +129,7 @@ class AlgebraElement:
         clean = {}
         for path, coeff in terms.items():
             presentation.validate_path(path)
+            coeff = QQ.of(coeff)
             if coeff:
                 clean[path] = coeff
         self.terms = dict(sorted(clean.items(), key=lambda kv: (kv[0].length, kv[0].arrows, kv[0].source)))
@@ -137,7 +141,7 @@ class AlgebraElement:
         self._check_same(other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
+            terms[p] = terms.get(p, 0) + c
         return AlgebraElement(self.presentation, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -147,7 +151,7 @@ class AlgebraElement:
         return AlgebraElement(self.presentation, {p: -c for p, c in self.terms.items()})
 
     def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
+        c = QQ.of(c)
         return AlgebraElement(self.presentation, {p: c * d for p, d in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -207,11 +211,11 @@ class AlgebraPresentation:
     def trivial(self, vertex: str) -> AlgebraElement:
         if vertex not in self.quiver.vertices:
             raise QuiverError(f"no vertex {vertex!r}")
-        return AlgebraElement(self, {trivial_path(vertex): Fraction(1)})
+        return AlgebraElement(self, {trivial_path(vertex): 1})
 
     def arrow_element(self, name: str) -> AlgebraElement:
         a = self.quiver.arrow(name)
-        return AlgebraElement(self, {Path(a.source, a.target, (name,)): Fraction(1)})
+        return AlgebraElement(self, {Path(a.source, a.target, (name,)): 1})
 
     def path_element(self, arrow_names: Iterable[str]) -> AlgebraElement:
         names = tuple(arrow_names)
@@ -222,11 +226,11 @@ class AlgebraPresentation:
             if a.target != b.source:
                 raise QuiverError(f"arrows {a.name} and {b.name} do not compose")
         return AlgebraElement(
-            self, {Path(arrows[0].source, arrows[-1].target, names): Fraction(1)}
+            self, {Path(arrows[0].source, arrows[-1].target, names): 1}
         )
 
     def one(self) -> AlgebraElement:
-        terms = {trivial_path(v): Fraction(1) for v in self.quiver.vertices}
+        terms = {trivial_path(v): 1 for v in self.quiver.vertices}
         return AlgebraElement(self, terms)
 
     # -- structure -----------------------------------------------------------
@@ -317,7 +321,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The product a*b, i.e. "apply b, then a", reduced modulo monomial relations."""
     a._check_same(b)
     pres = a.presentation
-    terms: dict[Path, Fraction] = {}
+    terms: dict[Path, Scalar] = {}
     for pa, ca in a.terms.items():
         for pb, cb in b.terms.items():
             composite = pb.then(pa)
@@ -325,7 +329,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 continue
             if pres.monomial_zero(composite.arrows):
                 continue
-            terms[composite] = terms.get(composite, Fraction(0)) + ca * cb
+            terms[composite] = terms.get(composite, 0) + ca * cb
     return AlgebraElement(pres, terms)
 
 

@@ -34,15 +34,15 @@ from dataclasses import dataclass
 from .homs import (
     HomalgError,
     HomSpace,
-    LocalityUnverified,
     end_ring,
     hom_basis,
     is_isomorphism,
     is_local,
     noniso_subspace,
+    require_local,
 )
 from .linalg import Mat, Subspace, primitive_row, rref
-from .reps import Morphism, Representation, dual
+from .reps import Morphism, Representation, dual, family_labels
 
 
 class RadicalError(ValueError):
@@ -117,21 +117,13 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     Algebras), whatever d_max is.  So R_{d+1} = C R_d.
     """
     members = list(members)
-    labels = list(labels) if labels is not None else list(range(len(members)))
-    if len(labels) != len(members):
-        raise RadicalError("labels and members differ in length")
+    labels = family_labels(members, labels, RadicalError)
     if d_max < 1:
         raise RadicalError("depth bound must be >= 1")
     for m in members:
-        local = is_local(end_ring(m))
-        if local is False:
-            raise RadicalError(
-                f"member {m!r} is decomposable; pass its indecomposable summands"
-            )
-        if local is not True:
-            raise LocalityUnverified(
-                f"member {m!r}: endomorphism ring locality could not be certified"
-            )
+        if is_local(end_ring(m)) is False:
+            raise RadicalError(f"member {m!r} is decomposable; pass its indecomposable summands")
+        require_local(m)
 
     idx = range(len(members))
     pairs = [(i, j) for i in idx for j in idx]
@@ -167,18 +159,8 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     spaces = tuple(
         {(labels[i], labels[j]): lvl[(i, j)] for i, j in pairs} for lvl in levels
     )
-    vanishing = None
-    for d, level in enumerate(dims, start=1):
-        if all(v == 0 for v in level.values()):
-            vanishing = d
-            break
-    return RadicalProfile(
-        labels=tuple(labels),
-        dims=dims,
-        vanishing_depth=vanishing,
-        _spaces=spaces,
-        _members=tuple(members),
-    )
+    vanishing = next((d for d, level in enumerate(dims, start=1) if not any(level.values())), None)
+    return RadicalProfile(tuple(labels), dims, vanishing, spaces, tuple(members))
 
 
 def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
@@ -284,9 +266,11 @@ def right_witness(
     ``distinct`` set, chains may not revisit a member index.
     """
     members = list(members)
-    labels = list(labels) if labels is not None else list(range(len(members)))
     # only the depth-1 basis maps are used
     profile = radical_profile(members, d_max=1, labels=labels)
+    labels = profile.labels
+    if start not in labels:
+        raise RadicalError(f"start {start!r} is not a member label")
     start_pos = labels.index(start)
     if len(x) != members[start_pos].total_dim:
         raise RadicalError("starting element has wrong total dimension")

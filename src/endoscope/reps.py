@@ -16,6 +16,7 @@ opposite presentation, and socles.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from typing import Mapping, Sequence
 
 from .linalg import Mat, QQ, Subspace, assemble, kernel_basis
@@ -57,6 +58,11 @@ class Representation:
     ):
         self.presentation = presentation
         quiver = presentation.quiver
+        arrow_names = [a.name for a in quiver.arrows]
+        for names, known, what in ((dims, quiver.vertices, "vertex"), (matrices, arrow_names, "arrow")):
+            unknown = [repr(k) for k in names if k not in known]
+            if unknown:
+                raise RepresentationError(f"no {what} named {', '.join(unknown)}")
         self.dims_by_vertex = {v: dims.get(v, 0) for v in quiver.vertices}
         for v, d in self.dims_by_vertex.items():
             if type(d) is not int or d < 0:
@@ -445,6 +451,20 @@ def direct_sum(
         embeddings.append(Morphism(p, total, emb, _validate=False))
         projections.append(Morphism(total, p, prj, _validate=False))
     return total, embeddings, projections
+
+
+def family_labels(members: Sequence, labels, error: type[Exception]) -> list:
+    """The labels of a family, 0, 1, ... by default.  Reports key results by
+    label, so given ones must be one per member and distinct, else ``error``."""
+    if labels is None:
+        return list(range(len(members)))
+    labels = list(labels)
+    if len(labels) != len(members):
+        raise error(f"{len(labels)} labels for {len(members)} members")
+    repeated = [label for label, k in Counter(labels).items() if k > 1]
+    if repeated:
+        raise error(f"labels must be distinct; repeated: {', '.join(map(repr, repeated))}")
+    return labels
 
 
 def dual(rep: Representation) -> Representation:

@@ -5,7 +5,8 @@ Scalars are rendered as "p/q" strings ("p" when the denominator is 1);
 matrix entries are read into the representation's field with
 ``field.of``, algebra coefficients as rationals.  Vertex dimensions and
 the pointer of a pointed matrix are non-negative JSON integers; a float,
-bool or string there is refused, never truncated.  Data of the wrong
+bool or string there is refused, never truncated, and so is a dims key
+or matrix name that is not a vertex or arrow.  Data of the wrong
 JSON shape (a number where an object or array is due, a term without a
 coeff) raises ``SerializationError`` as well.
 Algebra elements are lists of terms {"coeff", "path"}, where "path"
@@ -128,13 +129,15 @@ def representation_from_json(data, presentation: AlgebraPresentation | None = No
     if not isinstance(raw_dims, dict):
         raise SerializationError("representation data needs a dims object")
     dims = {v: _count(d, f"dimension at vertex {v!r}") for v, d in raw_dims.items()}
+    arrows = {a.name: a for a in presentation.quiver.arrows}
     matrices = {}
-    for a in presentation.quiver.arrows:
-        rows, cols = dims.get(a.target, 0), dims.get(a.source, 0)
-        raw = _shaped(data.get("matrices", {}), dict, "matrices").get(a.name)
-        if raw is None:
-            continue
-        matrices[a.name] = matrix_from_json(raw, rows, cols, field)
+    for name, raw in _shaped(data.get("matrices", {}), dict, "matrices").items():
+        if name not in arrows:
+            raise SerializationError(f"matrix for {name!r}, which is not an arrow")
+        if raw is not None:
+            a = arrows[name]
+            matrices[name] = matrix_from_json(raw, dims.get(a.target, 0), dims.get(a.source, 0), field)
+    # a dims key that names no vertex is refused by Representation
     return Representation(presentation, dims, matrices, field)
 
 

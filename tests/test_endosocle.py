@@ -1,4 +1,7 @@
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endoscope.endosocle import (
     endosocle,
@@ -17,6 +20,7 @@ from endoscope.reps import (
     kronecker_regular,
     socle,
 )
+from test_properties import kronecker_reps
 
 
 def preinjectives(lo, hi):
@@ -255,3 +259,51 @@ def test_two_route_consistency_five_preinjectives_shuffled():
     ring = end_ring(total)
     assert (ring.dim, ring.radical.dim, ring.dim_over_radical) == (35, 30, 5)
     assert two_route_endosocle_agree(members)
+
+
+def series_by_preimages(m):
+    """The ascending series as it was first computed, kept as an oracle:
+    term k + 1 is, vertex by vertex, the intersection over the radical
+    maps r of the preimages r_v^-1(term k)."""
+    from endoscope.homs import end_ring
+    from endoscope.linalg import intersect
+
+    rad = end_ring(m).radical_morphisms()
+    current = SubspaceFamily.zero_for(m)
+    terms = []
+    while True:
+        if not rad:
+            nxt = SubspaceFamily.full_for(m)
+        else:
+            spaces = {}
+            for v in m.presentation.quiver.vertices:
+                pres = [current.space(v).preimage(r.block(v)) for r in rad]
+                spaces[v] = reduce(intersect, pres)
+            nxt = SubspaceFamily(spaces)
+        if nxt == current:
+            return terms
+        terms.append(nxt)
+        current = nxt
+
+
+def assert_series_matches_oracle(m):
+    terms = [t.family for t in endosocle_series(m).terms]
+    assert terms == series_by_preimages(m)
+
+
+@given(st.lists(kronecker_reps(max_dim=2), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_endosocle_series_matches_preimage_oracle(parts):
+    assert_series_matches_oracle(direct_sum(parts)[0])
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [kronecker_preinjective(n) for n in range(1, 6)],
+        [kronecker_regular(4, 0), kronecker_preinjective(3), kronecker_preprojective(3)],
+    ],
+    ids=["I1..I5", "R4(0)+I3+P3"],
+)
+def test_endosocle_series_of_sums_matches_preimage_oracle(parts):
+    assert_series_matches_oracle(direct_sum(parts)[0])

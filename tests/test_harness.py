@@ -7,6 +7,7 @@ import pytest
 
 import endoscope
 from endoscope.cli import main
+from endoscope.endosocle import EndostructureError, family_endosocle, relative_endosocle_series
 from endoscope.harness import (
     FamilySpec,
     HarnessError,
@@ -15,7 +16,11 @@ from endoscope.harness import (
     transversal,
     verify,
 )
-from endoscope.reps import kronecker_preinjective, kronecker_regular
+from endoscope.linalg import Mat
+from endoscope.quiver import kronecker
+from endoscope.radical import RadicalError, radical_profile, right_witness
+from endoscope.reps import Representation, kronecker_preinjective, kronecker_regular
+from endoscope.serialize import presentation_to_json, representation_to_json
 
 
 def run_cli(capsys, *argv):
@@ -209,7 +214,12 @@ def _matsub_eval(matrix):
 
 
 # family files written into the working directory of each case below
-BAD_FAMILY_FILES = {"top-level-5.json": "5", "member-5.json": '{"members": [5]}'}
+BAD_FAMILY_FILES = {
+    "top-level-5.json": "5",
+    "member-5.json": '{"members": [5]}',
+    # the Kronecker quiver has vertices "1" and "2" only
+    "dims-3.json": json.dumps({"algebra": presentation_to_json(kronecker()), "members": [{"dims": {"1": 1, "3": 4}}]}),
+}
 
 
 @pytest.mark.parametrize(
@@ -229,12 +239,13 @@ BAD_FAMILY_FILES = {"top-level-5.json": "5", "member-5.json": '{"members": [5]}'
         ["endosoc", "--family", "file", "--file", "."],
         ["sweep", "--family", "preinj", "--invariant", "radical-depth", "--min", "0", "--max", "2"],
         ["sweep", "--family", "preinj", "--invariant", "endosoc-dim", "--min", "-2", "--max", "2"],
+        ["endosoc", "--family", "file", "--file", "dims-3.json"],
     ],
     ids=[
         "radical-profile-depth-0", "endosoc-index-0", "matsub-no-entries", "sweep-max-below-min",
         "matsub-matrix-5", "matsub-entries-5", "matsub-term-list-5", "matsub-term-without-coeff",
         "family-file-top-level-5", "family-file-member-5", "out-directory", "family-file-directory",
-        "sweep-radical-depth-empty-truncation", "sweep-endosoc-dim-negative-truncation",
+        "sweep-radical-depth-empty-truncation", "sweep-endosoc-dim-negative-truncation", "family-file-dims-key-3",
     ],
 )
 def test_cli_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
@@ -481,3 +492,43 @@ def test_cli_pointer_not_a_count_is_a_usage_error(capsys, value):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+I1, I2, I3 = (kronecker_preinjective(n) for n in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: family_endosocle([I1, I2, I3], labels=["a", "a", "b"]), EndostructureError),
+        (lambda: family_endosocle([I1, I2], labels=["a"]), EndostructureError),
+        (lambda: relative_endosocle_series([I1, I2, I3], labels=["a", "b"]), EndostructureError),
+        (lambda: radical_profile([I1, I2], 3, labels=["x", "x"]), RadicalError),
+        (lambda: right_witness([I1, I2], "zz", (1, 0), 1, labels=["a", "b"]), RadicalError),
+        (lambda: transversal([I1, I2, I3], labels=[7, 7, 8]), HarnessError),
+        (lambda: transversal([I1, I2, I3], labels=[7, 8]), HarnessError),
+    ],
+    ids=[
+        "family_endosocle-repeated", "family_endosocle-short", "relative_series-short",
+        "radical_profile-repeated", "right_witness-unknown-start", "transversal-repeated", "transversal-short",
+    ],
+)
+def test_family_labels_are_one_per_member_and_distinct(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("command", ["endosoc", "radical-profile"])
+def test_cli_inconclusive_refusal_names_the_member(capsys, tmp_path, command):
+    # End = Q(i): one line on stderr naming the member's dimension vector and dim End/J
+    gauss = Representation(kronecker(), {"1": 2, "2": 2}, {"alpha": Mat.identity(2), "beta": Mat([[0, -1], [1, 0]])})
+    family_path = tmp_path / "family.json"
+    family_path.write_text(
+        json.dumps({"algebra": presentation_to_json(kronecker()), "members": [representation_to_json(gauss, False)]})
+    )
+    code = main([command, "--family", "file", "--file", str(family_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("inconclusive: ") and captured.err.count("\n") == 1
+    assert "(2, 2)" in captured.err and "dim End/J = 2" in captured.err

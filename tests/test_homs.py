@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from endoscope import homs
+from endoscope.endosocle import family_endosocle, power_endosocle
 from endoscope.homs import (
     DecompositionInconclusive,
     HomalgError,
@@ -22,6 +24,7 @@ from endoscope.homs import (
 from endoscope.linalg import QQ, Mat, PrimeField
 from endoscope.matsub import PointedMatrix, evaluate
 from endoscope.quiver import kronecker
+from endoscope.radical import radical_profile
 from endoscope.reps import (
     Morphism,
     Representation,
@@ -321,3 +324,42 @@ def test_indecompose_reports_inconclusive_rather_than_guessing(gaussian_rep):
 def test_noniso_subspace_refuses_uncertified_locality(gaussian_rep):
     with pytest.raises(LocalityUnverified):
         noniso_subspace(gaussian_rep, gaussian_rep)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda m: family_endosocle([m]),
+        lambda m: noniso_subspace(m, m),
+        indecompose,
+        lambda m: power_endosocle(m, 2),
+        lambda m: radical_profile([m], 3),
+    ],
+    ids=["family_endosocle", "noniso_subspace", "indecompose", "power_endosocle", "radical_profile"],
+)
+def test_locality_refusals_name_the_member(gaussian_rep, refuse):
+    with pytest.raises(LocalityUnverified) as info:
+        refuse(gaussian_rep)
+    assert "(2, 2)" in str(info.value)
+    assert "dim End/J = 2" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [lambda m: noniso_subspace(m, m), lambda m: power_endosocle(m, 2)],
+    ids=["noniso_subspace", "power_endosocle"],
+)
+def test_refusing_a_decomposable_module_searches_no_split(monkeypatch, refuse):
+    calls = []
+    original = homs._find_split
+
+    def counted(m, ring):
+        calls.append(m)
+        return original(m, ring)
+
+    monkeypatch.setattr(homs, "_find_split", counted)
+    homs.clear_caches()
+    m, _, _ = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2), kronecker_regular(2, 0)])
+    with pytest.raises(LocalityUnverified):
+        refuse(m)
+    assert calls == []

@@ -4,6 +4,7 @@ import pytest
 
 from endoscope.linalg import Mat
 from endoscope.quiver import (
+    AlgebraElement,
     AlgebraPresentation,
     Path,
     Quiver,
@@ -129,3 +130,23 @@ def test_path_repr_and_reverse():
     p = Path("1", "2", ("alpha",))
     assert p.reverse() == Path("2", "1", ("alpha",))
     assert trivial_path("1").is_trivial()
+
+
+def test_algebra_coefficients_are_exact_values(pres):
+    from endoscope.linalg import LinalgError
+
+    alpha = pres.arrow_element("alpha")
+    path = next(iter(alpha.terms))
+    # a float is refused where a matrix entry's would be, not stored as a binary fraction
+    for bad in (0.1, 0.5, True):
+        with pytest.raises(LinalgError):
+            alpha.scale(bad)
+        with pytest.raises(LinalgError):
+            AlgebraElement(pres, {path: bad})
+    half = alpha.scale(Fraction(1, 2))
+    assert half.terms == {path: Fraction(1, 2)}
+    # integral values are ints, as in Mat; equality and hashing are unchanged
+    doubled = (half + half).scale(Fraction(4, 2))
+    assert [type(c) for c in doubled.terms.values()] == [int]
+    assert doubled == alpha.scale(2) and hash(doubled) == hash(alpha.scale(Fraction(2)))
+    assert all(type(c) is int for c in pres.one().terms.values())

@@ -11,7 +11,10 @@ from endoscope.radical import (
     radical_profile,
     right_witness,
 )
+from endoscope.linalg import Mat
+from endoscope.quiver import kronecker
 from endoscope.reps import (
+    Representation,
     direct_sum,
     kronecker_preinjective,
     kronecker_preprojective,
@@ -74,6 +77,15 @@ def test_singleton_profiles():
 
 def test_profile_requires_indecomposable_members():
     total, _, _ = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])
+    with pytest.raises(RadicalError):
+        radical_profile([total], d_max=3)
+
+
+def test_profile_calls_a_split_member_decomposable_even_with_an_undecided_summand():
+    # End of the first summand is Q(i), which is not certified local; the
+    # sum still splits, so it is refused as decomposable, not as undecided
+    gauss = Representation(kronecker(), {"1": 2, "2": 2}, {"alpha": Mat.identity(2), "beta": Mat([[0, -1], [1, 0]])})
+    total, _, _ = direct_sum([gauss, kronecker_regular(1, 0)])
     with pytest.raises(RadicalError):
         radical_profile([total], d_max=3)
 

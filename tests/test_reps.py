@@ -211,3 +211,13 @@ def test_composite_flats_are_the_flattened_composites(field):
     assert Morphism.composite_flats([], fs) == Morphism.composite_flats(gs, []) == []
     with pytest.raises(RepresentationError, match="composition mismatch"):
         Morphism.composite_flats(fs, gs)
+
+
+@pytest.mark.parametrize(
+    "dims, matrices",
+    [({"1": 1, "3": 4}, {}), ({"1": 2, "2": 1}, {"gamma": Mat([[1, 0]])})],
+    ids=["dims-key-3", "matrix-gamma"],
+)
+def test_representation_refuses_names_that_are_not_vertices_or_arrows(dims, matrices):
+    with pytest.raises(RepresentationError, match="'3'|'gamma'"):
+        Representation(kronecker(), dims, matrices)

@@ -142,3 +142,17 @@ def test_pointer_must_be_a_json_count():
     for value in (0.0, 0.7, "0", False, -1):
         with pytest.raises(SerializationError, match="pointer must be a non-negative integer"):
             pointed_matrix_from_json(dict(data, pointer=value), kronecker())
+
+
+@pytest.mark.parametrize(
+    "dims, matrices, name",
+    [({"1": 1, "3": 4}, {}, "'3'"), ({"1": 2, "2": 1}, {"gamma": [["1", "0"]]}, "'gamma'")],
+    ids=["dims-key-3", "matrix-gamma"],
+)
+def test_representation_names_must_be_vertices_and_arrows(dims, matrices, name):
+    # an unknown name used to be dropped, loading a smaller module
+    from endoscope.reps import RepresentationError
+
+    data = {"algebra": presentation_to_json(kronecker()), "dims": dims, "matrices": matrices}
+    with pytest.raises((SerializationError, RepresentationError), match=name):
+        representation_from_json(data)
