@@ -23,7 +23,8 @@ decomposable ones are split by ``homs.indecompose`` first.
 Family-level reports carry optional "boundary" labels: members of a
 truncated infinite family whose components may be inflated because
 their annihilating maps into the excluded tail are missing.  Reports
-flag those labels instead of asserting limit values.
+flag those labels, and the summands "<label>.<k>" of a decomposable
+boundary member, instead of asserting limit values.
 """
 
 from __future__ import annotations
@@ -106,20 +107,25 @@ class EndosocleReport:
         )
 
 
-def _prepare_members(members, labels):
-    """The members' indecomposable summands (``homs.indecompose``), labelled.
+def _prepare_members(members, labels, boundary=()):
+    """The members' indecomposable summands (``homs.indecompose``), their
+    labels, and the boundary labels among them.
 
     A member that is its one summand keeps its label; the summands of a
-    decomposable one are labelled "<label>.<k>".  ``labels`` are checked
-    first, and the new labels must not collide with them either.
+    decomposable one are labelled "<label>.<k>", and a boundary flag on
+    it passes to each of them.  Boundary labels of no member are dropped.
+    ``labels`` are checked first, and the new labels must not collide
+    with them either.
     """
     labels = family_labels(members, labels, EndostructureError)
-    out_members, out_labels = [], []
+    out_members, out_labels, summands = [], [], {}
     for m, label in zip(members, labels):
         parts = indecompose(m)
         out_members += parts
-        out_labels += [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]
-    return out_members, family_labels(out_members, out_labels, EndostructureError)
+        summands[label] = [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]
+        out_labels += summands[label]
+    out_labels = family_labels(out_members, out_labels, EndostructureError)
+    return out_members, out_labels, tuple(s for b in boundary if b in summands for s in summands[b])
 
 
 def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
@@ -130,7 +136,7 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     Decomposable members are split into their indecomposable summands
     first; members with uncertifiable locality are refused.
     """
-    members, labels = _prepare_members(list(members), labels)
+    members, labels, boundary = _prepare_members(list(members), labels, boundary)
 
     components = {}
     for i, m in enumerate(members):
@@ -146,7 +152,7 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
         components=components,
         support=support,
         total_dim=total,
-        boundary=tuple(b for b in boundary if b in labels),
+        boundary=boundary,
     )
 
 
@@ -169,12 +175,14 @@ class SeriesReport:
     subspace families of one module and ``support`` lists vertices with
     a nonzero component; for the relative series each term is the
     endosocle of the current trimmed direct sum (embedded in the full
-    sum) and ``support`` lists the member labels it lives on.
+    sum), ``support`` lists the member labels it lives on, and
+    ``boundary`` lists the boundary labels among them.
     """
 
     kind: str
     terms: tuple
     stabilization_index: int
+    boundary: tuple = ()
 
     @property
     def length(self) -> int:
@@ -211,7 +219,7 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
     have pairwise disjoint supports, so their sum is direct; this is
     verified.  The stabilization index is the number of nonzero terms.
     """
-    members, labels = _prepare_members(list(members), labels)
+    members, labels, boundary = _prepare_members(list(members), labels, boundary)
     total, embeddings, _ = direct_sum(members) if members else (None, [], [])
     vertices = members[0].presentation.quiver.vertices if members else ()
 
@@ -233,7 +241,7 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
         remaining = [i for i in remaining if labels[i] not in supported]
 
     _verify_direct(terms, vertices)
-    return SeriesReport(kind="relative", terms=tuple(terms), stabilization_index=len(terms))
+    return SeriesReport(kind="relative", terms=tuple(terms), stabilization_index=len(terms), boundary=boundary)
 
 
 def _verify_direct(terms, vertices):

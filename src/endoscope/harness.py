@@ -192,7 +192,7 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ) -> list[dict]
         elif invariant == "relative-length":
             series = relative_endosocle_series(fam.members, labels=fam.labels, boundary=fam.boundary)
             value = series.stabilization_index
-            flag = any(set(t.support) & set(fam.boundary) for t in series.terms)
+            flag = any(set(t.support) & set(series.boundary) for t in series.terms)
         else:  # radical-depth
             bound = 2 ** max(m.length() for m in fam.members) - 1
             profile = radical_profile(fam.members, d_max=bound, labels=fam.labels)

@@ -1,12 +1,15 @@
 """Hom spaces, endomorphism rings, radicals, and decomposition.
 
-The homomorphisms M -> N are exactly the solutions of the linear system
-"f_target(a) . M_a = N_a . f_source(a) for every arrow a", so a basis
-of Hom(M, N) is one kernel computation.  End(M) multiplies by composing
-on M.  Its Jacobson radical is the kernel of the trace form
-(f, g) -> tr_M(f g) of End(M) acting on M, which is faithful (Dickson's
-criterion; valid in characteristic zero, the only supported mode for
-radical-dependent operations).
+A homomorphism M -> N is fixed by its values on generators of M, and
+exists exactly when those values satisfy the relations among them.
+``hom_basis`` finds both by spinning M (``endoscope.spin``) and solves
+for the images of the generators: one kernel, with
+sum_v dim top(M)_v * n_v unknowns.  Run on the duals, the same routine
+has sum_v dim soc(N)_v * m_v unknowns, and the smaller side is solved.
+End(M) multiplies by composing on M.  Its Jacobson radical is the
+kernel of the trace form (f, g) -> tr_M(f g) of End(M) acting on M,
+which is faithful (Dickson's criterion; valid in characteristic zero,
+the only supported mode for radical-dependent operations).
 
 Locality is decided in one place: ``EndoRing.local`` holds when End/J is
 one-dimensional.  ``indecompose`` splits what is not local, ``is_local``
@@ -14,7 +17,8 @@ tells "decomposable" from "undecided", and ``require_local`` refuses,
 naming the module's dimension vector and dim End/J.
 
 Hom and End computations are cached by value, so repeated family-level
-invariants reuse the underlying kernels.
+invariants reuse the underlying kernels; so are each module's spun
+presentations.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Literal, Sequence
 
-from .linalg import Mat, Subspace, invert, kernel_basis, rref, sparse_kernel
+from .linalg import Mat, Subspace, invert, kernel_basis, rref
 from .reps import Morphism, Representation
+from .spin import presentation, sides, spun_homs
 
 
 class HomalgError(ValueError):
@@ -134,44 +139,25 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 @lru_cache(maxsize=None)
 def hom_basis(m: Representation, n: Representation) -> HomSpace:
-    """A basis of Hom(m, n): the kernel of the commuting-square system.
+    """A basis of Hom(m, n), solved for on the smaller side.
 
-    Each equation goes to the elimination kernel as a sparse row, built
-    from the nonzeros of the arrow matrices; no dense system is formed.
+    A map m -> n is fixed by its values on a presentation of m found by
+    spinning (``spin.presentation``), so the unknowns are the images of the
+    generators, sum_v dim top(m)_v * n_v of them.  The same routine on
+    Hom(Dn, Dm), which the transpose identifies with Hom(m, n), has
+    sum_v dim soc(n)_v * m_v unknowns; the side with fewer is solved (the
+    socle side on a tie).  The basis is the canonical one, the RREF rows
+    of Hom(m, n) in the ``Morphism.flatten`` layout.
     """
-    if m.presentation != n.presentation:
+    if m.presentation is not n.presentation and m.presentation != n.presentation:
         raise HomalgError("hom between different presentations")
-    quiver = m.presentation.quiver
-    p = m.field.characteristic
-    # unknown offsets[v] + i * m.dim(v) + j is entry (i, j) of the block f_v,
-    # the layout of Morphism.flatten
-    offsets = {}
-    unknowns = 0
-    for v in quiver.vertices:
-        offsets[v] = unknowns
-        unknowns += n.dim(v) * m.dim(v)
-
-    equations = []
-    for a in quiver.arrows:
-        ma = m.matrix(a.name).transpose()
-        na = n.matrix(a.name)
-        # (f_t @ ma)[r, c] - (na @ f_s)[r, c] = 0 couples f_t[r, k] with ma[k, c]
-        # and f_s[k, c] with na[r, k]; na_rows holds the negated entries
-        ma_cols = [ma.row(c).items() for c in range(ma.rows)]
-        na_rows = [[(k, p - x if p else -x) for k, x in na.row(r).items()] for r in range(na.rows)]
-        width_t, width_s, off_s = m.dim(a.target), m.dim(a.source), offsets[a.source]
-        for r, na_row in enumerate(na_rows):
-            base_t = offsets[a.target] + r * width_t
-            for c, ma_col in enumerate(ma_cols):
-                eq = {base_t + k: x for k, x in ma_col}
-                for k, y in na_row:
-                    idx = off_s + k * width_s + c
-                    x = eq.get(idx)
-                    eq[idx] = y if x is None else (x + y) % p if p else x + y
-                equations.append(eq)
-
-    basis = [Morphism.unflatten(m, n, vec) for vec in sparse_kernel(equations, unknowns, m.field)]
-    return HomSpace(m, n, basis)
+    top, socle = sides(m)[0][1], sides(n)[1][1]
+    top_unknowns = sum(len(top[v]) * d for v, d in n.dims_by_vertex.items())
+    if top_unknowns < sum(len(socle[v]) * d for v, d in m.dims_by_vertex.items()):
+        flats = spun_homs(presentation(m, False), m, n, sides(n)[0][0], transpose=False)
+    else:
+        flats = spun_homs(presentation(n, True), n, m, sides(m)[1][0], transpose=True)
+    return HomSpace(m, n, [Morphism.unflatten(m, n, flat) for flat in flats])
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -565,6 +551,7 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
 
 
 def clear_caches():
-    """Drop the memoized hom spaces and endomorphism rings."""
-    hom_basis.cache_clear()
-    end_ring.cache_clear()
+    """Drop the memoized hom spaces and endomorphism rings, and the
+    memoized sides and presentations of each module (``endoscope.spin``)."""
+    for cache in (hom_basis, end_ring, sides, presentation):
+        cache.cache_clear()

@@ -650,12 +650,6 @@ class Subspace:
             raise LinalgError("map domain mismatch")
         return Subspace(m.rows, m @ self.basis)
 
-    def preimage(self, m: Mat) -> "Subspace":
-        """{x : m @ x lies in this subspace}."""
-        if m.rows != self.ambient_dim:
-            raise LinalgError("map codomain mismatch")
-        return kernel_basis(self.annihilator() @ m)
-
     def annihilator(self) -> Mat:
         """A matrix whose kernel is this subspace: its rows q have q @ basis = 0."""
         return kernel_basis(self._row_mat())._row_mat()

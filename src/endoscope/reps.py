@@ -224,7 +224,7 @@ class Morphism:
         blocks: Mapping[str, Mat],
         _validate: bool = True,
     ):
-        if source.presentation != target.presentation:
+        if source.presentation is not target.presentation and source.presentation != target.presentation:
             raise RepresentationError("morphism between different presentations")
         if source.field != target.field:
             raise RepresentationError("morphism between representations over different fields")
@@ -294,7 +294,8 @@ class Morphism:
 
     def flatten(self) -> dict:
         """The nonzero coordinates {index: value} in the fixed (vertex order,
-        row-major) layout; ``hom_basis`` numbers its unknowns the same way."""
+        row-major) layout; ``hom_basis`` returns the RREF rows of the hom
+        space in this layout, as ``unflatten`` reads them."""
         out = {}
         pos = 0
         for v in self.source.presentation.quiver.vertices:

@@ -1,0 +1,195 @@
+"""Presentations of representations by spinning, and hom systems on them.
+
+A representation M is spun (``presentation``) from lifts of a basis of
+its top, the standard vectors that the arrow images into each vertex
+miss: every arrow is applied to every vector found, and each image is
+either a new basis vector or a combination of those already found, a
+relation.  A map M -> N is then fixed by the images of the generators,
+which must satisfy the relations evaluated on N (``spun_homs``), so
+Hom(M, N) is one kernel with sum_v dim top(M)_v * n_v unknowns.  The
+dual side spins DN and solves Hom(DN, DM) the same way.  ``sides`` and
+``presentation`` are cached per module; ``homs.clear_caches`` drops
+them.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from .linalg import _eliminate, _reduce, _subtract, sparse_kernel
+from .reps import Representation
+
+
+@lru_cache(maxsize=None)
+def sides(m: Representation) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+    """m and its dual Dm (``reps.dual``, not built), each as ``(arrows,
+    lifts)``.
+
+    ``arrows`` maps a name to (source, target, matrix); Dm reverses every
+    arrow and transposes its matrix, so column k of one side's matrix,
+    the image of e_k, is row k of the other side's.  ``lifts[v]`` lists
+    the columns j whose standard vectors lift a basis of the top at v:
+    the non-pivot columns of the RREF of the images of the arrows into
+    v.  The top of Dm is the dual of the socle of m.
+    """
+    dims = m.dims_by_vertex
+    arrows, images = ({}, {}), ({v: [] for v in dims}, {v: [] for v in dims})
+    for a in m.presentation.quiver.arrows:
+        mat = m.matrices[a.name]
+        transposed = mat.transpose()
+        arrows[0][a.name] = (a.source, a.target, mat)
+        arrows[1][a.name] = (a.target, a.source, transposed)
+        images[0][a.target] += transposed._copy()
+        images[1][a.source] += mat._copy()
+    p = m.field.characteristic
+    lifts = [{}, {}]
+    for side in (0, 1):
+        for v, rows in images[side].items():
+            pivots = _eliminate(rows, p) if rows else ()
+            lifts[side][v] = [j for j in range(dims[v]) if j not in pivots]
+    return (arrows[0], lifts[0]), (arrows[1], lifts[1])
+
+
+@lru_cache(maxsize=None)
+def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
+    """A presentation of m, or of Dm if ``dual_side``, found by spinning
+    (Lux and Szoke, Experiment. Math. 12 (2003); Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 7.5): ``(nodes, relations,
+    inverse)``.
+
+    The nodes are a basis: a generator ``(v, None, None)``, from the lifts
+    of the top and then from standard vectors where those fall short (as
+    under an invertible loop), or ``(v, parent, arrow)``, the image of an
+    earlier node.  An arrow applied to a node whose image is spanned
+    already gives a relation ``(node, arrow, {node: coefficient})``, and
+    ``inverse[v][j]`` writes e_j at v in the nodes.  At each vertex the
+    nodes so far are fully reduced rows [vector | node combination], the
+    vector in the columns below m_v; an image is spanned exactly when its
+    vector part reduces to zero, and its combination part is then minus
+    its coordinates.
+    """
+    p = m.field.characteristic
+    dims = m.dims_by_vertex
+    (arrows, lifts), (other, _) = sides(m)[:: -1 if dual_side else 1]
+    leaving = {v: [] for v in dims}  # (arrow, target, matrix whose row k is the image of e_k)
+    for name, (source, target, _) in arrows.items():
+        leaving[source].append((name, target, other[name][2]))
+    nodes, vectors, relations = [], [], []
+    spanned = {v: {} for v in dims}
+    at = {v: [] for v in dims}  # the nodes at each vertex, in order
+
+    def add(v, vector, row, parent=None, arrow=None):
+        """Make ``vector`` at v a node; ``row`` is its reduction, with a
+        nonzero vector part."""
+        row[dims[v] + len(at[v])] = 1
+        at[v].append(len(nodes))
+        nodes.append((v, parent, arrow))
+        vectors.append(vector)
+        pivot = min(row)
+        if row[pivot] != 1:
+            ((pivot, row),) = _eliminate([row], p).items()  # scaled to a 1 at its pivot
+        for held in spanned[v].values():
+            if pivot in held:
+                _subtract(held, held.pop(pivot), row, pivot, p)
+        spanned[v][pivot] = row
+
+    # e_j at a non-pivot column j of the rows at v is a reduced row itself
+    for v, cols in lifts.items():
+        for j in cols:
+            add(v, {j: 1}, {j: 1})
+    done = 0
+    while True:
+        while done < len(nodes):
+            for name, target, images in leaving[nodes[done][0]]:
+                image = {}
+                for k, x in vectors[done].items():
+                    _subtract(image, -x, images.row(k), -1, p)
+                row = _reduce(dict(image), spanned[target], p)
+                width = dims[target]
+                if row and min(row) < width:
+                    add(target, image, row, done, name)
+                else:
+                    relations.append((done, name, {at[target][c - width]: -x % p if p else -x for c, x in row.items()}))
+            done += 1
+        short = next((v for v in dims if len(spanned[v]) < dims[v]), None)
+        if short is None:
+            break
+        j = next(j for j in range(dims[short]) if j not in spanned[short])
+        add(short, {j: 1}, {j: 1})
+    inverse = {}
+    for v, rows in spanned.items():
+        width, held = dims[v], at[v]
+        inverse[v] = [{held[c - width]: x for c, x in rows[j].items() if c >= width} for j in range(width)]
+    return nodes, relations, inverse
+
+
+def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict, transpose: bool) -> list[dict]:
+    """The canonical basis of Hom(s, t), its RREF rows in the
+    ``Morphism.flatten`` layout, from the presentation ``spun`` of s and
+    the arrow ``matrices`` of t; with ``transpose``, the spin is of Ds,
+    the matrices are those of Dt, and the basis is of Hom(t, s).
+
+    The unknowns are the images of the generators.  A node's image is P
+    applied to its generator's unknowns, P the product of t's arrow
+    matrices along its path, and each relation gives t_v equations.
+    Entry (r, j) of the block at v is coordinate r of the image of e_j,
+    which the spin's inverse writes in the nodes.  The basis is reduced
+    to the canonical one, so callers see the same maps on either side.
+    """
+    nodes, relations, inverse = spun
+    field = s.field
+    p = field.characteristic
+    sdims, tdims = s.dims_by_vertex, t.dims_by_vertex
+    # paths[k] = (u, P): coordinate c of the generator of node k is unknown u - c;
+    # later generators take smaller indices, so the pivot of a relation is
+    # mostly an unknown that no earlier relation holds: little back-substitution
+    paths, free = [], sum(tdims[v] for v, parent, _ in nodes if parent is None)
+    unknowns = free
+    for v, parent, arrow in nodes:
+        if parent is None:
+            paths.append((free - 1, None))
+            free -= tdims[v]
+        else:
+            u, path = paths[parent]
+            a = matrices[arrow][2]
+            paths.append((u, a if path is None else a @ path))
+    if not unknowns:
+        return []
+
+    equations = []
+    for node, arrow, combination in relations:
+        u, path = paths[node]
+        a = matrices[arrow][2]
+        lhs = a if path is None else a @ path
+        for r in range(a.rows):
+            eq = {u - c: x for c, x in lhs.row(r).items()}
+            for k, c in combination.items():
+                uk, pk = paths[k]
+                for w, x in ((uk - r, 1),) if pk is None else ((uk - i, x) for i, x in pk.row(r).items()):
+                    eq[w] = eq.get(w, 0) - c * x
+            equations.append({w: x % p for w, x in eq.items()} if p else eq)
+    kernel = sparse_kernel(equations, unknowns, field)
+    if not kernel:
+        return []
+
+    # row w of `spread` is the flatten layout of the map with unknown w = 1
+    spread, pos = [{} for _ in range(unknowns)], 0
+    for v in s.presentation.quiver.vertices:
+        s_v, t_v = sdims[v], tdims[v]
+        for j, combination in enumerate(inverse[v]):
+            for k, c in combination.items():
+                u, path = paths[k]
+                for r in range(t_v):
+                    idx = pos + (j * t_v + r if transpose else r * s_v + j)
+                    for w, x in ((u - r, 1),) if path is None else ((u - i, x) for i, x in path.row(r).items()):
+                        spread[w][idx] = spread[w].get(idx, 0) + c * x
+        pos += s_v * t_v
+    flats = []
+    for y in kernel:
+        flat = {}
+        for w, a in y.items():
+            for idx, x in spread[w].items():
+                flat[idx] = flat.get(idx, 0) + a * x
+        flats.append({idx: z for idx, x in flat.items() if (z := x % p if p else x)})
+    reduced = _eliminate(flats, p)
+    return [reduced[c] for c in sorted(reduced)]

@@ -20,6 +20,7 @@ from endoscope.reps import (
     kronecker_regular,
     socle,
 )
+from oracles import preimage
 from test_properties import kronecker_reps
 
 
@@ -277,7 +278,7 @@ def series_by_preimages(m):
         else:
             spaces = {}
             for v in m.presentation.quiver.vertices:
-                pres = [current.space(v).preimage(r.block(v)) for r in rad]
+                pres = [preimage(current.space(v), r.block(v)) for r in rad]
                 spaces[v] = reduce(intersect, pres)
             nxt = SubspaceFamily(spaces)
         if nxt == current:
@@ -307,3 +308,18 @@ def test_endosocle_series_matches_preimage_oracle(parts):
 )
 def test_endosocle_series_of_sums_matches_preimage_oracle(parts):
     assert_series_matches_oracle(direct_sum(parts)[0])
+
+
+def test_boundary_flag_passes_to_the_summands_of_a_decomposable_member():
+    split = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])[0]
+    members, labels = [split, kronecker_preinjective(3)], ["a", "b"]
+    report = family_endosocle(members, labels=labels, boundary=["a"])
+    assert report.support == ("a.0", "a.1")
+    assert report.boundary == ("a.0", "a.1")
+    assert report.support_excluding_boundary() == ()
+    assert report.dim_excluding_boundary() == 0
+    series = relative_endosocle_series(members, labels=labels, boundary=["a"])
+    assert [t.support for t in series.terms] == [("a.0", "a.1"), ("b",)]
+    assert series.boundary == ("a.0", "a.1")
+    # a boundary label of no member is still dropped, an indecomposable one kept
+    assert family_endosocle(members, labels=labels, boundary=["b", "z"]).boundary == ("b",)

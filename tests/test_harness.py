@@ -532,3 +532,18 @@ def test_cli_inconclusive_refusal_names_the_member(capsys, tmp_path, command):
     assert captured.out == ""
     assert captured.err.startswith("inconclusive: ") and captured.err.count("\n") == 1
     assert "(2, 2)" in captured.err and "dim End/J = 2" in captured.err
+
+
+def test_sweep_flags_the_summands_of_a_decomposable_boundary_member(monkeypatch):
+    # member n is I_n + I_1, so the boundary member n splits into "n.0" and "n.1"
+    from endoscope import harness
+    from endoscope.reps import direct_sum
+
+    monkeypatch.setitem(
+        harness._BUILDERS,
+        "kronecker-preinjective",
+        lambda n, field: direct_sum([kronecker_preinjective(n, field), kronecker_preinjective(1, field)])[0],
+    )
+    spec = FamilySpec.parse("preinj", "2..4")
+    for invariant in ("relative-length", "endosoc-support"):
+        assert [r["boundary_flag"] for r in sweep(spec, invariant, [3, 4])] == [True, True]

