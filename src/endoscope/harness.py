@@ -25,14 +25,13 @@ from .endosocle import (
     power_endosocle,
     relative_endosocle_series,
 )
-from .homs import are_isomorphic, hom_dim
+from .homs import hom_dim, iso_classes
 from .linalg import QQ, Subspace
 from .matsub import check_endo_invariant, evaluate, random_pointed_matrix
 from .quiver import kronecker
 from .radical import harada_sai_check, radical_profile
 from .reps import (
     INFINITY,
-    Representation,
     SubspaceFamily,
     direct_sum,
     dual,
@@ -139,27 +138,16 @@ class TransversalReport:
 def transversal(members, labels=None) -> TransversalReport:
     """Deduplicate a family up to isomorphism, recording multiplicities.
 
-    Each comparison is decided by ``are_isomorphic``; a refused
-    certificate (``DecompositionInconclusive``) propagates.
+    Each member is compared with the earlier representatives of its
+    dimension vector (``homs.iso_classes``); a refused certificate
+    (``DecompositionInconclusive``) propagates.
     """
     members = list(members)
     labels = family_labels(members, labels, HarnessError)
-    reps: list[Representation] = []
-    rep_labels: list = []
-    mult: dict = {}
-    for m, lab in zip(members, labels):
-        found = None
-        for r_lab, r in zip(rep_labels, reps):
-            if are_isomorphic(r, m):
-                found = r_lab
-                break
-        if found is None:
-            reps.append(m)
-            rep_labels.append(lab)
-            mult[lab] = 1
-        else:
-            mult[found] += 1
-    return TransversalReport(tuple(reps), tuple(rep_labels), mult)
+    classes = [c for c, _ in iso_classes(members)]
+    reps = [k for k, c in enumerate(classes) if c == k]
+    mult = {labels[k]: classes.count(k) for k in reps}
+    return TransversalReport(tuple(members[k] for k in reps), tuple(labels[k] for k in reps), mult)
 
 
 SWEEP_INVARIANTS = ("endosoc-support", "endosoc-dim", "relative-length", "radical-depth")

@@ -378,6 +378,25 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     return IsoCertificate("iso")
 
 
+def iso_classes(members: Sequence[Representation]) -> list[tuple[int, IsoCertificate]]:
+    """Split a family into isomorphism classes, in order.
+
+    Entry k is (c, cert): member c, the first member isomorphic to member k,
+    represents its class, and cert is ``are_isomorphic(members[c], members[k])``
+    (the identity when c == k).  Only members with equal dimension vectors
+    are compared; a refused certificate propagates.
+    """
+    out, reps = [], {}
+    for k, m in enumerate(members):
+        same = reps.setdefault(m.dim_vector, [])
+        found = next(((c, cert) for c in same if (cert := are_isomorphic(members[c], m))), None)
+        if found is None:
+            same.append(k)
+            found = (k, IsoCertificate("iso", Morphism.identity(m), Morphism.identity(m)))
+        out.append(found)
+    return out
+
+
 # -- Fitting decomposition -----------------------------------------------------
 
 

@@ -18,9 +18,11 @@ the profile composes is scaled to coprime ints first
 (``linalg.primitive_row``), which leaves each span as it is and makes
 every product in a composite an int product.  From depth 3 on only the
 irreducible maps, a complement of rad^2 in rad, are composed on the
-left, and the composites are threaded through one member of each
-isomorphism class; ``radical_profile`` proves that both span the same
-powers.
+left.  Every level is built on class representatives only, one member
+of each isomorphism class at source, middle and target; another pair's
+subspace is carried over through the certified isomorphisms when it is
+first asked for.  ``radical_profile`` proves that all of this spans the
+same powers.
 
 Left-sided conditions are measured through vector-space duality: the
 left profile of a family is the right profile of the dualized family
@@ -38,11 +40,12 @@ from .homs import (
     hom_basis,
     is_isomorphism,
     is_local,
+    iso_classes,
     noniso_subspace,
     require_local,
 )
 from .linalg import Mat, Subspace, primitive_row, rref
-from .reps import Morphism, Representation, dual, family_labels
+from .reps import Morphism, dual, family_labels
 
 
 class RadicalError(ValueError):
@@ -56,31 +59,55 @@ class RadicalProfile:
     ``dims[d-1][(i, j)]`` is the dimension of the d-th radical power
     from member i to member j; ``vanishing_depth`` is the least depth
     at which every pair vanishes (None if not reached by the requested
-    maximum).
+    maximum).  Depths run over 1..``depth_reached()``; a depth outside
+    it, or a label that is not a member's, is a ``RadicalError``.
     """
 
     labels: tuple
     dims: tuple
     vanishing_depth: int | None
-    _spaces: tuple = ()
-    _members: tuple = ()
+    _spaces: dict  # (depth, i, j) positions -> Subspace; copies' pairs once asked for
+    _members: tuple
+    _classes: tuple  # per member: (its representative's position, IsoCertificate)
 
     def pair_dims(self, i, j) -> list[int]:
+        self._position(i), self._position(j)
         return [level[(i, j)] for level in self.dims]
 
     def depth_reached(self) -> int:
         return len(self.dims)
 
     def subspace(self, depth: int, i, j) -> Subspace:
-        """Coordinate subspace of the depth-d power inside Hom(i, j)."""
-        return self._spaces[depth - 1][(i, j)]
+        """Coordinate subspace of the depth-d power inside Hom(i, j).
+
+        A pair not of two representatives is carried over when first asked
+        for, as psi R_d(a, b) phi^-1 (``radical_profile``); each map goes
+        through ``hom.coordinates``, which raises if it leaves the space.
+        """
+        if depth not in range(1, self.depth_reached() + 1):
+            raise RadicalError(f"depth {depth!r} is outside 1..{self.depth_reached()}")
+        key = (depth, self._position(i), self._position(j))
+        if key not in self._spaces:
+            _, i, j = key
+            (a, phi), (b, psi) = self._classes[i], self._classes[j]
+            rep = hom_basis(self._members[a], self._members[b])
+            hom = hom_basis(self._members[i], self._members[j])
+            maps = [
+                psi.witness.compose(rep.from_coordinates(v)).compose(phi.inverse)
+                for v in self._spaces[(depth, a, b)].vectors()
+            ]
+            self._spaces[key] = Subspace.span(hom.dim, [hom.coordinates(f) for f in maps], hom.source.field)
+        return self._spaces[key]
 
     def basis_morphisms(self, depth: int, i, j) -> list[Morphism]:
-        hom = hom_basis(self._member(i), self._member(j))
-        return [hom.from_coordinates(v) for v in self.subspace(depth, i, j).vectors()]
+        space = self.subspace(depth, i, j)
+        hom = hom_basis(self._members[self._position(i)], self._members[self._position(j)])
+        return [hom.from_coordinates(v) for v in space.vectors()]
 
-    def _member(self, label) -> Representation:
-        return self._members[self.labels.index(label)]
+    def _position(self, label) -> int:
+        if label not in self.labels:
+            raise RadicalError(f"{label!r} is not a member label")
+        return self.labels.index(label)
 
 
 def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
@@ -98,12 +125,14 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     Each map is held as its multiple with coprime int entries; a span
     does not change when a vector of it is scaled by a nonzero rational.
 
-    The middle member k runs over the first member of each isomorphism
-    class only.  Level 1 tells the classes apart: for q != k, M_q and M_k
-    are isomorphic iff R_1(q, k) is a proper subspace of Hom(q, k).  If
-    phi: M_k' -> M_k is an isomorphism, then R_1(k', j) = R_1(k, j) phi and
-    R_d(i, k') = phi^-1 R_d(i, k), since both are ideals, so
-    R_1(k', j) R_d(i, k') = R_1(k, j) phi phi^-1 R_d(i, k) = R_1(k, j) R_d(i, k):
+    Every index runs over class representatives only, the first member of
+    each isomorphism class (``homs.iso_classes``, decisive on local members).
+    For isomorphisms phi: M_a -> M_i and psi: M_b -> M_j, R_d is an ideal, so
+    psi R_d(a, b) phi^-1 lies in R_d(i, j) and psi^-1 R_d(i, j) phi in R_d(a, b):
+    R_d(i, j) = psi R_d(a, b) phi^-1.  At source and target, every pair's
+    dimension is its representatives' pair's (``RadicalProfile.subspace``
+    carries the subspace over when asked).  At the middle, for k' = k through
+    phi, R_1(k', j) R_d(i, k') = R_1(k, j) phi^-1 phi R_d(i, k) = R_1(k, j) R_d(i, k):
     the composites through k' span nothing the ones through k do not.
 
     The left factor is a basis of R_1(k, j) at depth 2.  From depth 3 on
@@ -125,42 +154,38 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
             raise RadicalError(f"member {m!r} is decomposable; pass its indecomposable summands")
         require_local(m)
 
-    idx = range(len(members))
-    pairs = [(i, j) for i in idx for j in idx]
-    hom = {(i, j): hom_basis(members[i], members[j]) for i, j in pairs}
+    classes = iso_classes(members)
+    cls = [c for c, _ in classes]
+    reps = [k for k, c in enumerate(cls) if c == k]
+    pairs = [(a, b) for a in reps for b in reps]
+    hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
     maps = {}
     rad1 = {}
-    for i, j in pairs:
-        basis = noniso_subspace(members[i], members[j]).basis
-        rad1[(i, j)] = Subspace.span(
-            hom[(i, j)].dim, [hom[(i, j)].coordinates(f) for f in basis], members[i].field
+    for a, b in pairs:
+        basis = noniso_subspace(members[a], members[b]).basis
+        rad1[(a, b)] = Subspace.span(
+            hom[(a, b)].dim, [hom[(a, b)].coordinates(f) for f in basis], members[a].field
         )
-        maps[(i, j)] = [_integral(f) for f in basis]
-    # the first member of each isomorphism class; M_q and M_k (q != k) are
-    # isomorphic iff the non-isomorphisms are a proper subspace of Hom(q, k)
-    middles = [k for k in idx if all(rad1[(q, k)].dim == hom[(q, k)].dim for q in range(k))]
+        maps[(a, b)] = [_integral(f) for f in basis]
 
     levels = [rad1]
     left = maps
     while len(levels) < d_max and any(s.dim for s in levels[-1].values()):
         if len(levels) == 2:
-            left = _irreducible_maps(hom, rad1, levels[1], [(k, j) for k in middles for j in idx])
+            left = _irreducible_maps(hom, rad1, levels[1], pairs)
         nxt = {}
         nxt_maps = {}
-        for i, j in pairs:
-            factors = [(left[(k, j)], maps[(i, k)]) for k in middles]
-            nxt[(i, j)], nxt_maps[(i, j)] = _composite_span(hom[(i, j)], factors)
+        for a, b in pairs:
+            factors = [(left[(k, b)], maps[(a, k)]) for k in reps]
+            nxt[(a, b)], nxt_maps[(a, b)] = _composite_span(hom[(a, b)], factors)
         levels.append(nxt)
         maps = nxt_maps
 
-    dims = tuple(
-        {(labels[i], labels[j]): lvl[(i, j)].dim for i, j in pairs} for lvl in levels
-    )
-    spaces = tuple(
-        {(labels[i], labels[j]): lvl[(i, j)] for i, j in pairs} for lvl in levels
-    )
+    idx = range(len(members))
+    dims = tuple({(labels[i], labels[j]): lvl[(cls[i], cls[j])].dim for i in idx for j in idx} for lvl in levels)
+    spaces = {(d, *pair): s for d, lvl in enumerate(levels, start=1) for pair, s in lvl.items()}
     vanishing = next((d for d, level in enumerate(dims, start=1) if not any(level.values())), None)
-    return RadicalProfile(tuple(labels), dims, vanishing, spaces, tuple(members))
+    return RadicalProfile(tuple(labels), dims, vanishing, spaces, tuple(members), tuple(classes))
 
 
 def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
@@ -269,9 +294,7 @@ def right_witness(
     # only the depth-1 basis maps are used
     profile = radical_profile(members, d_max=1, labels=labels)
     labels = profile.labels
-    if start not in labels:
-        raise RadicalError(f"start {start!r} is not a member label")
-    start_pos = labels.index(start)
+    start_pos = profile._position(start)
     if len(x) != members[start_pos].total_dim:
         raise RadicalError("starting element has wrong total dimension")
     if not any(x):

@@ -67,6 +67,25 @@ def test_profile_composites_span_membership():
                             assert prof.subspace(d + 1, i, j).contains(coords)
 
 
+def test_profile_refuses_depths_outside_the_profile_and_unknown_labels():
+    members, labels = preinj_family(3)
+    prof = radical_profile(members, d_max=10, labels=labels)
+    assert prof.depth_reached() == 3 and prof.subspace(1, 3, 1).dim == 3
+    # depth -1 once read the second-to-last level through negative indexing
+    for depth in (0, -1, -3, 4, 9):
+        with pytest.raises(RadicalError, match="outside 1..3"):
+            prof.subspace(depth, 3, 1)
+        with pytest.raises(RadicalError, match="outside 1..3"):
+            prof.basis_morphisms(depth, 3, 1)
+    for i, j in ((4, 1), (1, "1"), (0, 0)):
+        with pytest.raises(RadicalError, match="not a member label"):
+            prof.subspace(1, i, j)
+        with pytest.raises(RadicalError, match="not a member label"):
+            prof.basis_morphisms(1, i, j)
+        with pytest.raises(RadicalError, match="not a member label"):
+            prof.pair_dims(i, j)
+
+
 def test_singleton_profiles():
     prof = radical_profile([kronecker_preinjective(2)], d_max=4, labels=["i2"])
     assert prof.vanishing_depth == 1

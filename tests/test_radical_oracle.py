@@ -18,11 +18,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endoscope.harness import length_bounded_kronecker_family
-from endoscope.homs import end_ring, hom_basis, is_local, noniso_subspace
+from endoscope.homs import clear_caches, end_ring, hom_basis, is_isomorphism, is_local, noniso_subspace
 from endoscope.linalg import Mat, Subspace, invert
 from endoscope.quiver import kronecker
-from endoscope.radical import radical_profile
-from endoscope.reps import kronecker_preinjective, kronecker_preprojective, kronecker_regular, simple
+from endoscope.radical import harada_sai_check, left_profile, radical_profile, right_witness
+from endoscope.reps import Morphism, kronecker_preinjective, kronecker_preprojective, kronecker_regular, simple
 from test_iso_certificate import conjugate
 from test_properties import kronecker_reps
 
@@ -99,14 +99,18 @@ def classes(members):
     return len(reps)
 
 
-def test_family_with_repeated_classes_agrees_with_oracle():
+def repeated_class_family():
     # three copies of I3 and of R2(0), and copies of the one-dimensional S1 = I1 and P1
     rng = random.Random(5)
     i3, r2, s1, p1 = kronecker_preinjective(3), kronecker_regular(2, 0), kronecker_preinjective(1), kronecker_preprojective(1)
-    members = [
+    return [
         i3, random_conjugate(i3, rng), s1, r2, random_conjugate(i3, rng, 7), p1, s1,
         random_conjugate(r2, rng), kronecker_preprojective(2), p1, random_conjugate(r2, rng, 7), s1,
     ]
+
+
+def test_family_with_repeated_classes_agrees_with_oracle():
+    members = repeated_class_family()
     assert classes(members) == 5
     for order in (members, members[::-1]):
         assert_agrees_with_oracle(order, d_max=15)
@@ -171,3 +175,95 @@ def test_hypothesis_families_with_conjugated_copies_agree_with_oracle(members, d
     pool = members + [random_conjugate(m, rng, 7) for m in members]
     rng.shuffle(pool)
     assert_agrees_with_oracle(pool, d_max)
+
+
+# -- class representatives -------------------------------------------------------
+
+
+def solvable_pairs(members):
+    """The representatives, and the hom systems ``radical_profile`` may solve.
+
+    Those are the representatives' pairs, each member's End, and what
+    ``are_isomorphic`` solves when it compares a member with the earlier
+    representatives of its dimension vector: Hom(c, k), then Hom(k, c) if
+    Hom(c, k) != 0 (nothing when the two are equal).  None of them joins
+    two distinct non-representatives.
+    """
+    reps, pairs = [], set()
+    for m in members:
+        pairs.add((m, m))
+        for r in (r for r in reps if r.dim_vector == m.dim_vector):
+            if r == m:
+                break
+            pairs.add((r, m))
+            if hom_basis(r, m).dim:
+                pairs.add((m, r))
+            if hom_basis(r, m).dim > noniso_subspace(r, m).dim:
+                break
+        else:
+            reps.append(m)
+    return reps, pairs | {(a, b) for a in reps for b in reps}
+
+
+@pytest.mark.parametrize(
+    "family, n_classes, n_solved",
+    [(repeated_class_family, 5, 37), (lambda: conjugated_family(4, seed=1), 10, 130)],
+    ids=["repeated-classes", "conjugated-4"],
+)
+def test_profile_solves_no_hom_system_between_two_copies(family, n_classes, n_solved):
+    members = family()
+    clear_caches()
+    prof = radical_profile(members, d_max=63)
+    solved = hom_basis.cache_info().currsize
+    reps, pairs = solvable_pairs(members)
+    assert len(reps) == n_classes
+    assert solved == len(pairs) == n_solved
+    # every allowed pair is already cached, so the cache holds exactly them
+    for m, n in pairs:
+        hom_basis(m, n)
+    assert hom_basis.cache_info().currsize == solved
+    # the dimensions of every pair are filled from its representatives' pair
+    assert all(len(level) == len(members) ** 2 for level in prof.dims)
+
+
+def copied_family(bound, seed):
+    """The length-bounded Kronecker family plus a conjugate of each member of
+    total dimension > 1, shuffled; returns (members, position of each original)."""
+    rng = random.Random(seed)
+    originals, _ = length_bounded_kronecker_family(bound)
+    pool = [(m, k) for k, m in enumerate(originals)]
+    pool += [(random_conjugate(m, rng), k) for k, m in enumerate(originals) if m.total_dim > 1]
+    rng.shuffle(pool)
+    members = [m for m, _ in pool]
+    return members, [members.index(originals[k]) for _, k in pool], originals
+
+
+def test_copies_get_the_pair_dims_of_their_originals_on_both_sides():
+    members, original, originals = copied_family(4, seed=4)
+    # some copy comes before its original, so it represents the class
+    assert any(original[k] > k for k in range(len(members)))
+    idx = range(len(members))
+    for prof in (left_profile(members, d_max=15), harada_sai_check(members, 4).profile):
+        for i in idx:
+            for j in idx:
+                assert prof.pair_dims(i, j) == prof.pair_dims(original[i], original[j])
+    reference = left_profile(originals, d_max=15)
+    assert left_profile(members, d_max=15).vanishing_depth == reference.vanishing_depth
+    assert harada_sai_check(members, 4).depth == harada_sai_check(originals, 4).depth == 6
+
+
+def test_right_witness_from_a_copy():
+    rng = random.Random(7)
+    i1, i2, i3 = (kronecker_preinjective(n) for n in (1, 2, 3))
+    members = [i1, i2, i3, random_conjugate(i2, rng), random_conjugate(i3, rng)]
+    labels = ["1", "2", "3", "2'", "3'"]
+    x = [Fraction(1)] * i3.total_dim
+    chain = right_witness(members, start="3'", x=x, depth=2, labels=labels)
+    assert chain is not None and chain.labels[0] == "3'" and len(chain.morphisms) == 2
+    for (a, b), f in zip(zip(chain.labels, chain.labels[1:]), chain.morphisms):
+        source, target = members[labels.index(a)], members[labels.index(b)]
+        # rebuilt with validation: a homomorphism between the chain's members
+        assert Morphism(source, target, f.blocks) == f
+        assert not is_isomorphism(f)
+        assert hom_basis(source, target).contains(f)
+    assert len(chain.trail) == 3 and all(any(v) for v in chain.trail)
