@@ -30,7 +30,8 @@ column, so the work follows the nonzeros.  A pivot other than +-1 is
 inverted as ``Fraction(1, pivot)`` over the rationals and by
 ``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and returns
 dicts of values, for systems that are sparse from the start (the hom
-systems).  ``primitive_row`` scales a rational row to coprime ints, for
+systems).  ``Subspace.is_stable`` tests m(S) ⊆ S on the annihilator of
+S.  ``primitive_row`` scales a rational row to coprime ints, for
 callers that only need its span and want int products.
 """
 
@@ -628,6 +629,29 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise LinalgError("ambient mismatch")
         return not any(_reduce(dict(r), self._rows, p) for r in other._rows.values())
+
+    def is_stable(self, maps: Iterable[Mat]) -> bool:
+        """True iff m(S) ⊆ S for every n x n matrix m in ``maps``.
+
+        Tested on the annihilator: q m s = 0 for all s in S iff q @ m lies
+        in Ann(S), so a map costs one product with the annihilator's
+        canonical rows and their reduction; no image subspace is built.
+        The zero and full subspaces need no products, but every map is
+        still checked for its field and shape.
+        """
+        n = self.ambient_dim
+        ann = None
+        for m in maps:
+            field = _common_field(self, m)
+            if m.shape != (n, n):
+                raise LinalgError(f"map of shape {m.shape} on K^{n}")
+            if ann is None:
+                p = field.characteristic
+                ann = _kernel_rows([dict(r) for r in self._rows.values()], n, p) if 0 < self.dim < n else {}
+                q = _mat(tuple(ann.values()), len(ann), n, field)
+            if ann and any(_reduce(r, ann, p) for r in (q @ m)._data):
+                return False
+        return True
 
     def coordinates(self, m: Mat) -> Mat | None:
         """The matrix c with ``basis @ c == m``, or None if a column of m lies outside.

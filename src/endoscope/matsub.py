@@ -5,7 +5,8 @@ distinguished column index.  Evaluated on a representation M it yields
 the projection, onto the pointed block, of the solution set of the
 homogeneous block system sum_j a_ij X_j = 0 inside M^J.  Such
 subgroups are stable under every endomorphism of M, which
-``check_endo_invariant`` tests verbatim.
+``check_endo_invariant`` tests on the annihilator of the subgroup
+(``Subspace.is_stable``) against each End(M) basis map.
 """
 
 from __future__ import annotations
@@ -88,13 +89,16 @@ def image_subgroup(element: AlgebraElement, rep: Representation) -> Subspace:
 
 
 def check_endo_invariant(sub: Subspace, rep: Representation) -> bool:
-    """True iff the subspace is stable under every basis endomorphism."""
+    """True iff f(sub) ⊆ sub for every basis endomorphism f of rep.
+
+    Each f acts by its total matrix (assembled once per morphism), and
+    the test runs on the annihilator of sub: f keeps sub iff every
+    annihilator row q has q f in the annihilator.  A subspace over
+    another field than rep's raises ``LinalgError``.
+    """
     if sub.ambient_dim != rep.total_dim:
         raise MatrixSubgroupError("subspace does not live in the total space")
-    for f in hom_basis(rep, rep).basis:
-        if not sub.contains_subspace(sub.image(f.total_mat())):
-            return False
-    return True
+    return sub.is_stable(f.total_mat() for f in hom_basis(rep, rep).basis)
 
 
 def meet(subs: Sequence[Subspace]) -> Subspace:

@@ -300,16 +300,14 @@ def right_witness(
     if not any(x):
         raise RadicalError("starting element must be nonzero")
 
-    # each basis map with its action on total spaces, built once
     actions = {}
     idx = range(len(members))
     for i in idx:
         for j in idx:
             maps = profile.basis_morphisms(1, labels[i], labels[j])
-            for f in maps:
-                if is_isomorphism(f):
-                    raise HomalgError("radical basis contains an isomorphism")
-            actions[(i, j)] = [(f, f.total_mat()) for f in maps]
+            if any(map(is_isomorphism, maps)):
+                raise HomalgError("radical basis contains an isomorphism")
+            actions[(i, j)] = maps
 
     states = [((labels[start_pos],), (), tuple(x), start_pos, frozenset([start_pos]))]
     for _ in range(depth):
@@ -341,8 +339,8 @@ def _witness_step(states, actions, labels, distinct: bool) -> list:
         for j in range(len(labels)):
             if distinct and j in used:
                 continue
-            for f, mat in actions[(pos, j)]:
-                image = mat.apply(vec)
+            for f in actions[(pos, j)]:
+                image = f.total_mat().apply(vec)
                 if not any(image):
                     continue
                 visited = used | {j}

@@ -215,7 +215,7 @@ class SubspaceFamily:
 class Morphism:
     """A representation homomorphism: one matrix per vertex, commuting with arrows."""
 
-    __slots__ = ("source", "target", "blocks", "_hash")
+    __slots__ = ("source", "target", "blocks", "_hash", "_total")
 
     def __init__(
         self,
@@ -241,6 +241,7 @@ class Morphism:
             blk[v] = m
         self.blocks = blk
         self._hash = None
+        self._total = None
         if _validate:
             for a in quiver.arrows:
                 lhs = blk[a.target] @ source.matrix(a.name)
@@ -373,10 +374,12 @@ class Morphism:
         return out
 
     def total_mat(self) -> Mat:
-        """The block-diagonal action on total spaces."""
-        src, tgt = self.source, self.target
-        blocks = [(tgt.offset(v), src.offset(v), b) for v, b in self.blocks.items()]
-        return assemble(tgt.total_dim, src.total_dim, blocks, src.field)
+        """The block-diagonal action on total spaces, assembled on the first call."""
+        if self._total is None:
+            src, tgt = self.source, self.target
+            blocks = [(tgt.offset(v), src.offset(v), b) for v, b in self.blocks.items()]
+            self._total = assemble(tgt.total_dim, src.total_dim, blocks, src.field)
+        return self._total
 
     def __eq__(self, other):
         return (

@@ -4,8 +4,12 @@
 the commuting-square system "f_target(a) . M_a = N_a . f_source(a) for
 every arrow a", with sum_v m_v * n_v unknowns in the ``Morphism.flatten``
 layout.  ``preimage`` is the subspace {x : m @ x in sub}.
+``stable_by_images`` and ``endo_invariant_by_images`` are the first
+endo-invariance test: the image subspace of sub under every map (every
+End(M) basis map), checked to lie in sub.
 """
 
+from endoscope.homs import hom_basis
 from endoscope.linalg import Mat, Subspace, kernel_basis, sparse_kernel
 from endoscope.reps import Morphism, Representation
 
@@ -46,3 +50,13 @@ def commuting_square_basis(m: Representation, n: Representation) -> list[Morphis
 def preimage(sub: Subspace, m: Mat) -> Subspace:
     """{x : m @ x lies in sub}."""
     return kernel_basis(sub.annihilator() @ m)
+
+
+def stable_by_images(sub: Subspace, maps) -> bool:
+    """m(sub) ⊆ sub for every matrix m in ``maps``, one image subspace per map."""
+    return all(sub.contains_subspace(sub.image(m)) for m in maps)
+
+
+def endo_invariant_by_images(sub: Subspace, rep: Representation) -> bool:
+    """f(sub) ⊆ sub for every basis endomorphism f of rep, by image subspaces."""
+    return stable_by_images(sub, (f.total_mat() for f in hom_basis(rep, rep).basis))

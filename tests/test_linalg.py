@@ -22,7 +22,7 @@ from endoscope.linalg import (
     scalar_to_str,
     solve,
 )
-from oracles import preimage
+from oracles import preimage, stable_by_images
 
 
 def F(x, y=1):
@@ -166,6 +166,59 @@ def test_intersection_dimension_bound(data):
     assert intersect(b, a) == meet
     assert meet.dim >= a.dim + b.dim - n
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
+
+
+@st.composite
+def stability_cases(draw):
+    """A field, up to three n x n maps and a subspace of K^n.
+
+    Random spans are rarely stable; half the cases close the span under
+    the maps first, which makes it stable by construction.
+    """
+    field = draw(st.sampled_from((QQ, PrimeField(101))))
+    n = draw(st.integers(min_value=0, max_value=6))
+    vec = st.lists(st.integers(min_value=-3, max_value=3).map(field.of), min_size=n, max_size=n)
+    maps = [Mat(g, n, n, field) for g in draw(st.lists(st.lists(vec, min_size=n, max_size=n), max_size=3))]
+    sub = Subspace.span(n, draw(st.lists(vec, max_size=3)), field)
+    closed = draw(st.booleans())
+    while closed:
+        grown = sub
+        for m in maps:
+            grown = grown.add(grown.image(m))
+        if grown == sub:
+            break
+        sub = grown
+    return maps, sub, closed
+
+
+@given(stability_cases())
+@settings(max_examples=80, deadline=None)
+def test_is_stable_agrees_with_image_subspaces(case):
+    maps, sub, closed = case
+    stable = sub.is_stable(maps)
+    assert stable == stable_by_images(sub, maps)
+    assert stable or not closed
+
+
+def test_is_stable_examples_and_errors():
+    gf = PrimeField(101)
+    line = Subspace.span(2, [(1, 0)])
+    shift = mat([[0, 0], [1, 0]])  # e0 -> e1
+    assert line.is_stable([mat([[2, 1], [0, 3]])])
+    assert not line.is_stable([Mat.identity(2), shift])
+    assert Subspace.span(2, [(0, 1)]).is_stable([shift])
+    for sub in (line, Subspace.zero(2), Subspace.full(2), Subspace.zero(0)):
+        assert sub.is_stable([])
+    for sub in (Subspace.zero(2), Subspace.full(2)):
+        assert sub.is_stable([shift])
+    # every map is checked, also when the subspace is zero or full
+    for sub in (line, Subspace.zero(2), Subspace.full(2)):
+        with pytest.raises(LinalgError):
+            sub.is_stable([Mat.identity(2, gf)])
+        with pytest.raises(LinalgError):
+            sub.is_stable([Mat.zeros(2, 3)])
+        with pytest.raises(LinalgError):
+            sub.is_stable([Mat.identity(2), Mat.identity(3)])
 
 
 def test_subspace_canonical_equality():

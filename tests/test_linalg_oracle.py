@@ -13,7 +13,17 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from endoscope.linalg import QQ, LinalgError, Mat, PrimeField, invert, kernel_basis, rref, solve  # noqa: E402
+from endoscope.linalg import (  # noqa: E402
+    QQ,
+    LinalgError,
+    Mat,
+    PrimeField,
+    Subspace,
+    invert,
+    kernel_basis,
+    rref,
+    solve,
+)
 
 PRIMES = (2, 3, 7, 101)
 
@@ -151,3 +161,31 @@ def test_primality_agrees_with_sympy():
         except LinalgError:
             accepted = False
         assert accepted == sympy.isprime(n), n
+
+
+def _sympy_rank(grid, rows, cols, p):
+    if not rows or not cols:
+        return 0
+    if p:
+        dom = sympy.GF(p)
+        return DomainMatrix([[dom(v) for v in row] for row in grid], (rows, cols), dom).rank()
+    return sympy.Matrix(rows, cols, [v for row in grid for v in row]).rank()
+
+
+@given(st.sampled_from((0, 101)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_stable_agrees_with_sympy_ranks(p, data):
+    # S = span(B) is m-stable iff rank [B | mB] = rank B, for each map m
+    field = PrimeField(p) if p else QQ
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    entry = st.integers(min_value=-4, max_value=4)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    sub = Subspace.span(n, [[field.of(v) for v in r] for r in data.draw(st.lists(vec, max_size=4))], field)
+    grids = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n), max_size=3))
+    maps = [Mat([[field.of(v) for v in r] for r in g], n, n, field) for g in grids]
+    b = sub.basis
+    expected = all(
+        _sympy_rank([list(x) + list(y) for x, y in zip(b.entries, (m @ b).entries)], n, 2 * sub.dim, p) == sub.dim
+        for m in maps
+    )
+    assert sub.is_stable(maps) == expected

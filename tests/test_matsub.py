@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from endoscope.linalg import Subspace
+from endoscope.linalg import QQ, LinalgError, PrimeField, Subspace
 from endoscope.matsub import (
     MatrixSubgroupError,
     PointedMatrix,
@@ -14,7 +15,10 @@ from endoscope.matsub import (
     random_pointed_matrix,
 )
 from endoscope.quiver import act, kronecker
-from endoscope.reps import direct_sum, kronecker_preinjective, kronecker_preprojective
+from endoscope.reps import direct_sum, kronecker_preinjective, kronecker_preprojective, zero_representation
+from oracles import endo_invariant_by_images
+
+FIELDS = (QQ, PrimeField(101))
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +30,16 @@ def pres():
 def carrier():
     total, _, _ = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])
     return total
+
+
+def preinjective_sum(top, field):
+    """I_1 + ... + I_top over the field."""
+    return direct_sum([kronecker_preinjective(n, field) for n in range(1, top + 1)])[0]
+
+
+@pytest.fixture(scope="module")
+def small_carriers():
+    return {field: preinjective_sum(3, field) for field in FIELDS}
 
 
 def test_evaluate_identity_element_gives_zero(pres):
@@ -76,6 +90,66 @@ def test_non_invariant_line_detected(carrier):
     line = Subspace.span(carrier.total_dim, [v])
     assert not check_endo_invariant(line, carrier)
     assert check_endo_invariant(Subspace.full(carrier.total_dim), carrier)
+    # the same line over GF(101)
+    gf = PrimeField(101)
+    rep = preinjective_sum(2, gf)
+    line = Subspace.span(rep.total_dim, [[1, 1, 0, 0]], gf)
+    assert not check_endo_invariant(line, rep)
+    assert not endo_invariant_by_images(line, rep)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_zero_and_full_subgroups_are_invariant(field):
+    rep = preinjective_sum(3, field)
+    assert check_endo_invariant(Subspace.zero(rep.total_dim, field), rep)
+    assert check_endo_invariant(Subspace.full(rep.total_dim, field), rep)
+
+
+def test_invariance_on_the_zero_representation(pres):
+    zero = zero_representation(pres)
+    sub = evaluate(PointedMatrix.of([[pres.arrow_element("alpha")]], 0), zero)
+    assert sub.ambient_dim == 0
+    assert check_endo_invariant(sub, zero)
+
+
+def test_invariance_refuses_a_subspace_over_another_field_or_ambient():
+    gf = PrimeField(101)
+    rep = preinjective_sum(2, gf)
+    for sub in (Subspace.span(4, [[1, 1, 0, 0]]), Subspace.zero(4), Subspace.full(4)):
+        with pytest.raises(LinalgError):
+            check_endo_invariant(sub, rep)
+    with pytest.raises(MatrixSubgroupError):
+        check_endo_invariant(Subspace.full(3, gf), rep)
+
+
+@given(field=st.sampled_from(FIELDS), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_invariance_agrees_with_image_subspaces(small_carriers, field, data):
+    rep = small_carriers[field]
+    n = rep.total_dim
+    if data.draw(st.booleans()):
+        pm = random_pointed_matrix(rep.presentation, random.Random(data.draw(st.integers(0, 2**32))))
+        sub = evaluate(pm, rep)
+    else:
+        vec = st.lists(st.integers(min_value=-2, max_value=2).map(field.of), min_size=n, max_size=n)
+        sub = Subspace.span(n, data.draw(st.lists(vec, max_size=4)), field)
+    assert check_endo_invariant(sub, rep) == endo_invariant_by_images(sub, rep)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_invariance_on_five_preinjectives_agrees_with_image_subspaces(pres, field):
+    # the carrier of the gf-homs benchmark; random lines and planes are almost never invariant
+    rep = preinjective_sum(5, field)
+    n = rep.total_dim
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(10):
+        span = [[field.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        for sub in (evaluate(random_pointed_matrix(pres, rng), rep), Subspace.span(n, span, field)):
+            stable = check_endo_invariant(sub, rep)
+            assert stable == endo_invariant_by_images(sub, rep)
+            outcomes.add(stable)
+    assert outcomes == {True, False}
 
 
 def test_evaluate_distributes_over_direct_sums(pres):

@@ -221,3 +221,16 @@ def test_composite_flats_are_the_flattened_composites(field):
 def test_representation_refuses_names_that_are_not_vertices_or_arrows(dims, matrices):
     with pytest.raises(RepresentationError, match="'3'|'gamma'"):
         Representation(kronecker(), dims, matrices)
+
+
+def test_total_mat_is_assembled_once():
+    i1, i2 = kronecker_preinjective(1), kronecker_preinjective(2)
+    total, embeddings, _ = direct_sum([i1, i2])
+    emb = embeddings[1]
+    first = emb.total_mat()
+    assert emb.total_mat() is first
+    # total coordinates 0-2 are vertex 1 (I_1's one, then I_2's two), 3 is I_2's vertex 2
+    assert first == Mat([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # an equal morphism built afresh assembles an equal matrix
+    assert Morphism(i2, total, emb.blocks).total_mat() == first
+    assert Morphism.identity(i2).total_mat() == Mat.identity(3)
