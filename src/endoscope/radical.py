@@ -18,11 +18,12 @@ the profile composes is scaled to coprime ints first
 (``linalg.primitive_row``), which leaves each span as it is and makes
 every product in a composite an int product.  From depth 3 on only the
 irreducible maps, a complement of rad^2 in rad, are composed on the
-left.  Every level is built on class representatives only, one member
-of each isomorphism class at source, middle and target; another pair's
-subspace is carried over through the certified isomorphisms when it is
-first asked for.  ``radical_profile`` proves that all of this spans the
-same powers.
+left, and a pair whose power has vanished is not composed again.  Every
+level is built on the least-height member of each isomorphism class at
+source, middle and target, so a rational conjugate of an integer module
+is not composed; another pair's subspace is carried over through the
+certified isomorphisms when first asked for.  ``radical_profile`` proves
+that all of this spans the same powers.
 
 Left-sided conditions are measured through vector-space duality: the
 left profile of a family is the right profile of the dualized family
@@ -36,11 +37,12 @@ from dataclasses import dataclass
 from .homs import (
     HomalgError,
     HomSpace,
+    IsoCertificate,
+    are_isomorphic,
     end_ring,
     hom_basis,
     is_isomorphism,
     is_local,
-    iso_classes,
     noniso_subspace,
     require_local,
 )
@@ -125,8 +127,12 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     Each map is held as its multiple with coprime int entries; a span
     does not change when a vector of it is scaled by a nonzero rational.
 
-    Every index runs over class representatives only, the first member of
-    each isomorphism class (``homs.iso_classes``, decisive on local members).
+    Every index runs over class representatives only.  In ``_height``
+    order, ties by position, a member isomorphic to no earlier
+    representative of its dimension vector represents its class and must
+    pass the locality checks before a later member meets it.  So each
+    ``are_isomorphic`` has a local end, where no isomorphism in a Hom basis
+    is a certified no; a copy M_i = phi M_a is local, End(M_i) = phi End(M_a) phi^-1.
     For isomorphisms phi: M_a -> M_i and psi: M_b -> M_j, R_d is an ideal, so
     psi R_d(a, b) phi^-1 lies in R_d(i, j) and psi^-1 R_d(i, j) phi in R_d(a, b):
     R_d(i, j) = psi R_d(a, b) phi^-1.  At source and target, every pair's
@@ -143,18 +149,14 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     Iterating gives R_{d+1} = C R_d + R_N for every N > d + 1, and
     R_N = 0 once N reaches the Harada-Sai bound 2^b - 1 for members of
     length <= b (Auslander-Reiten-Smalo, Representation Theory of Artin
-    Algebras), whatever d_max is.  So R_{d+1} = C R_d.
+    Algebras), whatever d_max is.  So R_{d+1} = C R_d, and R_d(a, b) = 0
+    leaves R_{d+1}(a, b) = 0 with nothing composed.
     """
     members = list(members)
     labels = family_labels(members, labels, RadicalError)
     if d_max < 1:
         raise RadicalError("depth bound must be >= 1")
-    for m in members:
-        if is_local(end_ring(m)) is False:
-            raise RadicalError(f"member {m!r} is decomposable; pass its indecomposable summands")
-        require_local(m)
-
-    classes = iso_classes(members)
+    classes = _classes(members)
     cls = [c for c, _ in classes]
     reps = [k for k, c in enumerate(cls) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
@@ -173,9 +175,11 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     while len(levels) < d_max and any(s.dim for s in levels[-1].values()):
         if len(levels) == 2:
             left = _irreducible_maps(hom, rad1, levels[1], pairs)
-        nxt = {}
-        nxt_maps = {}
+        prev, nxt, nxt_maps = levels[-1], {}, {}
         for a, b in pairs:
+            if not prev[(a, b)].dim:
+                nxt[(a, b)], nxt_maps[(a, b)] = prev[(a, b)], []
+                continue
             factors = [(left[(k, b)], maps[(a, k)]) for k in reps]
             nxt[(a, b)], nxt_maps[(a, b)] = _composite_span(hom[(a, b)], factors)
         levels.append(nxt)
@@ -186,6 +190,40 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     spaces = {(d, *pair): s for d, lvl in enumerate(levels, start=1) for pair, s in lvl.items()}
     vanishing = next((d for d, level in enumerate(dims, start=1) if not any(level.values())), None)
     return RadicalProfile(tuple(labels), dims, vanishing, spaces, tuple(members), tuple(classes))
+
+
+def _classes(members) -> list:
+    """Per member, (its representative's position, ``are_isomorphic(rep,
+    member)``).  A refusal names the first failing member by position."""
+    order = sorted(range(len(members)), key=lambda k: _height(members[k]))
+    out, reps = {}, {}
+    for k in order:
+        m = members[k]
+        same = reps.setdefault(m.dim_vector, [])
+        out[k] = next(((c, cert) for c in same if (cert := are_isomorphic(members[c], m))), None)
+        if out[k] is None:
+            if (err := _refusal(m)) is not None:
+                raise next(filter(None, (_refusal(members[q]) for q in range(k) if q not in out)), err)
+            same.append(k)
+            out[k] = (k, IsoCertificate("iso", Morphism.identity(m), Morphism.identity(m)))
+    return [out[k] for k in range(len(members))]
+
+
+def _height(m) -> int:
+    """Nonzero arrow-matrix entries plus the bit lengths of their numerators and denominators."""
+    rows = (mat.row(r) for mat in m.matrices.values() for r in range(mat.rows))
+    return sum(1 + x.numerator.bit_length() + x.denominator.bit_length() for row in rows for x in row.values())
+
+
+def _refusal(m) -> Exception | None:
+    """Why m cannot be a profile member (decomposable, or not certified local), or None."""
+    try:
+        if is_local(end_ring(m)) is False:
+            return RadicalError(f"member {m!r} is decomposable; pass its indecomposable summands")
+        require_local(m)
+    except HomalgError as err:
+        return err
+    return None
 
 
 def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:

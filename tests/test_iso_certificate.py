@@ -123,6 +123,15 @@ def test_local_against_decomposable_is_certified_no(local, parts):
         assert cert.witness is None
 
 
+def test_iso_by_a_forward_basis_element_solves_no_reverse_system():
+    # End(I3) = Q, so the one basis map of Hom(I3, I3') is the isomorphism;
+    # a verified isomorphism needs no Hom(I3', I3)
+    i3 = kronecker_preinjective(3)
+    homs.clear_caches()
+    assert_basis_witness(are_isomorphic(i3, fixed_conjugate(i3)), i3, fixed_conjugate(i3))
+    assert hom_basis.cache_info().currsize == 1
+
+
 def test_decomposable_base_change_is_matched_by_summands():
     m = dsum(I1, I2, R20)
     n = fixed_conjugate(m)

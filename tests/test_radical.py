@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from endoscope import radical
-from endoscope.homs import hom_basis, is_isomorphism
+from endoscope.homs import LocalityUnverified, hom_basis, is_isomorphism
 from endoscope.radical import (
     RadicalError,
     harada_sai_check,
@@ -20,6 +21,7 @@ from endoscope.reps import (
     kronecker_preprojective,
     kronecker_regular,
 )
+from test_iso_certificate import fixed_conjugate, gaussian
 
 
 def preinj_family(hi):
@@ -107,6 +109,52 @@ def test_profile_calls_a_split_member_decomposable_even_with_an_undecided_summan
     total, _, _ = direct_sum([gauss, kronecker_regular(1, 0)])
     with pytest.raises(RadicalError):
         radical_profile([total], d_max=3)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(gaussian(), kronecker_regular(1, 0)), (kronecker_preinjective(1), kronecker_preinjective(2))],
+    ids=["gauss+R1(0)", "I1+I2"],
+)
+def test_profile_calls_a_split_member_with_a_copy_decomposable(parts):
+    # neither the member nor its copy is certified local, so comparing them
+    # would decompose both; the member is refused before it meets its copy
+    total, _, _ = direct_sum(list(parts))
+    with pytest.raises(RadicalError, match="is decomposable"):
+        radical_profile([total, fixed_conjugate(total)], d_max=3)
+
+
+@pytest.mark.parametrize(
+    "order, refusal",
+    [((0, 1, 2, 3), LocalityUnverified), ((0, 3, 2, 1), RadicalError), ((2, 1, 3, 0), LocalityUnverified)],
+)
+def test_profile_refuses_the_first_failing_member_by_position(order, refusal):
+    # the integer I1+I2 is met first by height, the rational copy of Gauss
+    # (End = Q(i)) only after it; the refusal is the first by position
+    i3 = kronecker_preinjective(3)
+    split, _, _ = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])
+    pool = [i3, fixed_conjugate(gaussian()), fixed_conjugate(i3), split]
+    with pytest.raises(refusal) as caught:
+        radical_profile([pool[k] for k in order], d_max=3)
+    assert type(caught.value) is refusal
+
+
+def test_a_vanished_pair_is_not_composed_again(monkeypatch):
+    members, labels = preinj_family(6)
+    calls = []
+    original = radical._composite_span
+
+    def counted(hom, factors):
+        calls.append((labels[members.index(hom.source)], labels[members.index(hom.target)]))
+        return original(hom, factors)
+
+    monkeypatch.setattr(radical, "_composite_span", counted)
+    prof = radical_profile(members, d_max=63, labels=labels)
+    assert prof.vanishing_depth == 6
+    # level d + 1 of a pair is composed only when its level d is nonzero
+    composed = [pair for level in prof.dims[:-1] for pair, dim in level.items() if dim]
+    assert Counter(calls) == Counter(composed)
+    assert len(calls) < len(members) ** 2 * (prof.vanishing_depth - 1)
 
 
 def test_harada_sai_small_family():
