@@ -9,21 +9,20 @@ vanish.  For finite families of finite-length members the profile
 always vanishes; the classical bound says composites of 2^b - 1
 non-isomorphisms between indecomposables of length <= b are zero.
 
-The profile is built level by level, one ordered pair at a time.  The
-composites for a pair are formed straight in the flattened block layout
-(``Morphism.composite_flats``) and spanned there; the basis of that
-span is mapped into hom coordinates and kept as the pair's maps for the
-next level, so no level's maps are rebuilt from coordinates.  Every map
-the profile composes is scaled to coprime ints first
-(``linalg.primitive_row``), which leaves each span as it is and makes
-every product in a composite an int product.  From depth 3 on only the
-irreducible maps, a complement of rad^2 in rad, are composed on the
-left, and a pair whose power has vanished is not composed again.  Every
-level is built on the least-height member of each isomorphism class at
-source, middle and target, so a rational conjugate of an integer module
-is not composed; another pair's subspace is carried over through the
-certified isomorphisms when first asked for.  ``radical_profile`` proves
-that all of this spans the same powers.
+The profile is built level by level, one ordered pair at a time.  Each
+power of a pair is held as the canonical reduced echelon rows of its
+span in the ``Morphism.flatten`` layout, where the composites are
+formed (``Morphism.composite_flats``) and reduced.  The maps a level
+composes are its rows scaled to coprime ints (``linalg.primitive_row``),
+which leaves each span as it is and makes every product in a composite
+an int product.  From depth 3 on only the irreducible maps, a complement
+of rad^2 in rad, are composed on the left; a middle member with no map
+on one side is skipped, and a pair whose power has vanished is not
+composed again.  Every level is built on the least-height member of
+each isomorphism class at source, middle and target, so a rational
+conjugate of an integer module is not composed; another pair's rows are
+carried over through the certified isomorphisms when first asked for.
+``radical_profile`` proves that all of this spans the same powers.
 
 Left-sided conditions are measured through vector-space duality: the
 left profile of a family is the right profile of the dualized family
@@ -68,7 +67,7 @@ class RadicalProfile:
     labels: tuple
     dims: tuple
     vanishing_depth: int | None
-    _spaces: dict  # (depth, i, j) positions -> Subspace; copies' pairs once asked for
+    _rows: dict  # (depth, i, j) positions -> canonical flatten-layout rows; copies' pairs once asked for
     _members: tuple
     _classes: tuple  # per member: (its representative's position, IsoCertificate)
 
@@ -80,31 +79,28 @@ class RadicalProfile:
         return len(self.dims)
 
     def subspace(self, depth: int, i, j) -> Subspace:
-        """Coordinate subspace of the depth-d power inside Hom(i, j).
+        """Coordinate subspace of the depth-d power inside Hom(i, j), from the
+        basis maps; ``hom.coordinates`` raises if one leaves the space."""
+        maps = self.basis_morphisms(depth, i, j)
+        hom = hom_basis(self._members[self._position(i)], self._members[self._position(j)])
+        return Subspace.span(hom.dim, [hom.coordinates(f) for f in maps], hom.source.field)
 
+    def basis_morphisms(self, depth: int, i, j) -> list[Morphism]:
+        """The canonical basis of the depth-d power from i to j, as maps built
+        with validation, which raises unless each commutes with the arrows.
         A pair not of two representatives is carried over when first asked
-        for, as psi R_d(a, b) phi^-1 (``radical_profile``); each map goes
-        through ``hom.coordinates``, which raises if it leaves the space.
-        """
+        for: its rows span psi R_d(a, b) phi^-1 (``radical_profile``)."""
         if depth not in range(1, self.depth_reached() + 1):
             raise RadicalError(f"depth {depth!r} is outside 1..{self.depth_reached()}")
         key = (depth, self._position(i), self._position(j))
-        if key not in self._spaces:
-            _, i, j = key
+        _, i, j = key
+        source, target = self._members[i], self._members[j]
+        if key not in self._rows:
             (a, phi), (b, psi) = self._classes[i], self._classes[j]
-            rep = hom_basis(self._members[a], self._members[b])
-            hom = hom_basis(self._members[i], self._members[j])
-            maps = [
-                psi.witness.compose(rep.from_coordinates(v)).compose(phi.inverse)
-                for v in self._spaces[(depth, a, b)].vectors()
-            ]
-            self._spaces[key] = Subspace.span(hom.dim, [hom.coordinates(f) for f in maps], hom.source.field)
-        return self._spaces[key]
-
-    def basis_morphisms(self, depth: int, i, j) -> list[Morphism]:
-        space = self.subspace(depth, i, j)
-        hom = hom_basis(self._members[self._position(i)], self._members[self._position(j)])
-        return [hom.from_coordinates(v) for v in space.vectors()]
+            rep_maps = [Morphism.unflatten(self._members[a], self._members[b], r) for r in self._rows[(depth, a, b)]]
+            span = HomSpace(source, target, [psi.witness.compose(f).compose(phi.inverse) for f in rep_maps])
+            self._rows[key] = _canonical_rows(span, [f.flatten() for f in span.basis])
+        return [Morphism(source, target, Morphism.unflatten(source, target, r).blocks) for r in self._rows[key]]
 
     def _position(self, label) -> int:
         if label not in self.labels:
@@ -118,14 +114,15 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     Write R_d for the span of the d-fold composites of non-isomorphisms
     through the family, so R_a R_b = R_{a+b}, and R_{d+1} is contained in R_d
     because the members are local (the non-isomorphisms form an ideal, so
-    each R_d is one too).  Level d + 1 is built pair by pair: for each
-    (i, j) the composites g f of a left factor g: M_k -> M_j and a basis
-    map f of R_d(i, k) are spanned as flattened blocks; only the basis of
-    that span is mapped into Hom(i, j) coordinates (which raises if a
-    composite leaves the hom space), and it is kept as the pair's basis
-    maps for the next level.  Only the previous level's maps are held.
-    Each map is held as its multiple with coprime int entries; a span
-    does not change when a vector of it is scaled by a nonzero rational.
+    each R_d is one too).  R_d(i, j) is held as the canonical rows of its
+    span in the ``Morphism.flatten`` layout; level 1 reduces the flats of
+    the ``noniso_subspace`` basis.  Level d + 1 is built pair by pair: for
+    each (i, j) the composites g f of a left factor g: M_k -> M_j and a map
+    f of R_d(i, k) are reduced as flats (a middle k with no g or no f adds
+    none), and every row must reduce to zero against the canonical rows of
+    Hom(i, j), so a composite that leaves the hom space raises.  The maps
+    are a level's rows scaled to coprime ints; a span does not change
+    when a vector of it is scaled by a nonzero rational.
 
     Every index runs over class representatives only.  In ``_height``
     order, ties by position, a member isomorphic to no earlier
@@ -136,16 +133,19 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     For isomorphisms phi: M_a -> M_i and psi: M_b -> M_j, R_d is an ideal, so
     psi R_d(a, b) phi^-1 lies in R_d(i, j) and psi^-1 R_d(i, j) phi in R_d(a, b):
     R_d(i, j) = psi R_d(a, b) phi^-1.  At source and target, every pair's
-    dimension is its representatives' pair's (``RadicalProfile.subspace``
-    carries the subspace over when asked).  At the middle, for k' = k through
-    phi, R_1(k', j) R_d(i, k') = R_1(k, j) phi^-1 phi R_d(i, k) = R_1(k, j) R_d(i, k):
+    dimension is its representatives' pair's, and its rows are reduced from
+    psi f phi^-1 over the rows f of R_d(a, b) when asked for
+    (``RadicalProfile.basis_morphisms``), with no hom system between two
+    copies solved.  At the middle, for k' = k through phi, R_1(k', j) R_d(i, k') = R_1(k, j) phi^-1 phi R_d(i, k) = R_1(k, j) R_d(i, k):
     the composites through k' span nothing the ones through k do not.
 
     The left factor is a basis of R_1(k, j) at depth 2.  From depth 3 on
     it is a complement C(k, j) of R_2(k, j) in R_1(k, j), a basis of the
-    irreducible maps, and that is exact: summed over the middle members
-    above, R_{d+1} = R_1 R_d = C R_d + R_2 R_d = C R_d + R_{d+2}, and likewise
-    R_{d+2} = C R_{d+1} + R_{d+3}, which lies in C R_d + R_{d+3}.
+    irreducible maps: R_2 lies in R_1, so the pivots of its canonical rows
+    are pivots of R_1's, and the rows of R_1 at the other pivots complete
+    them to a basis of R_1.  That is exact: summed over the middle members
+    above, R_{d+1} = R_1 R_d = C R_d + R_2 R_d = C R_d + R_{d+2}, and
+    likewise R_{d+2} = C R_{d+1} + R_{d+3}, which lies in C R_d + R_{d+3}.
     Iterating gives R_{d+1} = C R_d + R_N for every N > d + 1, and
     R_N = 0 once N reaches the Harada-Sai bound 2^b - 1 for members of
     length <= b (Auslander-Reiten-Smalo, Representation Theory of Artin
@@ -154,42 +154,36 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     """
     members = list(members)
     labels = family_labels(members, labels, RadicalError)
-    if d_max < 1:
-        raise RadicalError("depth bound must be >= 1")
+    if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < 1:
+        raise RadicalError(f"depth bound must be an int >= 1, not {d_max!r}")
     classes = _classes(members)
     cls = [c for c, _ in classes]
     reps = [k for k, c in enumerate(cls) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
     hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
-    maps = {}
-    rad1 = {}
-    for a, b in pairs:
-        basis = noniso_subspace(members[a], members[b]).basis
-        rad1[(a, b)] = Subspace.span(
-            hom[(a, b)].dim, [hom[(a, b)].coordinates(f) for f in basis], members[a].field
-        )
-        maps[(a, b)] = [_integral(f) for f in basis]
+    noniso = {(a, b): noniso_subspace(members[a], members[b]).basis for a, b in pairs}
+    rad1 = {pair: _checked_rows(hom[pair], [f.flatten() for f in noniso[pair]]) for pair in pairs}
 
     levels = [rad1]
-    left = maps
-    while len(levels) < d_max and any(s.dim for s in levels[-1].values()):
-        if len(levels) == 2:
-            left = _irreducible_maps(hom, rad1, levels[1], pairs)
-        prev, nxt, nxt_maps = levels[-1], {}, {}
+    while len(levels) < d_max and any(levels[-1].values()):
+        prev = levels[-1]
+        maps = {pair: _maps(hom[pair], rows) for pair, rows in prev.items()}
+        if len(levels) == 1:
+            left = maps
+        elif len(levels) == 2:
+            taken = {pair: {min(r) for r in rows} for pair, rows in prev.items()}
+            left = {pair: _maps(hom[pair], [r for r in rad1[pair] if min(r) not in taken[pair]]) for pair in pairs}
+        nxt = {}
         for a, b in pairs:
-            if not prev[(a, b)].dim:
-                nxt[(a, b)], nxt_maps[(a, b)] = prev[(a, b)], []
-                continue
-            factors = [(left[(k, b)], maps[(a, k)]) for k in reps]
-            nxt[(a, b)], nxt_maps[(a, b)] = _composite_span(hom[(a, b)], factors)
+            factors = [(left[(k, b)], maps[(a, k)]) for k in reps if left[(k, b)] and maps[(a, k)]]
+            nxt[(a, b)] = _composite_rows(hom[(a, b)], factors) if prev[(a, b)] else []
         levels.append(nxt)
-        maps = nxt_maps
 
     idx = range(len(members))
-    dims = tuple({(labels[i], labels[j]): lvl[(cls[i], cls[j])].dim for i in idx for j in idx} for lvl in levels)
-    spaces = {(d, *pair): s for d, lvl in enumerate(levels, start=1) for pair, s in lvl.items()}
+    dims = tuple({(labels[i], labels[j]): len(lvl[(cls[i], cls[j])]) for i in idx for j in idx} for lvl in levels)
+    rows = {(d, *pair): r for d, lvl in enumerate(levels, start=1) for pair, r in lvl.items()}
     vanishing = next((d for d, level in enumerate(dims, start=1) if not any(level.values())), None)
-    return RadicalProfile(tuple(labels), dims, vanishing, spaces, tuple(members), tuple(classes))
+    return RadicalProfile(tuple(labels), dims, vanishing, rows, tuple(members), tuple(classes))
 
 
 def _classes(members) -> list:
@@ -226,51 +220,31 @@ def _refusal(m) -> Exception | None:
     return None
 
 
-def _composite_span(hom: HomSpace, factors) -> tuple[Subspace, list[Morphism]]:
-    """Span of the composites g f over ``factors`` = [(gs, fs), ...]:
-    in coordinates of ``hom``, and as a basis of maps.
+def _canonical_rows(hom: HomSpace, flats) -> list:
+    """The reduced echelon rows of the span of ``flats``, maps in ``hom``'s flatten layout."""
+    red, pivots = rref(Mat.sparse(flats, hom.flat_dim, hom.source.field))
+    return [red.row(r) for r in range(len(pivots))]
 
-    The composites are formed in the flatten layout, and their span's
-    reduced echelon basis is scaled to coprime ints before it becomes
-    maps, so that the next level multiplies ints.  Every basis map goes
-    through ``hom.coordinates``, which raises if it is not a
-    homomorphism.
-    """
+
+def _checked_rows(hom: HomSpace, flats) -> list:
+    """``_canonical_rows`` of ``flats``; raises unless each reduces to zero
+    against the canonical rows of ``hom_basis``, the hom space's basis."""
+    rows = _canonical_rows(hom, flats)
+    stacked = [f.flatten() for f in hom.basis] + rows
+    if rows and Mat.sparse(stacked, hom.flat_dim, hom.source.field).rank() != hom.dim:
+        raise HomalgError("a radical basis map is not a homomorphism")
+    return rows
+
+
+def _composite_rows(hom: HomSpace, factors) -> list:
+    """``_checked_rows`` of the composites g f over ``factors`` = [(gs, fs), ...]."""
+    return _checked_rows(hom, [flat for gs, fs in factors for flat in Morphism.composite_flats(gs, fs)])
+
+
+def _maps(hom: HomSpace, rows) -> list[Morphism]:
+    """The rows as maps, each scaled to coprime ints (``linalg.primitive_row``)."""
     field = hom.source.field
-    flats = [flat for gs, fs in factors for flat in Morphism.composite_flats(gs, fs)]
-    if not flats:
-        return Subspace.zero(hom.dim, field), []
-    red, pivots = rref(Mat.sparse(flats, hom.flat_dim, field))
-    basis = [
-        Morphism.unflatten(hom.source, hom.target, primitive_row(red.row(r), field)) for r in range(len(pivots))
-    ]
-    return Subspace.span(hom.dim, [hom.coordinates(f) for f in basis], field), basis
-
-
-def _integral(f: Morphism) -> Morphism:
-    """The multiple of f with coprime int entries (``linalg.primitive_row``)."""
-    return Morphism.unflatten(f.source, f.target, primitive_row(f.flatten(), f.source.field))
-
-
-def _irreducible_maps(hom, rad1, rad2, pairs) -> dict:
-    """For each of ``pairs``, maps spanning a complement of rad^2 in rad,
-    scaled to coprime ints.
-
-    Canonical bases are in reduced echelon form, and rad^2 lies in rad,
-    so the pivots of rad^2 are pivots of rad; the basis vectors of rad
-    at the other pivots complete a basis of rad^2 to one of rad.
-    """
-    out = {}
-    for pair in pairs:
-        taken = {_pivot(v) for v in rad2[pair].vectors()}
-        out[pair] = [
-            _integral(hom[pair].from_coordinates(v)) for v in rad1[pair].vectors() if _pivot(v) not in taken
-        ]
-    return out
-
-
-def _pivot(vec) -> int:
-    return next(i for i, x in enumerate(vec) if x)
+    return [Morphism.unflatten(hom.source, hom.target, primitive_row(r, field)) for r in rows]
 
 
 @dataclass
@@ -290,6 +264,8 @@ def harada_sai_check(members, length_bound: int, labels=None) -> HaradaSaiReport
     implementation bug, not new mathematics).
     """
     members = list(members)
+    if not isinstance(length_bound, int) or isinstance(length_bound, bool):
+        raise RadicalError(f"length bound must be an int, not {length_bound!r}")
     for m in members:
         if m.length() > length_bound:
             raise RadicalError(
@@ -326,8 +302,11 @@ def right_witness(
 
     Breadth-first over the depth-1 basis maps of the profile; absent
     means every depth-d composite of basis maps annihilates x.  With
-    ``distinct`` set, chains may not revisit a member index.
+    ``distinct`` set, chains may not revisit a member index.  The entries
+    of x are read by the start member's ``field.of``.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise RadicalError(f"chain depth must be an int >= 0, not {depth!r}")
     members = list(members)
     # only the depth-1 basis maps are used
     profile = radical_profile(members, d_max=1, labels=labels)
@@ -335,6 +314,7 @@ def right_witness(
     start_pos = profile._position(start)
     if len(x) != members[start_pos].total_dim:
         raise RadicalError("starting element has wrong total dimension")
+    x = tuple(map(members[start_pos].field.of, x))
     if not any(x):
         raise RadicalError("starting element must be nonzero")
 
@@ -347,17 +327,15 @@ def right_witness(
                 raise HomalgError("radical basis contains an isomorphism")
             actions[(i, j)] = maps
 
-    states = [((labels[start_pos],), (), tuple(x), start_pos, frozenset([start_pos]))]
+    states = [((labels[start_pos],), (), x, start_pos, frozenset([start_pos]))]
     for _ in range(depth):
         states = _witness_step(states, actions, labels, distinct)
         if not states:
             return None
     chain_labels, chain_maps, _, _, _ = states[0]
-    trail = [tuple(x)]
-    vec = tuple(x)
+    trail = [x]
     for f in chain_maps:
-        vec = f.total_mat().apply(vec)
-        trail.append(vec)
+        trail.append(f.total_mat().apply(trail[-1]))
     return WitnessChain(labels=chain_labels, morphisms=chain_maps, trail=tuple(trail))
 
 

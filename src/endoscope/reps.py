@@ -312,8 +312,8 @@ class Morphism:
         """The blocks source -> target whose ``flatten()`` is ``flat``.
 
         Not checked to commute with the arrows: callers check membership
-        themselves (the radical profile maps every result through
-        ``HomSpace.coordinates``, which raises outside the hom space).
+        themselves (the radical profile reduces every row against the
+        canonical rows of its hom space, or rebuilds the map validated).
         """
         vertices = source.presentation.quiver.vertices
         starts, pos = [], 0

@@ -12,7 +12,7 @@ from endoscope.radical import (
     radical_profile,
     right_witness,
 )
-from endoscope.linalg import Mat
+from endoscope.linalg import LinalgError, Mat
 from endoscope.quiver import kronecker
 from endoscope.reps import (
     Representation,
@@ -142,13 +142,13 @@ def test_profile_refuses_the_first_failing_member_by_position(order, refusal):
 def test_a_vanished_pair_is_not_composed_again(monkeypatch):
     members, labels = preinj_family(6)
     calls = []
-    original = radical._composite_span
+    original = radical._composite_rows
 
     def counted(hom, factors):
         calls.append((labels[members.index(hom.source)], labels[members.index(hom.target)]))
         return original(hom, factors)
 
-    monkeypatch.setattr(radical, "_composite_span", counted)
+    monkeypatch.setattr(radical, "_composite_rows", counted)
     prof = radical_profile(members, d_max=63, labels=labels)
     assert prof.vanishing_depth == 6
     # level d + 1 of a pair is composed only when its level d is nonzero
@@ -176,6 +176,13 @@ def test_harada_sai_preinjectives():
     members, labels = preinj_family(3)
     report = harada_sai_check(members, 5, labels=labels)
     assert report.passed and report.depth == 3 and report.bound == 31
+
+
+@pytest.mark.parametrize("bound", [4.0, 3.5, True])
+def test_harada_sai_refuses_a_length_bound_that_is_not_an_int(bound):
+    members, labels = preinj_family(2)
+    with pytest.raises(RadicalError, match="length bound must be an int"):
+        harada_sai_check(members, bound, labels=labels)
 
 
 def test_harada_sai_rejects_overlong_members():
@@ -218,6 +225,29 @@ def test_right_witness_keeps_one_state_per_member_and_element(monkeypatch):
     assert len(steps) == 7
     for states in steps:
         assert len(states) == len({(pos, vec) for _, _, vec, pos, _ in states})
+
+
+@pytest.mark.parametrize("entry", [0.5, True, "one", None])
+def test_right_witness_reads_x_through_the_field(entry):
+    members, labels = preinj_family(3)
+    x = [entry] + [0] * (members[2].total_dim - 1)
+    with pytest.raises(LinalgError):
+        right_witness(members, start=3, x=x, depth=2, labels=labels)
+
+
+@pytest.mark.parametrize("depth", [-1, -5, 1.0, True])
+def test_right_witness_refuses_a_depth_that_is_not_an_int_at_least_0(depth):
+    members, labels = preinj_family(3)
+    x = [1] + [0] * (members[2].total_dim - 1)
+    with pytest.raises(RadicalError, match="chain depth"):
+        right_witness(members, start=3, x=x, depth=depth, labels=labels)
+
+
+@pytest.mark.parametrize("d_max", [2.5, 3.0, True, "3", 0, -2])
+def test_profile_refuses_a_depth_bound_that_is_not_an_int_at_least_1(d_max):
+    members, labels = preinj_family(3)
+    with pytest.raises(RadicalError, match="depth bound"):
+        radical_profile(members, d_max=d_max, labels=labels)
 
 
 def test_right_witness_killed_socle_element():

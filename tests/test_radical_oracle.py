@@ -304,3 +304,32 @@ def test_right_witness_from_a_copy():
         assert not is_isomorphism(f)
         assert hom_basis(source, target).contains(f)
     assert len(chain.trail) == 3 and all(any(v) for v in chain.trail)
+
+
+def test_right_witness_solves_only_the_profiles_hom_systems():
+    members = conjugated_family(4, seed=1)
+    start = next(k for k, m in enumerate(members) if m.total_dim > 1)
+    x = [Fraction(0)] * members[start].total_dim
+    x[0] = Fraction(1)
+    clear_caches()
+    radical_profile(members, d_max=1)
+    solved = hom_basis.cache_info().currsize
+    clear_caches()
+    chain = right_witness(members, start=start, x=x, depth=2)
+    # a copy's maps are carried from its representatives' pair, not solved for
+    assert hom_basis.cache_info().currsize == solved == 114
+    assert chain.labels == (1, 2, 8)
+
+
+def test_no_composite_is_formed_with_an_empty_side(monkeypatch):
+    members = conjugated_family(6, seed=1)
+    sides = []
+    original = Morphism.composite_flats
+
+    def recorded(gs, fs):
+        sides.append((len(gs), len(fs)))
+        return original(gs, fs)
+
+    monkeypatch.setattr(Morphism, "composite_flats", staticmethod(recorded))
+    assert radical_profile(members, d_max=63).vanishing_depth == 10
+    assert sides and all(g and f for g, f in sides)
