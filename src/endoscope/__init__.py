@@ -64,7 +64,6 @@ from .homs import (
     LocalityUnverified,
     UnsupportedFieldError,
     are_isomorphic,
-    compose,
     end_ring,
     hom_basis,
     hom_dim,

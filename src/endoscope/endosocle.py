@@ -14,9 +14,10 @@ current endosocle and recomputes on the remainder.
 
 The endosocle, each component B_i and each term of the ascending series
 are one computation, ``_annihilated``: at every vertex v, the elements x
-of M_v with f_v(x) in a subspace W_v (zero unless given) for each of some
-morphisms f, which is the kernel of the stacked blocks
-annihilator(W_v) @ f_v; with no morphisms it is all of M_v.  Members must
+of M_v with f_v(x) in a subspace W_v (zero unless given) for each map f
+of some hom spaces out of M, which is the kernel of the stacked blocks
+annihilator(W_v) @ f_v over the spaces' canonical rows f, each block read
+from its row; with no maps it is all of M_v.  Members must
 have certified-local endomorphism rings (``homs.EndoRing.local``);
 decomposable ones are split by ``homs.indecompose`` first.
 
@@ -34,7 +35,7 @@ from functools import reduce
 
 from .homs import end_ring, indecompose, noniso_subspace, require_local
 from .linalg import Mat, Subspace, kernel_basis
-from .reps import Representation, SubspaceFamily, direct_sum, family_labels
+from .reps import Representation, SubspaceFamily, direct_sum, family_labels, flat_blocks
 
 
 class EndostructureError(ValueError):
@@ -43,26 +44,29 @@ class EndostructureError(ValueError):
 
 def endosocle(m: Representation) -> SubspaceFamily:
     """The socle of m over its endomorphism ring, vertex by vertex."""
-    return _annihilated(m, end_ring(m).radical_morphisms())
+    return _annihilated(m, [end_ring(m).radical_space()])
 
 
-def _annihilated(m: Representation, morphisms, within: SubspaceFamily | None = None) -> SubspaceFamily:
-    """Vertex by vertex, the elements of m that every morphism sends into
-    ``within``, a subspace family of their common target (zero when None).
+def _annihilated(m: Representation, spaces, within: SubspaceFamily | None = None) -> SubspaceFamily:
+    """Vertex by vertex, the elements of m that every map of the hom spaces
+    ``spaces`` out of m sends into ``within``, a subspace family of their
+    common target (zero when None).
 
-    One kernel per vertex, of the stacked blocks annihilator(W_v) @ f_v;
-    all of m when there are no morphisms.
+    One kernel per vertex, of the stacked blocks annihilator(W_v) @ f_v over
+    the spaces' rows f, each read from the row (``reps.flat_blocks``), so no
+    morphism is built; all of m when the spaces are zero.
     """
-    if not morphisms:
+    blocks = [flat_blocks(s.source, s.target, row) for s in spaces for row in s.rows.values()]
+    if not blocks:
         return SubspaceFamily.full_for(m)
-    spaces = {}
+    kernels = {}
     for v in m.presentation.quiver.vertices:
-        blocks = [f.block(v) for f in morphisms]
+        stack = [b[v] for b in blocks]
         if within is not None:
             annihilator = within.space(v).annihilator()
-            blocks = [annihilator @ b for b in blocks]
-        spaces[v] = kernel_basis(reduce(Mat.vstack, blocks))
-    return SubspaceFamily(spaces)
+            stack = [annihilator @ b for b in stack]
+        kernels[v] = kernel_basis(reduce(Mat.vstack, stack))
+    return SubspaceFamily(kernels)
 
 
 def power_endosocle(m: Representation, k: int) -> SubspaceFamily:
@@ -140,10 +144,8 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
 
     components = {}
     for i, m in enumerate(members):
-        annihilators = []
-        for j, n in enumerate(members):
-            annihilators += end_ring(m).radical_morphisms() if i == j else noniso_subspace(m, n).basis
-        components[labels[i]] = _annihilated(m, annihilators)
+        spaces = [end_ring(m).radical_space() if i == j else noniso_subspace(m, n) for j, n in enumerate(members)]
+        components[labels[i]] = _annihilated(m, spaces)
 
     support = tuple(sorted((l for l in labels if components[l].total_dim > 0), key=_label_key))
     total = sum(components[l].total_dim for l in labels)
@@ -196,7 +198,7 @@ def endosocle_series(m: Representation) -> SeriesReport:
     until it stabilizes, which for a faithful finite-dimensional module
     happens at the full module.
     """
-    rad = end_ring(m).radical_morphisms()
+    rad = [end_ring(m).radical_space()]
     vertices = m.presentation.quiver.vertices
     current = SubspaceFamily.zero_for(m)
     terms = []

@@ -6,6 +6,8 @@ exists exactly when those values satisfy the relations among them.
 for the images of the generators: one kernel, with
 sum_v dim top(M)_v * n_v unknowns.  Run on the duals, the same routine
 has sum_v dim soc(N)_v * m_v unknowns, and the smaller side is solved.
+Every hom space is held as the canonical RREF rows of its span in the
+``Morphism.flatten`` layout (``HomSpace``), as the solver returns them.
 End(M) multiplies by composing on M.  Its Jacobson radical is the
 kernel of the trace form (f, g) -> tr_M(f g) of End(M) acting on M,
 which is faithful (Dickson's criterion; valid in characteristic zero,
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Literal, Mapping, Sequence
 
-from .linalg import Mat, Subspace, invert, kernel_basis, rref
+from .linalg import Mat, Subspace, _eliminate, _reduce, _subtract, invert, kernel_basis
 from .reps import Morphism, Representation
 from .spin import presentation, sides, spun_homs
 
@@ -58,43 +60,39 @@ class DecompositionInconclusive(LocalityUnverified):
 
 
 class HomSpace:
-    """A subspace of Hom(source, target) spanned by a basis of morphisms.
+    """A subspace of Hom(source, target), held as the canonical RREF rows
+    ``{pivot: row}`` of its span in the ``Morphism.flatten`` layout.
 
-    ``hom_basis`` returns the full hom space; operations like
-    ``noniso_subspace`` return proper subspaces with the same carrier.
+    A row is 1 at its pivot and 0 at the other pivots, so a map of the span
+    has its coordinates at the pivots; a map lies in the span iff its flat
+    reduces to zero against the rows.  ``basis``, the rows as morphisms, is
+    built when first asked for.
     """
 
-    __slots__ = ("source", "target", "basis", "_coord")
+    __slots__ = ("source", "target", "rows", "_basis")
 
-    def __init__(self, source: Representation, target: Representation, basis: Sequence[Morphism]):
+    def __init__(self, source: Representation, target: Representation, rows: Mapping[int, dict]):
+        """The span of the canonical rows ``{pivot: row}``, as ``linalg._eliminate`` returns them."""
         self.source = source
         self.target = target
-        self.basis = tuple(basis)
-        self._coord = None
+        self.rows = {c: rows[c] for c in sorted(rows)}
+        self._basis = None
+
+    @classmethod
+    def span(cls, source: Representation, target: Representation, flats) -> "HomSpace":
+        """The span of the maps source -> target whose flats are ``flats`` (consumed)."""
+        return cls(source, target, _eliminate(flats, source.field.characteristic))
+
+    @property
+    def basis(self) -> tuple[Morphism, ...]:
+        """The rows as morphisms, built on the first call."""
+        if self._basis is None:
+            self._basis = tuple(Morphism.unflatten(self.source, self.target, r) for r in self.rows.values())
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def flat_dim(self) -> int:
-        """The length of the ``Morphism.flatten`` layout of maps source -> target."""
-        return sum(self.target.dim(v) * self.source.dim(v) for v in self.source.presentation.quiver.vertices)
-
-    def _coordinatizer(self):
-        # pivot coordinate positions + inverse of the corresponding square block
-        if self._coord is None:
-            flats = [f.flatten() for f in self.basis]
-            k = len(flats)
-            field = self.source.field
-            bt = Mat.sparse(flats, self.flat_dim, field)
-            _, pivots = rref(bt)
-            block = Mat.sparse([{j: f[p] for j, f in enumerate(flats) if p in f} for p in pivots], k, field)
-            inv = invert(block)
-            if inv is None:
-                raise HomalgError("basis of hom space is linearly dependent")
-            self._coord = (pivots, inv, bt)
-        return self._coord
+        return len(self.rows)
 
     def coordinates(self, f: Morphism) -> tuple:
         """Coefficients of f in this basis; raises if f is outside the span."""
@@ -107,14 +105,8 @@ class HomSpace:
         if f.source != self.source or f.target != self.target:
             raise HomalgError("morphism has different ends")
         flat = f.flatten()
-        if self.dim == 0:
-            return () if not flat else None
-        pivots, inv, bt = self._coordinatizer()
-        coords = inv.apply([flat.get(p, 0) for p in pivots])
-        # f lies in the span iff the combination of the basis rebuilds it
-        if (Mat.sparse([dict(enumerate(coords))], self.dim, bt.field) @ bt).row(0) != flat:
-            return None
-        return coords
+        coords = tuple(flat.get(c, 0) for c in self.rows)
+        return None if _reduce(flat, self.rows, self.source.field.characteristic) else coords
 
     def contains(self, f: Morphism) -> bool:
         return self.try_coordinates(f) is not None
@@ -122,19 +114,14 @@ class HomSpace:
     def from_coordinates(self, coords: Sequence) -> Morphism:
         if len(coords) != self.dim:
             raise HomalgError("coordinate length mismatch")
-        out = Morphism.zero(self.source, self.target)
-        for c, f in zip(coords, self.basis):
-            if c:
-                out = out + f.scale(c)
-        return out
+        field, flat = self.source.field, {}
+        for c, row in zip(coords, self.rows.values()):
+            if c := field.of(c):
+                _subtract(flat, -c, row, -1, field.characteristic)  # flat += c * row
+        return Morphism.unflatten(self.source, self.target, flat)
 
     def __repr__(self):
         return f"HomSpace(dim {self.dim})"
-
-
-def compose(f: Morphism, g: Morphism) -> Morphism:
-    """The composite "f after g"."""
-    return f.compose(g)
 
 
 @lru_cache(maxsize=None)
@@ -154,10 +141,10 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
     top, socle = sides(m)[0][1], sides(n)[1][1]
     top_unknowns = sum(len(top[v]) * d for v, d in n.dims_by_vertex.items())
     if top_unknowns < sum(len(socle[v]) * d for v, d in m.dims_by_vertex.items()):
-        flats = spun_homs(presentation(m, False), m, n, sides(n)[0][0], transpose=False)
+        rows = spun_homs(presentation(m, False), m, n, sides(n)[0][0], transpose=False)
     else:
-        flats = spun_homs(presentation(n, True), n, m, sides(m)[1][0], transpose=True)
-    return HomSpace(m, n, [Morphism.unflatten(m, n, flat) for flat in flats])
+        rows = spun_homs(presentation(n, True), n, m, sides(m)[1][0], transpose=True)
+    return HomSpace(m, n, rows)
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -168,38 +155,43 @@ _UNSEARCHED = object()
 
 
 class EndoRing:
-    """End(M) with a fixed basis, the identity first.
+    """End(M) on the canonical basis of Hom(M, M), the hom space ``hom``.
 
     Products are compositions on M; no multiplication table is stored.
+    ``radical`` is J(End M) in the coordinates of ``hom``, and
+    ``radical_space`` is the same ideal as a hom space.
     """
 
-    __slots__ = ("module", "hom", "_radical", "_radical_morphisms", "_split")
+    __slots__ = ("module", "hom", "_radical", "_split")
 
     def __init__(self, module: Representation, hom: HomSpace):
         self.module = module
         self.hom = hom
         self._radical = None
-        self._radical_morphisms = None
         self._split = _UNSEARCHED
 
     @property
     def basis(self) -> tuple[Morphism, ...]:
-        return self.hom.basis
+        """The identity, then the maps of ``hom`` but the last one the identity
+        involves, the rest staying independent.  ``_find_split`` searches in
+        this order, which decides the order of ``indecompose``'s summands."""
+        maps = self.hom.basis
+        if not maps:
+            return maps
+        ident = Morphism.identity(self.module)
+        drop = max(i for i, c in enumerate(self.hom.coordinates(ident)) if c)
+        return (ident,) + maps[:drop] + maps[drop + 1 :]
 
     @property
     def dim(self) -> int:
         return self.hom.dim
 
-    def multiply_coords(self, x: Sequence, y: Sequence) -> tuple:
-        """Coordinates of the product "x after y", composed on M."""
-        hom = self.hom
-        return hom.coordinates(hom.from_coordinates(x).compose(hom.from_coordinates(y)))
-
     @property
     def radical(self) -> Subspace:
+        """J(End M), a subspace of the coordinate space of ``hom``."""
         if self._radical is None:
-            self._radical, self._radical_morphisms = _trace_form_radical(self)
-        return self._radical
+            self._radical = _trace_form_radical(self)
+        return self._radical[0]
 
     @property
     def dim_over_radical(self) -> int:
@@ -211,9 +203,10 @@ class EndoRing:
         is the ground field."""
         return self.dim > 0 and self.dim_over_radical == 1
 
-    def radical_morphisms(self) -> list[Morphism]:
-        self.radical  # built together with the radical by the nilpotency check
-        return self._radical_morphisms
+    def radical_space(self) -> HomSpace:
+        """J(End M) as a subspace of Hom(M, M), built with ``radical``."""
+        self.radical
+        return self._radical[1]
 
     def split(self):
         """A Fitting split (two summands) of the module, or None; searched once."""
@@ -227,39 +220,38 @@ class EndoRing:
 
 @lru_cache(maxsize=None)
 def end_ring(m: Representation) -> EndoRing:
-    """End(m), re-based so that the identity is the first basis element."""
-    full = hom_basis(m, m)
-    if m.total_dim == 0:
-        return EndoRing(m, full)
-    ident = Morphism.identity(m)
-    # exchange the identity for the last basis element it involves: the rest
-    # stays independent, and it is the basis a left-to-right column
-    # selection of [identity, basis...] picks
-    coords = full.coordinates(ident)
-    drop = max(i for i, c in enumerate(coords) if c)
-    return EndoRing(m, HomSpace(m, m, [ident] + [f for i, f in enumerate(full.basis) if i != drop]))
+    """End(m) on the canonical basis of Hom(m, m)."""
+    return EndoRing(m, hom_basis(m, m))
 
 
-def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, list[Morphism]]:
-    """J(End M) as the kernel of (f, g) -> tr_M(f g), with its morphisms.
+def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
+    """J(End M) as the kernel of (f, g) -> tr_M(f g), in the coordinates of
+    ``ring.hom`` and as a hom space.
 
     End(M) acts faithfully on M, so in characteristic zero this kernel is
     the Jacobson radical (Dickson's criterion).  It is checked nilpotent.
     """
-    if ring.dim == 0:
-        return Subspace.zero(0, ring.module.field), []
-    if ring.module.field.characteristic != 0:
+    m, hom = ring.module, ring.hom
+    if hom.dim == 0:
+        return Subspace.zero(0, m.field), HomSpace(m, m, {})
+    if m.field.characteristic != 0:
         raise UnsupportedFieldError("radical computation requires characteristic zero")
-    # tr_M(f g) = sum over vertices v and cells (a, b) of f_v[a][b] * g_v[b][a]
-    cells = [
-        {(v, a, b): x for v, blk in f.blocks.items() for a in range(blk.rows) for b, x in blk.row(a).items()}
-        for f in ring.basis
-    ]
-    gram = [[sum(x * g[v, b, a] for (v, a, b), x in f.items() if (v, b, a) in g) for g in cells] for f in cells]
-    radical = kernel_basis(Mat(gram, ring.dim, ring.dim, ring.module.field))
-    morphisms = [ring.hom.from_coordinates(v) for v in radical.vectors()]
-    _check_nilpotent(ring.module, morphisms)
-    return radical, morphisms
+    # tr_M(f g) = sum over vertices v and cells (a, b) of f_v[a][b] * g_v[b][a];
+    # cell (a, b) of the d x d block at flat offset s has index s + a d + b
+    transpose, s = {}, 0
+    for d in m.dim_vector:
+        transpose.update((s + a * d + b, s + b * d + a) for a in range(d) for b in range(d))
+        s += d * d
+    rows = list(hom.rows.values())
+    flipped = [{transpose[i]: x for i, x in g.items()} for g in rows]
+    gram = [[sum(x * g[i] for i, x in f.items() if i in g) for g in flipped] for f in rows]
+    radical = kernel_basis(Mat(gram, hom.dim, hom.dim, m.field))
+    maps = [hom.from_coordinates(x) for x in radical.vectors()]
+    _check_nilpotent(m, maps)
+    # a canonical coordinate row weights the rows of hom, each 1 at its pivot and
+    # 0 at the others, into a map that is 1 at the pivot of its own pivot row and 0
+    # at those of the other coordinate rows: the canonical rows of J's span
+    return radical, HomSpace(m, m, {min(flat): flat for flat in (f.flatten() for f in maps)})
 
 
 def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
@@ -285,7 +277,7 @@ def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
 
 
 def jacobson_radical(ring: EndoRing) -> Subspace:
-    """The Jacobson radical, as a subspace of the basis-coordinate space."""
+    """The Jacobson radical, as a subspace of the coordinate space of ``ring.hom``."""
     return ring.radical
 
 
@@ -552,16 +544,15 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     For non-isomorphic ends this is all of Hom(m, n); for isomorphic ends
     it is phi . J(End m), where phi is the witness of ``are_isomorphic`` (a
     basis element of Hom(m, n), since m is local), and those are
-    exactly the non-invertible homomorphisms.
+    exactly the non-invertible homomorphisms.  Either is held, like every
+    hom space, as the canonical rows of its span.
     """
     ring = require_local(m)
     require_local(n)
     cert = are_isomorphic(m, n)
     if cert.status == "certified_no":
         return hom_basis(m, n)
-    phi = cert.witness
-    basis = [phi.compose(r) for r in ring.radical_morphisms()]
-    sub = HomSpace(m, n, basis)
+    sub = HomSpace.span(m, n, [cert.witness.compose(r).flatten() for r in ring.radical_space().basis])
     if sub.dim != hom_basis(m, n).dim - 1:
         raise HomalgError("non-isomorphism subspace has unexpected dimension")
     for f in sub.basis:

@@ -45,7 +45,7 @@ from .homs import (
     noniso_subspace,
     require_local,
 )
-from .linalg import Mat, Subspace, primitive_row, rref
+from .linalg import Subspace, _reduce, primitive_row
 from .reps import Morphism, dual, family_labels
 
 
@@ -98,8 +98,8 @@ class RadicalProfile:
         if key not in self._rows:
             (a, phi), (b, psi) = self._classes[i], self._classes[j]
             rep_maps = [Morphism.unflatten(self._members[a], self._members[b], r) for r in self._rows[(depth, a, b)]]
-            span = HomSpace(source, target, [psi.witness.compose(f).compose(phi.inverse) for f in rep_maps])
-            self._rows[key] = _canonical_rows(span, [f.flatten() for f in span.basis])
+            flats = [psi.witness.compose(f).compose(phi.inverse).flatten() for f in rep_maps]
+            self._rows[key] = list(HomSpace.span(source, target, flats).rows.values())
         return [Morphism(source, target, Morphism.unflatten(source, target, r).blocks) for r in self._rows[key]]
 
     def _position(self, label) -> int:
@@ -115,12 +115,12 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     through the family, so R_a R_b = R_{a+b}, and R_{d+1} is contained in R_d
     because the members are local (the non-isomorphisms form an ideal, so
     each R_d is one too).  R_d(i, j) is held as the canonical rows of its
-    span in the ``Morphism.flatten`` layout; level 1 reduces the flats of
-    the ``noniso_subspace`` basis.  Level d + 1 is built pair by pair: for
+    span in the ``Morphism.flatten`` layout; level 1 is the rows of
+    ``noniso_subspace``.  Level d + 1 is built pair by pair: for
     each (i, j) the composites g f of a left factor g: M_k -> M_j and a map
     f of R_d(i, k) are reduced as flats (a middle k with no g or no f adds
-    none), and every row must reduce to zero against the canonical rows of
-    Hom(i, j), so a composite that leaves the hom space raises.  The maps
+    none).  Every row of every level must reduce to zero against the
+    canonical rows of Hom(i, j), so a map that leaves the hom space raises.  The maps
     are a level's rows scaled to coprime ints; a span does not change
     when a vector of it is scaled by a nonzero rational.
 
@@ -161,8 +161,7 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     reps = [k for k, c in enumerate(cls) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
     hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
-    noniso = {(a, b): noniso_subspace(members[a], members[b]).basis for a, b in pairs}
-    rad1 = {pair: _checked_rows(hom[pair], [f.flatten() for f in noniso[pair]]) for pair in pairs}
+    rad1 = {(a, b): _checked_rows(hom[(a, b)], noniso_subspace(members[a], members[b])) for a, b in pairs}
 
     levels = [rad1]
     while len(levels) < d_max and any(levels[-1].values()):
@@ -220,25 +219,20 @@ def _refusal(m) -> Exception | None:
     return None
 
 
-def _canonical_rows(hom: HomSpace, flats) -> list:
-    """The reduced echelon rows of the span of ``flats``, maps in ``hom``'s flatten layout."""
-    red, pivots = rref(Mat.sparse(flats, hom.flat_dim, hom.source.field))
-    return [red.row(r) for r in range(len(pivots))]
-
-
-def _checked_rows(hom: HomSpace, flats) -> list:
-    """``_canonical_rows`` of ``flats``; raises unless each reduces to zero
-    against the canonical rows of ``hom_basis``, the hom space's basis."""
-    rows = _canonical_rows(hom, flats)
-    stacked = [f.flatten() for f in hom.basis] + rows
-    if rows and Mat.sparse(stacked, hom.flat_dim, hom.source.field).rank() != hom.dim:
+def _checked_rows(hom: HomSpace, space: HomSpace) -> list:
+    """The canonical rows of ``space``; raises unless each reduces to zero
+    against the rows of ``hom`` (``hom_basis``), so every map of the span
+    is a homomorphism between the same ends."""
+    p = hom.source.field.characteristic
+    if any(_reduce(dict(row), hom.rows, p) for row in space.rows.values()):
         raise HomalgError("a radical basis map is not a homomorphism")
-    return rows
+    return list(space.rows.values())
 
 
 def _composite_rows(hom: HomSpace, factors) -> list:
-    """``_checked_rows`` of the composites g f over ``factors`` = [(gs, fs), ...]."""
-    return _checked_rows(hom, [flat for gs, fs in factors for flat in Morphism.composite_flats(gs, fs)])
+    """``_checked_rows`` of the span of the composites g f over ``factors`` = [(gs, fs), ...]."""
+    flats = [flat for gs, fs in factors for flat in Morphism.composite_flats(gs, fs)]
+    return _checked_rows(hom, HomSpace.span(hom.source, hom.target, flats))
 
 
 def _maps(hom: HomSpace, rows) -> list[Morphism]:

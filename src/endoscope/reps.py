@@ -309,25 +309,13 @@ class Morphism:
 
     @classmethod
     def unflatten(cls, source: Representation, target: Representation, flat: Mapping) -> "Morphism":
-        """The blocks source -> target whose ``flatten()`` is ``flat``.
+        """The map source -> target whose ``flatten()`` is ``flat``.
 
         Not checked to commute with the arrows: callers check membership
         themselves (the radical profile reduces every row against the
         canonical rows of its hom space, or rebuilds the map validated).
         """
-        vertices = source.presentation.quiver.vertices
-        starts, pos = [], 0
-        for v in vertices:
-            starts.append(pos)
-            pos += target.dim(v) * source.dim(v)
-        rows = [[{} for _ in range(target.dim(v))] for v in vertices]
-        for idx, x in flat.items():
-            # an empty block starts where the next one does, so this finds the block holding idx
-            k = bisect_right(starts, idx) - 1
-            i, j = divmod(idx - starts[k], source.dim(vertices[k]))
-            rows[k][i][j] = x
-        blocks = {v: Mat.sparse(r, source.dim(v), source.field) for v, r in zip(vertices, rows)}
-        return cls(source, target, blocks, _validate=False)
+        return cls(source, target, flat_blocks(source, target, flat), _validate=False)
 
     @staticmethod
     def composite_flats(gs: Sequence["Morphism"], fs: Sequence["Morphism"]) -> list[dict]:
@@ -396,6 +384,23 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
+
+
+def flat_blocks(source: Representation, target: Representation, flat: Mapping) -> dict[str, Mat]:
+    """The vertex blocks of the map source -> target whose ``Morphism.flatten()``
+    is ``flat``, read from its entries with no morphism built."""
+    vertices = source.presentation.quiver.vertices
+    starts, pos = [], 0
+    for v in vertices:
+        starts.append(pos)
+        pos += target.dim(v) * source.dim(v)
+    rows = [[{} for _ in range(target.dim(v))] for v in vertices]
+    for idx, x in flat.items():
+        # an empty block starts where the next one does, so this finds the block holding idx
+        k = bisect_right(starts, idx) - 1
+        i, j = divmod(idx - starts[k], source.dim(vertices[k]))
+        rows[k][i][j] = x
+    return {v: Mat.sparse(r, source.dim(v), source.field) for v, r in zip(vertices, rows)}
 
 
 # -- construction ------------------------------------------------------------

@@ -123,9 +123,9 @@ def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
     return nodes, relations, inverse
 
 
-def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict, transpose: bool) -> list[dict]:
-    """The canonical basis of Hom(s, t), its RREF rows in the
-    ``Morphism.flatten`` layout, from the presentation ``spun`` of s and
+def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict, transpose: bool) -> dict[int, dict]:
+    """The canonical basis of Hom(s, t), its RREF rows ``{pivot: row}`` in
+    the ``Morphism.flatten`` layout, from the presentation ``spun`` of s and
     the arrow ``matrices`` of t; with ``transpose``, the spin is of Ds,
     the matrices are those of Dt, and the basis is of Hom(t, s).
 
@@ -154,7 +154,7 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
             a = matrices[arrow][2]
             paths.append((u, a if path is None else a @ path))
     if not unknowns:
-        return []
+        return {}
 
     equations = []
     for node, arrow, combination in relations:
@@ -170,7 +170,7 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
             equations.append({w: x % p for w, x in eq.items()} if p else eq)
     kernel = sparse_kernel(equations, unknowns, field)
     if not kernel:
-        return []
+        return {}
 
     # row w of `spread` is the flatten layout of the map with unknown w = 1
     spread, pos = [{} for _ in range(unknowns)], 0
@@ -191,5 +191,4 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
             for idx, x in spread[w].items():
                 flat[idx] = flat.get(idx, 0) + a * x
         flats.append({idx: z for idx, x in flat.items() if (z := x % p if p else x)})
-    reduced = _eliminate(flats, p)
-    return [reduced[c] for c in sorted(reduced)]
+    return _eliminate(flats, p)

@@ -6,7 +6,8 @@ every arrow a", with sum_v m_v * n_v unknowns in the ``Morphism.flatten``
 layout.  ``preimage`` is the subspace {x : m @ x in sub}.
 ``stable_by_images`` and ``endo_invariant_by_images`` are the first
 endo-invariance test: the image subspace of sub under every map (every
-End(M) basis map), checked to lie in sub.
+End(M) basis map), checked to lie in sub.  ``multiply_coords`` is the
+product of End(M) in the coordinates of ``ring.hom``, composed on M.
 """
 
 from endoscope.homs import hom_basis
@@ -60,3 +61,9 @@ def stable_by_images(sub: Subspace, maps) -> bool:
 def endo_invariant_by_images(sub: Subspace, rep: Representation) -> bool:
     """f(sub) ⊆ sub for every basis endomorphism f of rep, by image subspaces."""
     return stable_by_images(sub, (f.total_mat() for f in hom_basis(rep, rep).basis))
+
+
+def multiply_coords(ring, x, y) -> tuple:
+    """Coordinates in ``ring.hom`` of the product "x after y", composed on M."""
+    hom = ring.hom
+    return hom.coordinates(hom.from_coordinates(x).compose(hom.from_coordinates(y)))

@@ -227,13 +227,33 @@ def test_components_are_annihilated_by_every_noniso():
     report = family_endosocle(members, labels=labels)
     for i, m in enumerate(members):
         comp = report.components[labels[i]]
-        annihilators = list(end_ring(m).radical_morphisms())
+        annihilators = list(end_ring(m).radical_space().basis)
         for n in members:
             if n is not m:
                 annihilators.extend(noniso_subspace(m, n).basis)
         for f in annihilators:
             for v in m.presentation.quiver.vertices:
                 assert comp.space(v).image(f.block(v)).dim == 0
+
+
+def test_family_endosocle_builds_no_map_between_distinct_members(monkeypatch):
+    # each B_i is read from the canonical rows of the hom spaces, so no hom
+    # basis between two members is turned into Morphisms
+    from endoscope.homs import clear_caches
+    from endoscope.reps import Morphism
+
+    clear_caches()
+    original = Morphism.unflatten.__func__
+    between = []
+
+    def recorded(cls, source, target, flat):
+        between.append(source != target)
+        return original(cls, source, target, flat)
+
+    monkeypatch.setattr(Morphism, "unflatten", classmethod(recorded))
+    members, labels = preinjectives(1, 8)
+    assert family_endosocle(members, labels=labels).support == (1, 2)
+    assert between.count(True) == 0
 
 
 def test_embedding_chain_kills_interior_components():
@@ -269,7 +289,7 @@ def series_by_preimages(m):
     from endoscope.homs import end_ring
     from endoscope.linalg import intersect
 
-    rad = end_ring(m).radical_morphisms()
+    rad = end_ring(m).radical_space().basis
     current = SubspaceFamily.zero_for(m)
     terms = []
     while True:

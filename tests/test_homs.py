@@ -10,7 +10,6 @@ from endoscope.homs import (
     LocalityUnverified,
     UnsupportedFieldError,
     are_isomorphic,
-    compose,
     end_ring,
     hom_basis,
     hom_dim,
@@ -34,6 +33,7 @@ from endoscope.reps import (
     kronecker_regular,
     socle,
 )
+from oracles import multiply_coords
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +68,40 @@ def test_hom_coordinates_round_trip(preinj):
     assert hom_basis(preinj[3], preinj[3]).contains(outside)
 
 
+def test_hom_coordinates_round_trip_over_gf101():
+    gf = PrimeField(101)
+    hom = hom_basis(kronecker_preinjective(3, gf), kronecker_preinjective(2, gf))
+    for coords in [(2, 96), (0, 1), (100, 0)]:
+        assert hom.coordinates(hom.from_coordinates(coords)) == coords
+    # coordinates are read through the field: 1/2 is 51 and -5 is 96 mod 101
+    assert hom.coordinates(hom.from_coordinates((Fraction(1, 2), -5))) == (51, 96)
+
+
+def test_a_map_with_the_right_ends_outside_the_span_has_no_coordinates(preinj):
+    hom = hom_basis(preinj[3], preinj[2])
+    # beta_2 @ f_1 != f_2 @ beta_3: not a homomorphism, so outside Hom(I3, I2)
+    blocks = {"1": Mat.sparse([{0: 1}, {}], 3), "2": Mat.zeros(1, 2)}
+    stray = Morphism(preinj[3], preinj[2], blocks, _validate=False)
+    assert hom.try_coordinates(stray) is None
+    assert not hom.contains(stray)
+    with pytest.raises(HomalgError):
+        hom.coordinates(stray)
+    # a sum of a basis map and the stray map is outside too
+    assert hom.try_coordinates(hom.basis[0] + stray) is None
+
+
 def test_compose_stays_in_hom(preinj):
     h32 = hom_basis(preinj[3], preinj[2])
     h21 = hom_basis(preinj[2], preinj[1])
     target = hom_basis(preinj[3], preinj[1])
     for f in h32.basis:
         for g in h21.basis:
-            assert target.contains(compose(g, f))
+            assert target.contains(g.compose(f))
     ident = Morphism.identity(preinj[2])
     for f in h32.basis:
-        assert compose(ident, f) == f
+        assert ident.compose(f) == f
     for g in h21.basis:
-        assert compose(g, ident) == g
+        assert g.compose(ident) == g
 
 
 def test_end_ring_small(preinj):
@@ -99,7 +121,7 @@ def test_end_ring_of_sum(preinj):
     rad = ring.radical.vectors()
     for x in rad:
         for y in rad:
-            assert not any(ring.multiply_coords(x, y))
+            assert not any(multiply_coords(ring, x, y))
 
 
 def test_end_dimension_formula(preinj):
@@ -116,9 +138,9 @@ def test_structure_constants_associative(preinj):
     units = [tuple(Fraction(1 if t == i else 0) for t in range(k)) for i in range(k)]
     for x in units:
         for y in units:
-            xy = ring.multiply_coords(x, y)
+            xy = multiply_coords(ring, x, y)
             for z in units:
-                assert ring.multiply_coords(xy, z) == ring.multiply_coords(x, ring.multiply_coords(y, z))
+                assert multiply_coords(ring, xy, z) == multiply_coords(ring, x, multiply_coords(ring, y, z))
 
 
 def test_matrix_ring_has_zero_radical(preinj):
@@ -133,7 +155,7 @@ def test_radical_of_dual_numbers():
     assert ring.dim == 2
     assert ring.radical.dim == 1
     x = ring.radical.vectors()[0]
-    assert not any(ring.multiply_coords(x, x))
+    assert not any(multiply_coords(ring, x, x))
 
 
 def test_radical_requires_characteristic_zero():
@@ -194,8 +216,8 @@ def test_radical_is_an_ideal(preinj):
     rad = ring.radical
     for x in rad.vectors():
         for u in units:
-            assert rad.contains(ring.multiply_coords(x, u))
-            assert rad.contains(ring.multiply_coords(u, x))
+            assert rad.contains(multiply_coords(ring, x, u))
+            assert rad.contains(multiply_coords(ring, u, x))
 
 
 def test_is_isomorphism(preinj):
@@ -224,8 +246,8 @@ def test_are_isomorphic_finds_base_change(preinj):
     cert = are_isomorphic(i2, perm)
     assert cert.status == "iso"
     f, g = cert.witness, cert.inverse
-    assert compose(g, f) == Morphism.identity(i2)
-    assert compose(f, g) == Morphism.identity(perm)
+    assert g.compose(f) == Morphism.identity(i2)
+    assert f.compose(g) == Morphism.identity(perm)
 
 
 def test_are_isomorphic_symmetric_transitive(preinj):
@@ -241,7 +263,7 @@ def test_are_isomorphic_symmetric_transitive(preinj):
     assert is_isomorphism(inverse_morphism(ab.witness))
     # transitivity by composing certificates
     third = are_isomorphic(perm, perm)
-    assert is_isomorphism(compose(third.witness, ab.witness))
+    assert is_isomorphism(third.witness.compose(ab.witness))
 
 
 def test_indecompose(preinj):
@@ -251,6 +273,23 @@ def test_indecompose(preinj):
     assert sorted(p.dim_vector for p in parts) == [(1, 0), (2, 1)]
     p2 = kronecker_preprojective(2)
     assert indecompose(p2) == [p2]
+
+
+@pytest.mark.parametrize(
+    "parts, dims",
+    [
+        ([kronecker_preinjective(1), kronecker_preinjective(2)], [(2, 1), (1, 0)]),
+        ([kronecker_preinjective(2), kronecker_preinjective(1)], [(1, 0), (2, 1)]),
+        ([kronecker_regular(2, 0), kronecker_preprojective(1)], [(0, 1), (2, 2)]),
+        ([kronecker_preinjective(n) for n in (1, 2, 3)], [(3, 2), (2, 1), (1, 0)]),
+    ],
+    ids=["I1+I2", "I2+I1", "R2(0)+P1", "I1+I2+I3"],
+)
+def test_fitting_summand_order(parts, dims):
+    # the order of EndoRing.basis decides which split is found first, and so
+    # which summand of a member is labelled "<label>.0" in reports
+    total, _, _ = direct_sum(parts)
+    assert [p.dim_vector for p in indecompose(total)] == dims
 
 
 def test_indecompose_power(preinj):

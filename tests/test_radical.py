@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from endoscope import radical
-from endoscope.homs import LocalityUnverified, hom_basis, is_isomorphism
+from endoscope.homs import HomalgError, HomSpace, LocalityUnverified, hom_basis, is_isomorphism
 from endoscope.radical import (
     RadicalError,
     harada_sai_check,
@@ -155,6 +155,15 @@ def test_a_vanished_pair_is_not_composed_again(monkeypatch):
     composed = [pair for level in prof.dims[:-1] for pair, dim in level.items() if dim]
     assert Counter(calls) == Counter(composed)
     assert len(calls) < len(members) ** 2 * (prof.vanishing_depth - 1)
+
+
+def test_checked_rows_refuse_a_row_that_is_not_a_homomorphism():
+    i3, i2 = kronecker_preinjective(3), kronecker_preinjective(2)
+    hom = hom_basis(i3, i2)
+    assert radical._checked_rows(hom, hom) == list(hom.rows.values())
+    # flat index 0 is entry (0, 0) of the block at vertex 1, which no map in Hom(I3, I2) has alone
+    with pytest.raises(HomalgError, match="not a homomorphism"):
+        radical._checked_rows(hom, HomSpace(i3, i2, {0: {0: 1}}))
 
 
 def test_harada_sai_small_family():
