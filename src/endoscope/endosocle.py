@@ -12,13 +12,15 @@ quotients (equivalently, annihilators of powers of the radical), and
 the relative one repeatedly trims away the members supporting the
 current endosocle and recomputes on the remainder.
 
-The endosocle, each component B_i and each term of the ascending series
-are one computation, ``_annihilated``: at every vertex v, the elements x
-of M_v with f_v(x) in a subspace W_v (zero unless given) for each map f
-of some hom spaces out of M, which is the kernel of the stacked blocks
-annihilator(W_v) @ f_v over the spaces' canonical rows f, each block read
-from its row; with no maps it is all of M_v.  Members must
-have certified-local endomorphism rings (``homs.EndoRing.local``);
+The endosocle, its components and both series are one computation,
+``_annihilated``: at every vertex v, the x in M_v with f_v(x) in W_v
+(zero unless given) for each map f out of M, the kernel of the stacked
+blocks annihilator(W_v) @ f_v, read from the canonical rows of hom
+spaces (``reps.flat_blocks``).  In a family, B_i over members R is that
+kernel for the non-isomorphisms i -> j, j in R (J(End M_i) for j = i);
+the relative series splits each pair's rows once for all its steps and
+keeps its terms per member (label -> component).  Members must have
+certified-local endomorphism rings (``homs.EndoRing.local``);
 decomposable ones are split by ``homs.indecompose`` first.
 
 Family-level reports carry optional "boundary" labels: members of a
@@ -31,10 +33,10 @@ boundary member, instead of asserting limit values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 
 from .homs import end_ring, indecompose, noniso_subspace, require_local
-from .linalg import Mat, Subspace, kernel_basis
+from .linalg import Mat, kernel_basis
 from .reps import Representation, SubspaceFamily, direct_sum, family_labels, flat_blocks
 
 
@@ -44,19 +46,26 @@ class EndostructureError(ValueError):
 
 def endosocle(m: Representation) -> SubspaceFamily:
     """The socle of m over its endomorphism ring, vertex by vertex."""
-    return _annihilated(m, [end_ring(m).radical_space()])
+    return _annihilated(m, _blocks([m], 0, 0))
 
 
-def _annihilated(m: Representation, spaces, within: SubspaceFamily | None = None) -> SubspaceFamily:
-    """Vertex by vertex, the elements of m that every map of the hom spaces
-    ``spaces`` out of m sends into ``within``, a subspace family of their
-    common target (zero when None).
+def _blocks(members, i, j) -> list[dict]:
+    """The vertex blocks of each canonical row of J(End members[i]) when i = j,
+    else of the non-isomorphisms members[i] -> members[j] (``noniso_subspace``)."""
+    m = members[i]
+    space = end_ring(m).radical_space() if i == j else noniso_subspace(m, members[j])
+    return [flat_blocks(m, space.target, row) for row in space.rows.values()]
 
-    One kernel per vertex, of the stacked blocks annihilator(W_v) @ f_v over
-    the spaces' rows f, each read from the row (``reps.flat_blocks``), so no
-    morphism is built; all of m when the spaces are zero.
+
+def _annihilated(m: Representation, blocks, within: SubspaceFamily | None = None) -> SubspaceFamily:
+    """Vertex by vertex, the elements of m that every map out of m sends into
+    ``within``, a subspace family of the maps' common target (zero when None).
+
+    The maps are given by their vertex blocks (dicts vertex -> Mat, as
+    ``_blocks`` makes them).  One kernel per vertex, of the stacked blocks
+    annihilator(W_v) @ f_v; all of m when there are no maps.
     """
-    blocks = [flat_blocks(s.source, s.target, row) for s in spaces for row in s.rows.values()]
+    blocks = list(blocks)
     if not blocks:
         return SubspaceFamily.full_for(m)
     kernels = {}
@@ -132,30 +141,26 @@ def _prepare_members(members, labels, boundary=()):
     return out_members, out_labels, tuple(s for b in boundary if b in summands for s in summands[b])
 
 
+def _report(members, labels, boundary, blocks, among) -> EndosocleReport:
+    """The endosocle of the sum of the prepared members with indices in the
+    sequence ``among``: each B_i is annihilated by ``blocks(i, j)``, j in it."""
+    components = {labels[i]: _annihilated(members[i], (b for j in among for b in blocks(i, j))) for i in among}
+    support = tuple(sorted((l for l, c in components.items() if c.total_dim), key=_label_key))
+    total = sum(c.total_dim for c in components.values())
+    return EndosocleReport(tuple(components), components, support, total, tuple(l for l in boundary if l in components))
+
+
 def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     """Endosocle components B_i of a family of indecomposables.
 
     B_i is the set of elements of member i annihilated by every basis
     non-isomorphism into any member of the family (itself included).
     Decomposable members are split into their indecomposable summands
-    first; members with uncertifiable locality are refused.
+    first; members with uncertifiable locality are refused.  Each pair is
+    split when its member's kernel is taken, and not kept after it.
     """
     members, labels, boundary = _prepare_members(list(members), labels, boundary)
-
-    components = {}
-    for i, m in enumerate(members):
-        spaces = [end_ring(m).radical_space() if i == j else noniso_subspace(m, n) for j, n in enumerate(members)]
-        components[labels[i]] = _annihilated(m, spaces)
-
-    support = tuple(sorted((l for l in labels if components[l].total_dim > 0), key=_label_key))
-    total = sum(components[l].total_dim for l in labels)
-    return EndosocleReport(
-        labels=tuple(labels),
-        components=components,
-        support=support,
-        total_dim=total,
-        boundary=boundary,
-    )
+    return _report(members, labels, boundary, partial(_blocks, members), range(len(members)))
 
 
 def _label_key(label):
@@ -164,7 +169,10 @@ def _label_key(label):
 
 @dataclass
 class SeriesTerm:
-    family: SubspaceFamily
+    """A term: a subspace family of the module (ascending series), or the
+    step's components, label -> ``SubspaceFamily`` (relative series)."""
+
+    family: SubspaceFamily | dict
     support: tuple
     dim: int
 
@@ -176,9 +184,9 @@ class SeriesReport:
     For the ascending series the terms are weakly increasing
     subspace families of one module and ``support`` lists vertices with
     a nonzero component; for the relative series each term is the
-    endosocle of the current trimmed direct sum (embedded in the full
-    sum), ``support`` lists the member labels it lives on, and
-    ``boundary`` lists the boundary labels among them.
+    endosocle of the current trimmed direct sum, held as its components
+    on the remaining members, ``support`` lists the member labels it
+    lives on, and ``boundary`` lists the boundary labels among them.
     """
 
     kind: str
@@ -198,7 +206,7 @@ def endosocle_series(m: Representation) -> SeriesReport:
     until it stabilizes, which for a faithful finite-dimensional module
     happens at the full module.
     """
-    rad = [end_ring(m).radical_space()]
+    rad = _blocks([m], 0, 0)
     vertices = m.presentation.quiver.vertices
     current = SubspaceFamily.zero_for(m)
     terms = []
@@ -216,46 +224,31 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
     """The relative endosocle series of a family.
 
     Each step records the endosocle of the direct sum of the remaining
-    members (embedded into the full direct sum) together with its
-    support, then removes the supported members.  The recorded terms
+    members, per member, together with its support, then removes the
+    supported members; each pair is split once for all steps.  The terms
     have pairwise disjoint supports, so their sum is direct; this is
     verified.  The stabilization index is the number of nonzero terms.
     """
     members, labels, boundary = _prepare_members(list(members), labels, boundary)
-    total, embeddings, _ = direct_sum(members) if members else (None, [], [])
-    vertices = members[0].presentation.quiver.vertices if members else ()
-
-    remaining = list(range(len(members)))
+    blocks = cache(partial(_blocks, members))
+    remaining = range(len(members))
     terms = []
     while remaining:
-        report = family_endosocle(
-            [members[i] for i in remaining],
-            labels=[labels[i] for i in remaining],
-            boundary=boundary,
-        )
+        report = _report(members, labels, boundary, blocks, remaining)
         if report.total_dim == 0:
             break
-        term = SubspaceFamily.zero_for(total)
-        for i in remaining:
-            term = term.add(report.components[labels[i]].image(embeddings[i]))
-        terms.append(SeriesTerm(family=term, support=report.support, dim=report.total_dim))
-        supported = set(report.support)
-        remaining = [i for i in remaining if labels[i] not in supported]
-
-    _verify_direct(terms, vertices)
+        terms.append(SeriesTerm(family=report.components, support=report.support, dim=report.total_dim))
+        remaining = [i for i in remaining if labels[i] not in report.support]
+    _verify_direct(terms)
     return SeriesReport(kind="relative", terms=tuple(terms), stabilization_index=len(terms), boundary=boundary)
 
 
-def _verify_direct(terms, vertices):
+def _verify_direct(terms):
+    """Raise unless the terms' supports, the members with a nonzero component,
+    are disjoint; distinct members are distinct summands, so the sum is direct."""
     seen = set()
     for t in terms:
         overlap = seen.intersection(t.support)
         if overlap:
             raise EndostructureError(f"series terms share support {sorted(overlap)}")
         seen.update(t.support)
-    if not terms:
-        return
-    for v in vertices:
-        spaces = [t.family.space(v) for t in terms]
-        if reduce(Subspace.add, spaces).dim != sum(s.dim for s in spaces):
-            raise EndostructureError("sum of series terms is not direct")

@@ -664,9 +664,12 @@ class Subspace:
         return c if self.basis @ c == m else None
 
     def add(self, other: "Subspace") -> "Subspace":
+        """The span of both canonical bases, eliminated as they are stored."""
         if other.ambient_dim != self.ambient_dim:
             raise LinalgError("ambient mismatch")
-        return Subspace(self.ambient_dim, self.basis.hstack(other.basis))
+        p = _common_field(self, other).characteristic
+        rows = [dict(r) for s in (self, other) for r in s._rows.values()]  # copies, for the kernel to consume
+        return Subspace._from_rref(self.ambient_dim, _eliminate(rows, p), self.field)
 
     def image(self, m: Mat) -> "Subspace":
         """The image of this subspace under the linear map m."""

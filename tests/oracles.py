@@ -8,11 +8,17 @@ layout.  ``preimage`` is the subspace {x : m @ x in sub}.
 endo-invariance test: the image subspace of sub under every map (every
 End(M) basis map), checked to lie in sub.  ``multiply_coords`` is the
 product of End(M) in the coordinates of ``ring.hom``, composed on M.
+``relative_series_by_embedding`` is the first relative endosocle
+series: ``family_endosocle`` on each remaining subfamily, its components
+embedded into the direct sum of all members.
 """
 
+from functools import reduce
+
+from endoscope.endosocle import _prepare_members, family_endosocle
 from endoscope.homs import hom_basis
 from endoscope.linalg import Mat, Subspace, kernel_basis, sparse_kernel
-from endoscope.reps import Morphism, Representation
+from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum
 
 
 def commuting_square_basis(m: Representation, n: Representation) -> list[Morphism]:
@@ -67,3 +73,40 @@ def multiply_coords(ring, x, y) -> tuple:
     """Coordinates in ``ring.hom`` of the product "x after y", composed on M."""
     hom = ring.hom
     return hom.coordinates(hom.from_coordinates(x).compose(hom.from_coordinates(y)))
+
+
+def relative_series_by_embedding(members, labels=None, boundary=()):
+    """The relative endosocle series, each step a fresh ``family_endosocle``
+    on the remaining members whose components are embedded into the direct
+    sum of all members; the sum of the terms is checked direct vertex by
+    vertex.
+
+    Returns the terms as (support, dim, subspace family of the sum), and
+    the embedding of each indecomposable summand into the sum by label.
+    """
+    members, labels, boundary = _prepare_members(list(members), labels, boundary)
+    total, embeddings, _ = direct_sum(members)
+    remaining = list(range(len(members)))
+    terms = []
+    while remaining:
+        report = family_endosocle(
+            [members[i] for i in remaining], labels=[labels[i] for i in remaining], boundary=boundary
+        )
+        if report.total_dim == 0:
+            break
+        term = SubspaceFamily.zero_for(total)
+        for i in remaining:
+            term = term.add(report.components[labels[i]].image(embeddings[i]))
+        terms.append((report.support, report.total_dim, term))
+        remaining = [i for i in remaining if labels[i] not in report.support]
+    for v in total.presentation.quiver.vertices:
+        spaces = [term.space(v) for _, _, term in terms]
+        summed = reduce(Subspace.add, spaces, Subspace.zero(total.dim(v), total.field))
+        assert summed.dim == sum(s.dim for s in spaces), "sum of series terms is not direct"
+    return terms, dict(zip(labels, embeddings))
+
+
+def embedded(components, embedding) -> SubspaceFamily:
+    """The sum of the per-member ``components`` (label -> family), each
+    carried into the direct sum by ``embedding[label]``."""
+    return reduce(SubspaceFamily.add, (c.image(embedding[l]) for l, c in components.items()))

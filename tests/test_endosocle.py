@@ -1,3 +1,6 @@
+import importlib
+import json
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -10,7 +13,9 @@ from endoscope.endosocle import (
     power_endosocle,
     relative_endosocle_series,
 )
-from endoscope.homs import LocalityUnverified
+from endoscope.harness import FamilySpec
+from endoscope.homs import LocalityUnverified, clear_caches
+from endoscope.quiver import kronecker
 from endoscope.reps import (
     INFINITY,
     SubspaceFamily,
@@ -20,7 +25,8 @@ from endoscope.reps import (
     kronecker_regular,
     socle,
 )
-from oracles import preimage
+from endoscope.serialize import representation_from_json
+from oracles import embedded, preimage, relative_series_by_embedding
 from test_properties import kronecker_reps
 
 
@@ -207,10 +213,91 @@ def test_relative_series_terms_are_direct():
     members, labels = preinjectives(1, 5)
     report = relative_endosocle_series(members, labels=labels)
     total_dim = sum(t.dim for t in report.terms)
+    # each term holds its per-member components; embed them into the sum
+    embedding = dict(zip(labels, direct_sum(members)[1]))
     summed = None
     for t in report.terms:
-        summed = t.family if summed is None else summed.add(t.family)
+        family = embedded(t.family, embedding)
+        summed = family if summed is None else summed.add(family)
     assert summed.total_dim == total_dim
+
+
+def _file_members(*members):
+    return [representation_from_json(json.loads(m), kronecker()) for m in members]
+
+
+# the members of the family files the CI workflow feeds to the installed script
+SUM_FAMILY = _file_members(  # I1+I2, I3, I4 and I2+I2
+    '{"dims": {"1": 3, "2": 1}, "matrices": {"alpha": [["0", "0", "1"]], "beta": [["0", "1", "0"]]}}',
+    '{"dims": {"1": 3, "2": 2}, "matrices": {"alpha": [["0", "1", "0"], ["0", "0", "1"]],'
+    ' "beta": [["1", "0", "0"], ["0", "1", "0"]]}}',
+    '{"dims": {"1": 4, "2": 3}, "matrices": {"alpha": [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],'
+    ' "beta": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]}}',
+    '{"dims": {"1": 4, "2": 2}, "matrices": {"alpha": [["0", "1", "0", "0"], ["0", "0", "0", "1"]],'
+    ' "beta": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]}}',
+)
+CONJ_FAMILY = _file_members(  # I2 and R2(0), each with a rational conjugate
+    '{"dims": {"1": 2, "2": 1}, "matrices": {"alpha": [["-1/2", "1"]], "beta": [["1/2", "-1/2"]]}}',
+    '{"dims": {"1": 2, "2": 1}, "matrices": {"alpha": [["0", "1"]], "beta": [["1", "0"]]}}',
+    '{"dims": {"1": 2, "2": 2}, "matrices": {"alpha": [["1", "0"], ["0", "1"]], "beta": [["0", "1"], ["0", "0"]]}}',
+    '{"dims": {"1": 2, "2": 2}, "matrices": {"alpha": [["2", "-1"], ["1", "0"]], "beta": [["0", "1"], ["0", "1/2"]]}}',
+)
+
+
+def _spec_family(family, range_arg, size=1):
+    fam = FamilySpec.parse(family, range_arg, size=size).build()
+    return fam.members, fam.labels, fam.boundary
+
+
+@pytest.mark.parametrize(
+    "members, labels, boundary",
+    [
+        _spec_family("preinj", "1..8"),
+        _spec_family("preproj", "1..6"),
+        _spec_family("regular", "0..4", size=2),
+        (SUM_FAMILY, None, ()),
+        (CONJ_FAMILY, None, ()),
+    ],
+    ids=["preinj-1..8", "preproj-1..6", "regular-0..4-size-2", "sum-family", "conj-family"],
+)
+def test_relative_series_matches_embedding_oracle(members, labels, boundary):
+    clear_caches()
+    series = relative_endosocle_series(members, labels=labels, boundary=boundary)
+    clear_caches()
+    terms, embedding = relative_series_by_embedding(members, labels=labels, boundary=boundary)
+    assert [(t.support, t.dim) for t in series.terms] == [(support, dim) for support, dim, _ in terms]
+    for t, (_, _, family) in zip(series.terms, terms):
+        assert embedded(t.family, embedding) == family
+
+
+def test_relative_series_splits_each_pair_once(monkeypatch):
+    # one noniso_subspace per ordered pair of distinct members, and one
+    # flat_blocks split per row of those spaces, for all steps together
+    from endoscope.homs import noniso_subspace
+
+    module = importlib.import_module("endoscope.endosocle")  # the package exports a function of that name
+
+    clear_caches()
+    calls = Counter()
+    for name in ("noniso_subspace", "flat_blocks"):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def refuse(*args):
+        raise AssertionError("the relative series embeds its terms into the direct sum")
+
+    # no step recomputes a family endosocle, and no term is embedded
+    for name in ("family_endosocle", "direct_sum"):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(SubspaceFamily, "add", refuse)
+    members, labels = preinjectives(1, 8)
+    relative_endosocle_series(members, labels=labels)
+    rows = sum(noniso_subspace(m, n).dim for m in members for n in members if m is not n)
+    assert calls == {"noniso_subspace": 56, "flat_blocks": 112}
+    assert rows == 112
 
 
 def test_two_route_consistency_small():

@@ -237,6 +237,16 @@ def test_subspace_sum_and_preimage():
     assert preimage(Subspace.zero(2), m) == Subspace.span(2, [(F(0), F(1))])
 
 
+@given(small_mats, st.data())
+@settings(max_examples=60, deadline=None)
+def test_subspace_add_is_the_span_of_both_bases(m, data):
+    # split the columns of m in two: the two spans add up to the span of m
+    k = data.draw(st.integers(min_value=0, max_value=m.cols))
+    left = Mat([r[:k] for r in m.entries], m.rows, k)
+    right = Mat([r[k:] for r in m.entries], m.rows, m.cols - k)
+    assert Subspace(m.rows, left).add(Subspace(m.rows, right)) == Subspace(m.rows, m)
+
+
 def test_scalar_round_trip():
     assert scalar_to_str(F(3)) == "3"
     assert scalar_to_str(F(-1, 2)) == "-1/2"
@@ -335,6 +345,8 @@ def test_mixed_fields_raise():
             intersect(Subspace(2, a), Subspace(2, b))
         with pytest.raises(LinalgError):
             intersect(Subspace.zero(2, a.field), Subspace(2, b))
+        with pytest.raises(LinalgError):
+            Subspace(2, a).add(Subspace(2, b))
 
 
 def test_zero_subspace_needs_no_elimination(monkeypatch):
