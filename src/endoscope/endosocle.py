@@ -14,12 +14,15 @@ current endosocle and recomputes on the remainder.
 
 The endosocle, its components and both series are one computation,
 ``_annihilated``: at every vertex v, the x in M_v with f_v(x) in W_v
-(zero unless given) for each map f out of M, the kernel of the stacked
-blocks annihilator(W_v) @ f_v, read from the canonical rows of hom
+(zero unless given) for each map f out of M, the kernel of the rows of
+the blocks annihilator(W_v) @ f_v, read from the canonical rows of hom
 spaces (``reps.flat_blocks``).  In a family, B_i over members R is that
-kernel for the non-isomorphisms i -> j, j in R (J(End M_i) for j = i);
-the relative series splits each pair's rows once for all its steps and
-keeps its terms per member (label -> component).  Members must have
+kernel for the non-isomorphisms i -> j, j in R (J(End M_i) for j = i).
+The kernel can only shrink as maps are added, so the maps are drawn
+target by target and none once B_i is zero at every vertex: a pair's
+hom system is solved only while its member's kernel is nonzero.  The
+relative series splits each pair's rows at most once for all its steps
+and keeps its terms per member (label -> component).  Members must have
 certified-local endomorphism rings (``homs.EndoRing.local``);
 decomposable ones are split by ``homs.indecompose`` first.
 
@@ -33,10 +36,11 @@ boundary member, instead of asserting limit values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
+from itertools import count
 
 from .homs import end_ring, indecompose, noniso_subspace, require_local
-from .linalg import Mat, kernel_basis
+from .linalg import Subspace, _kernel_rows
 from .reps import Representation, SubspaceFamily, direct_sum, family_labels, flat_blocks
 
 
@@ -62,20 +66,29 @@ def _annihilated(m: Representation, blocks, within: SubspaceFamily | None = None
     ``within``, a subspace family of the maps' common target (zero when None).
 
     The maps are given by their vertex blocks (dicts vertex -> Mat, as
-    ``_blocks`` makes them).  One kernel per vertex, of the stacked blocks
-    annihilator(W_v) @ f_v; all of m when there are no maps.
+    ``_blocks`` makes them).  One kernel per vertex, of the rows of the
+    blocks annihilator(W_v) @ f_v; all of m when there are no maps.  The
+    maps are drawn from ``blocks`` only as a vertex's kernel asks for more
+    rows, which it stops doing once it is zero, and kept for the later
+    vertices; so a lazy ``blocks`` is left unread once every kernel is zero.
     """
-    blocks = list(blocks)
-    if not blocks:
-        return SubspaceFamily.full_for(m)
-    kernels = {}
-    for v in m.presentation.quiver.vertices:
-        stack = [b[v] for b in blocks]
-        if within is not None:
-            annihilator = within.space(v).annihilator()
-            stack = [annihilator @ b for b in stack]
-        kernels[v] = kernel_basis(reduce(Mat.vstack, stack))
-    return SubspaceFamily(kernels)
+    blocks, drawn = iter(blocks), []
+
+    def rows(v):
+        annihilator = None if within is None else within.space(v).annihilator()
+        for k in count():
+            if k == len(drawn):
+                block = next(blocks, None)
+                if block is None:
+                    return
+                drawn.append(block)
+            yield from (drawn[k][v] if annihilator is None else annihilator @ drawn[k][v])._copy()
+
+    p = m.field.characteristic
+    return SubspaceFamily({
+        v: Subspace._from_rref(m.dim(v), _kernel_rows(rows(v), m.dim(v), p), m.field)
+        for v in m.presentation.quiver.vertices
+    })
 
 
 def power_endosocle(m: Representation, k: int) -> SubspaceFamily:
@@ -156,8 +169,9 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     B_i is the set of elements of member i annihilated by every basis
     non-isomorphism into any member of the family (itself included).
     Decomposable members are split into their indecomposable summands
-    first; members with uncertifiable locality are refused.  Each pair is
-    split when its member's kernel is taken, and not kept after it.
+    first; members with uncertifiable locality are refused before any pair
+    is solved.  The pairs (i, j) are split in the order of j only while
+    B_i is nonzero, and not kept after B_i is taken.
     """
     members, labels, boundary = _prepare_members(list(members), labels, boundary)
     return _report(members, labels, boundary, partial(_blocks, members), range(len(members)))
@@ -225,7 +239,7 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
 
     Each step records the endosocle of the direct sum of the remaining
     members, per member, together with its support, then removes the
-    supported members; each pair is split once for all steps.  The terms
+    supported members; each pair is split at most once for all steps.  The terms
     have pairwise disjoint supports, so their sum is direct; this is
     verified.  The stabilization index is the number of nonzero terms.
     """

@@ -26,7 +26,9 @@ against the pivot rows so far, which are kept fully reduced; its
 smallest column becomes its pivot, so the pivot rows sorted by pivot
 are the canonical reduced row echelon form.  A column -> pivot-row
 index limits back-substitution to the rows holding the new pivot
-column, so the work follows the nonzeros.  A pivot other than +-1 is
+column, so the work follows the nonzeros.  Given the width, it draws no
+row after full rank, so a kernel (``_kernel_rows``) stops reading a lazy
+row stream once it is zero.  A pivot other than +-1 is
 inverted as ``Fraction(1, pivot)`` over the rationals and by
 ``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and returns
 dicts of values, for systems that are sparse from the start (the hom
@@ -440,15 +442,19 @@ def _reduce(row: dict, reduced: dict[int, dict], p: int) -> dict:
     return row
 
 
-def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
+def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None) -> dict[int, dict]:
     """Reduced row echelon form of sparse kernel rows (which it consumes).
 
     Returns ``{pivot column: row}``.  Each row has a 1 at its pivot, its
     smallest column, and no entry at any other pivot column; sorted by
-    pivot, the rows are the canonical RREF of the row space.
+    pivot, the rows are the canonical RREF of the row space.  Given the
+    width ``ncols``, it draws no row once it holds ``ncols`` pivots, since
+    every later row would reduce to zero: a lazy ``rows`` is left unread.
     """
     reduced: dict[int, dict] = {}
     holders: dict[int, set] = {}  # column -> pivots of the rows with an entry there
+    if ncols == 0:
+        return reduced
     for row in rows:
         _reduce(row, reduced, p)
         if not row:
@@ -466,6 +472,8 @@ def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
             target = reduced[q]
             _subtract(target, target.pop(piv), row, piv, p, holders, q)
         reduced[piv] = row
+        if len(reduced) == ncols:
+            break
         for j in row:
             if j != piv:
                 holders.setdefault(j, set()).add(piv)
@@ -473,8 +481,9 @@ def _eliminate(rows: Iterable[dict], p: int) -> dict[int, dict]:
 
 
 def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> dict[int, dict]:
-    """The right kernel of sparse kernel rows, as the RREF rows of its canonical basis."""
-    reduced = _eliminate(rows, p)
+    """The right kernel of sparse kernel rows, as the RREF rows of its canonical
+    basis; no row is drawn once the kernel is zero."""
+    reduced = _eliminate(rows, p, ncols)
     free = {f: {f: 1} for f in range(ncols) if f not in reduced}
     for q, row in reduced.items():
         for j, v in row.items():

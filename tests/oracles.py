@@ -10,7 +10,9 @@ End(M) basis map), checked to lie in sub.  ``multiply_coords`` is the
 product of End(M) in the coordinates of ``ring.hom``, composed on M.
 ``relative_series_by_embedding`` is the first relative endosocle
 series: ``family_endosocle`` on each remaining subfamily, its components
-embedded into the direct sum of all members.
+embedded into the direct sum of all members.  ``annihilated_by_stacking``
+is the first ``endosocle._annihilated``: every map drawn first, then one
+``kernel_basis`` per vertex of the stacked blocks.
 """
 
 from functools import reduce
@@ -110,3 +112,20 @@ def embedded(components, embedding) -> SubspaceFamily:
     """The sum of the per-member ``components`` (label -> family), each
     carried into the direct sum by ``embedding[label]``."""
     return reduce(SubspaceFamily.add, (c.image(embedding[l]) for l, c in components.items()))
+
+
+def annihilated_by_stacking(m: Representation, blocks, within: SubspaceFamily | None = None) -> SubspaceFamily:
+    """Vertex by vertex, the elements of m that every map out of m (given by
+    its vertex blocks) sends into ``within`` (zero when None): the kernel of
+    the stacked blocks annihilator(W_v) @ f_v, all of m when there are no maps."""
+    blocks = list(blocks)
+    if not blocks:
+        return SubspaceFamily.full_for(m)
+    kernels = {}
+    for v in m.presentation.quiver.vertices:
+        stack = [b[v] for b in blocks]
+        if within is not None:
+            annihilator = within.space(v).annihilator()
+            stack = [annihilator @ b for b in stack]
+        kernels[v] = kernel_basis(reduce(Mat.vstack, stack))
+    return SubspaceFamily(kernels)

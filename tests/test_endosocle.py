@@ -14,7 +14,7 @@ from endoscope.endosocle import (
     relative_endosocle_series,
 )
 from endoscope.harness import FamilySpec
-from endoscope.homs import LocalityUnverified, clear_caches
+from endoscope.homs import LocalityUnverified, clear_caches, hom_basis
 from endoscope.quiver import kronecker
 from endoscope.reps import (
     INFINITY,
@@ -26,7 +26,7 @@ from endoscope.reps import (
     socle,
 )
 from endoscope.serialize import representation_from_json
-from oracles import embedded, preimage, relative_series_by_embedding
+from oracles import annihilated_by_stacking, embedded, preimage, relative_series_by_embedding
 from test_properties import kronecker_reps
 
 
@@ -133,6 +133,12 @@ def test_family_endosocle_refuses_uncertified_locality():
     )
     with pytest.raises(LocalityUnverified):
         family_endosocle([gauss])
+    # last after preinjectives whose kernels are zero before the family's end:
+    # every member is certified before any pair is solved
+    members, _ = preinjectives(1, 8)
+    for compute in (family_endosocle, relative_endosocle_series):
+        with pytest.raises(LocalityUnverified):  # DecompositionInconclusive too
+            compute(members + [gauss])
 
 
 def test_trim_monotonicity():
@@ -268,6 +274,62 @@ def test_relative_series_matches_embedding_oracle(members, labels, boundary):
     assert [(t.support, t.dim) for t in series.terms] == [(support, dim) for support, dim, _ in terms]
     for t, (_, _, family) in zip(series.terms, terms):
         assert embedded(t.family, embedding) == family
+
+
+def _lazy_and_stacked(monkeypatch, compute):
+    """compute() with each kernel stopped at zero, then with every map drawn
+    and stacked (``oracles.annihilated_by_stacking``), each from cold caches."""
+    clear_caches()
+    lazy = compute()
+    clear_caches()
+    monkeypatch.setattr(importlib.import_module("endoscope.endosocle"), "_annihilated", annihilated_by_stacking)
+    return lazy, compute()
+
+
+@pytest.mark.parametrize(
+    "members, labels, boundary",
+    [
+        _spec_family("preinj", "1..12"),
+        _spec_family("preproj", "1..10"),
+        _spec_family("regular", "0..4", size=2),
+        (SUM_FAMILY, None, ()),
+        (CONJ_FAMILY, None, ()),
+    ],
+    ids=["preinj-1..12", "preproj-1..10", "regular-0..4-size-2", "sum-family", "conj-family"],
+)
+@pytest.mark.parametrize("compute", [family_endosocle, relative_endosocle_series])
+def test_kernels_stopped_at_zero_match_the_stacked_oracle(monkeypatch, compute, members, labels, boundary):
+    lazy, stacked = _lazy_and_stacked(monkeypatch, lambda: compute(members, labels=labels, boundary=boundary))
+    assert lazy == stacked
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [kronecker_preinjective(n) for n in range(1, 6)],
+        [kronecker_regular(4, 0), kronecker_preinjective(3), kronecker_preprojective(3)],
+        CONJ_FAMILY,
+    ],
+    ids=["I1..I5", "R4(0)+I3+P3", "conj-family"],
+)
+def test_endosocle_series_matches_the_stacked_oracle(monkeypatch, parts):
+    # the ascending series draws the radical maps into the previous term
+    total = direct_sum(parts)[0]
+    lazy, stacked = _lazy_and_stacked(monkeypatch, lambda: endosocle_series(total))
+    assert lazy == stacked
+
+
+@pytest.mark.parametrize(
+    "family, range_arg, solved",
+    [("preinj", "1..16", 74), ("preinj", "1..32", 154), ("preproj", "1..10", 64)],
+)
+def test_family_endosocle_solves_a_pair_only_while_its_kernel_is_nonzero(family, range_arg, solved):
+    # drawing every pair solves N^2 hom systems (256, 1024 and 100); on the
+    # preinjectives each B_i with i >= 3 is zero after two or three targets
+    members, labels, boundary = _spec_family(family, range_arg)
+    clear_caches()
+    family_endosocle(members, labels=labels, boundary=boundary)
+    assert hom_basis.cache_info().misses == solved
 
 
 def test_relative_series_splits_each_pair_once(monkeypatch):

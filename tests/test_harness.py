@@ -410,7 +410,8 @@ def test_cli_matsub_eval_file_carrier(capsys, tmp_path):
 
 
 def test_cli_inconclusive_exit_code(capsys, tmp_path):
-    # End = Q(i): locality cannot be certified either way -> exit 3
+    # End = Q(i): locality cannot be certified either way -> exit 3, also
+    # when it comes last, after preinjectives whose kernels close early
     from fractions import Fraction as F
 
     from endoscope.linalg import Mat
@@ -424,16 +425,17 @@ def test_cli_inconclusive_exit_code(capsys, tmp_path):
         {"alpha": Mat.identity(2), "beta": Mat([[F(0), F(-1)], [F(1), F(0)]])},
     )
     family_path = tmp_path / "family.json"
-    family_path.write_text(
-        json.dumps(
-            {
-                "algebra": presentation_to_json(gauss.presentation),
-                "members": [representation_to_json(gauss, include_algebra=False)],
-            }
+    for members in ([gauss], [kronecker_preinjective(n) for n in range(1, 9)] + [gauss]):
+        family_path.write_text(
+            json.dumps(
+                {
+                    "algebra": presentation_to_json(gauss.presentation),
+                    "members": [representation_to_json(m, include_algebra=False) for m in members],
+                }
+            )
         )
-    )
-    code, _ = run_cli(capsys, "endosoc", "--family", "file", "--file", str(family_path))
-    assert code == 3
+        code, out = run_cli(capsys, "endosoc", "--family", "file", "--file", str(family_path))
+        assert code == 3 and out == ""
 
 
 def test_cli_decomposable_file_member_is_split(capsys, tmp_path):

@@ -466,3 +466,43 @@ def test_primitive_row_over_a_prime_field_returns_the_row_as_it_is(p):
     out = primitive_row(row, field)
     assert out == row and out is not row
     assert primitive_row({}, field) == {}
+
+
+@st.composite
+def elimination_cases(draw):
+    """Sparse kernel rows over Q or GF(p), often more of them than columns, and
+    some of them (or all, or none) zero."""
+    p = draw(st.sampled_from([0, 2, 7]))
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    values = st.integers(min_value=1, max_value=p - 1) if p else nonzero_rationals.map(QQ.of)
+    columns = st.integers(min_value=0, max_value=max(ncols - 1, 0))
+    row = st.dictionaries(columns, values, max_size=ncols) if ncols else st.just({})
+    return p, ncols, draw(st.lists(row, max_size=9))
+
+
+@given(elimination_cases())
+@settings(max_examples=150, deadline=None)
+def test_eliminate_with_width_stops_at_full_rank(case):
+    p, ncols, rows = case
+    drawn = []
+
+    def counted():
+        for row in rows:
+            drawn.append(row)
+            yield dict(row)
+
+    def full(rows):
+        return linalg._eliminate([dict(r) for r in rows], p)
+
+    assert linalg._eliminate(counted(), p, ncols) == full(rows)
+    # no row is drawn once the rank is ncols, and none at all when ncols == 0
+    if ncols == 0:
+        assert drawn == []
+    else:
+        assert len(full(drawn[:-1])) < ncols
+        assert len(drawn) == len(rows) or len(full(drawn)) == ncols
+    # the kernel passes its width, so a zero kernel leaves the rows unread
+    first = len(drawn)
+    drawn.clear()
+    assert linalg._kernel_rows(counted(), ncols, p) == linalg._kernel_rows([dict(r) for r in rows], ncols, p)
+    assert len(drawn) == first
