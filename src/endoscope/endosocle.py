@@ -14,17 +14,18 @@ current endosocle and recomputes on the remainder.
 
 The endosocle, its components and both series are one computation,
 ``_annihilated``: at every vertex v, the x in M_v with f_v(x) in W_v
-(zero unless given) for each map f out of M, the kernel of the rows of
-the blocks annihilator(W_v) @ f_v, read from the canonical rows of hom
-spaces (``reps.flat_blocks``).  In a family, B_i over members R is that
-kernel for the non-isomorphisms i -> j, j in R (J(End M_i) for j = i).
-The kernel can only shrink as maps are added, so the maps are drawn
-target by target and none once B_i is zero at every vertex: a pair's
-hom system is solved only while its member's kernel is nonzero.  The
-relative series splits each pair's rows at most once for all its steps
-and keeps its terms per member (label -> component).  Members must have
-certified-local endomorphism rings (``homs.EndoRing.local``);
-decomposable ones are split by ``homs.indecompose`` first.
+(zero unless given) for each map f from M to a target N, the kernel of
+the rows of the blocks annihilator(W_v) @ f_v.  The maps are the
+non-isomorphisms M -> N, held as vertex blocks by ``homs.noniso_blocks``
+(J(End M) for N = M), which splits each pair once and keeps the split
+for every later endosocle that reads the pair.  In a family, B_i over
+members R is that kernel for the targets j in R.  The kernel can only
+shrink as maps are added, so the targets are walked in order and none
+once B_i is zero at a vertex: a pair's hom system is solved only while
+its member's kernel is nonzero.  The relative series keeps its terms
+per member (label -> component).  Members must have certified-local
+endomorphism rings (``homs.EndoRing.local``); decomposable ones are
+split by ``homs.indecompose`` first.
 
 Family-level reports carry optional "boundary" labels: members of a
 truncated infinite family whose components may be inflated because
@@ -36,12 +37,10 @@ boundary member, instead of asserting limit values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import count
 
-from .homs import end_ring, indecompose, noniso_subspace, require_local
+from .homs import indecompose, noniso_blocks, require_local
 from .linalg import Subspace, _kernel_rows
-from .reps import Representation, SubspaceFamily, direct_sum, family_labels, flat_blocks
+from .reps import Representation, SubspaceFamily, direct_sum, family_labels
 
 
 class EndostructureError(ValueError):
@@ -50,39 +49,25 @@ class EndostructureError(ValueError):
 
 def endosocle(m: Representation) -> SubspaceFamily:
     """The socle of m over its endomorphism ring, vertex by vertex."""
-    return _annihilated(m, _blocks([m], 0, 0))
+    return _annihilated(m, [m])
 
 
-def _blocks(members, i, j) -> list[dict]:
-    """The vertex blocks of each canonical row of J(End members[i]) when i = j,
-    else of the non-isomorphisms members[i] -> members[j] (``noniso_subspace``)."""
-    m = members[i]
-    space = end_ring(m).radical_space() if i == j else noniso_subspace(m, members[j])
-    return [flat_blocks(m, space.target, row) for row in space.rows.values()]
+def _annihilated(m: Representation, targets, within: SubspaceFamily | None = None) -> SubspaceFamily:
+    """Vertex by vertex, the elements of m that every non-isomorphism from m
+    to a module of ``targets`` sends into ``within`` (zero when None), a
+    subspace family of the single target it comes with.
 
-
-def _annihilated(m: Representation, blocks, within: SubspaceFamily | None = None) -> SubspaceFamily:
-    """Vertex by vertex, the elements of m that every map out of m sends into
-    ``within``, a subspace family of the maps' common target (zero when None).
-
-    The maps are given by their vertex blocks (dicts vertex -> Mat, as
-    ``_blocks`` makes them).  One kernel per vertex, of the rows of the
-    blocks annihilator(W_v) @ f_v; all of m when there are no maps.  The
-    maps are drawn from ``blocks`` only as a vertex's kernel asks for more
-    rows, which it stops doing once it is zero, and kept for the later
-    vertices; so a lazy ``blocks`` is left unread once every kernel is zero.
+    One kernel per vertex, of the rows of the blocks annihilator(W_v) @ f_v
+    of ``homs.noniso_blocks(m, n)``, n in ``targets`` in order; all of m when
+    there are no maps.  A vertex stops walking the targets once its kernel
+    is zero, so a pair is split only while some vertex of m asks for it.
     """
-    blocks, drawn = iter(blocks), []
 
     def rows(v):
         annihilator = None if within is None else within.space(v).annihilator()
-        for k in count():
-            if k == len(drawn):
-                block = next(blocks, None)
-                if block is None:
-                    return
-                drawn.append(block)
-            yield from (drawn[k][v] if annihilator is None else annihilator @ drawn[k][v])._copy()
+        for n in targets:
+            for block in noniso_blocks(m, n):
+                yield from (block[v] if annihilator is None else annihilator @ block[v])._copy()
 
     p = m.field.characteristic
     return SubspaceFamily({
@@ -154,10 +139,11 @@ def _prepare_members(members, labels, boundary=()):
     return out_members, out_labels, tuple(s for b in boundary if b in summands for s in summands[b])
 
 
-def _report(members, labels, boundary, blocks, among) -> EndosocleReport:
+def _report(members, labels, boundary, among) -> EndosocleReport:
     """The endosocle of the sum of the prepared members with indices in the
-    sequence ``among``: each B_i is annihilated by ``blocks(i, j)``, j in it."""
-    components = {labels[i]: _annihilated(members[i], (b for j in among for b in blocks(i, j))) for i in among}
+    sequence ``among``: each B_i is annihilated by the maps into those members."""
+    targets = [members[j] for j in among]
+    components = {labels[i]: _annihilated(members[i], targets) for i in among}
     support = tuple(sorted((l for l, c in components.items() if c.total_dim), key=_label_key))
     total = sum(c.total_dim for c in components.values())
     return EndosocleReport(tuple(components), components, support, total, tuple(l for l in boundary if l in components))
@@ -171,10 +157,10 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     Decomposable members are split into their indecomposable summands
     first; members with uncertifiable locality are refused before any pair
     is solved.  The pairs (i, j) are split in the order of j only while
-    B_i is nonzero, and not kept after B_i is taken.
+    B_i is nonzero, and kept (``homs.noniso_blocks``) for later families.
     """
     members, labels, boundary = _prepare_members(list(members), labels, boundary)
-    return _report(members, labels, boundary, partial(_blocks, members), range(len(members)))
+    return _report(members, labels, boundary, range(len(members)))
 
 
 def _label_key(label):
@@ -208,10 +194,6 @@ class SeriesReport:
     stabilization_index: int
     boundary: tuple = ()
 
-    @property
-    def length(self) -> int:
-        return self.stabilization_index
-
 
 def endosocle_series(m: Representation) -> SeriesReport:
     """The ascending endosocle series of a single module.
@@ -220,13 +202,12 @@ def endosocle_series(m: Representation) -> SeriesReport:
     until it stabilizes, which for a faithful finite-dimensional module
     happens at the full module.
     """
-    rad = _blocks([m], 0, 0)
     vertices = m.presentation.quiver.vertices
     current = SubspaceFamily.zero_for(m)
     terms = []
     while True:
         # term k + 1 is sent into term k by every radical map
-        nxt = _annihilated(m, rad, current)
+        nxt = _annihilated(m, [m], current)
         if nxt == current:
             break
         terms.append(SeriesTerm(nxt, tuple(v for v in vertices if nxt.space(v).dim), nxt.total_dim))
@@ -244,11 +225,10 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
     verified.  The stabilization index is the number of nonzero terms.
     """
     members, labels, boundary = _prepare_members(list(members), labels, boundary)
-    blocks = cache(partial(_blocks, members))
     remaining = range(len(members))
     terms = []
     while remaining:
-        report = _report(members, labels, boundary, blocks, remaining)
+        report = _report(members, labels, boundary, remaining)
         if report.total_dim == 0:
             break
         terms.append(SeriesTerm(family=report.components, support=report.support, dim=report.total_dim))

@@ -71,7 +71,6 @@ class Family:
     members: tuple
     labels: tuple
     boundary: tuple = ()
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,14 @@ class FamilySpec:
     def build(self, field=QQ) -> Family:
         if self.kind == "file":
             members = load_family_file(self.path, field)
-            return Family(tuple(members), tuple(range(len(members))), (), "file")
+            return Family(tuple(members), tuple(range(len(members))))
         if self.kind == "kronecker-regular":
             members = tuple(kronecker_regular(self.size, lam, field) for lam in range(self.lo, self.hi + 1))
-            return Family(members, tuple(range(self.lo, self.hi + 1)), (), self.kind)
+            return Family(members, tuple(range(self.lo, self.hi + 1)))
         builder = _BUILDERS[self.kind]
         members = tuple(builder(n, field) for n in range(self.lo, self.hi + 1))
         labels = tuple(range(self.lo, self.hi + 1))
-        return Family(members, labels, (self.hi,), self.kind)
+        return Family(members, labels, (self.hi,))
 
     def truncated_family(self, hi: int, field=QQ) -> Family:
         """The family at truncation hi: indices up to hi for builtin
@@ -122,7 +121,7 @@ class FamilySpec:
         for file families."""
         if self.kind == "file":
             fam = self.build(field)
-            return Family(fam.members[:hi], fam.labels[:hi], (), fam.name)
+            return Family(fam.members[:hi], fam.labels[:hi])
         if self.kind == "kronecker-regular":
             return FamilySpec(self.kind, 0, hi - 1, self.size).build(field)
         return FamilySpec(self.kind, self.lo, hi, self.size).build(field)
@@ -182,7 +181,8 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ) -> list[dict]
             value = series.stabilization_index
             flag = any(set(t.support) & set(series.boundary) for t in series.terms)
         else:  # radical-depth
-            bound = 2 ** max(m.length() for m in fam.members) - 1
+            # at least 1: a family of zero modules meets the profile's own refusal
+            bound = max(2 ** max(m.length() for m in fam.members) - 1, 1)
             profile = radical_profile(fam.members, d_max=bound, labels=fam.labels)
             value = profile.vanishing_depth
             flag = False

@@ -18,9 +18,9 @@ one-dimensional.  ``indecompose`` splits what is not local, ``is_local``
 tells "decomposable" from "undecided", and ``require_local`` refuses,
 naming the module's dimension vector and dim End/J.
 
-Hom and End computations are cached by value, so repeated family-level
-invariants reuse the underlying kernels; so are each module's spun
-presentations.
+Hom spaces, End rings, the vertex blocks of each pair's non-isomorphisms
+(``noniso_blocks``) and each module's spun presentations are cached by
+value, so the many endosocles of overlapping families split each pair once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Literal, Mapping, Sequence
 
 from .linalg import Mat, Subspace, _eliminate, _reduce, _subtract, invert, kernel_basis
-from .reps import Morphism, Representation
+from .reps import Morphism, Representation, flat_blocks
 from .spin import presentation, sides, spun_homs
 
 
@@ -561,8 +561,17 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     return sub
 
 
+@lru_cache(maxsize=None)
+def noniso_blocks(m: Representation, n: Representation) -> tuple[dict, ...]:
+    """The vertex blocks (``reps.flat_blocks``) of each canonical row of the
+    non-isomorphisms m -> n: of J(End m) when m == n, else of
+    ``noniso_subspace``.  Cached by value; the blocks must not be mutated."""
+    space = end_ring(m).radical_space() if m == n else noniso_subspace(m, n)
+    return tuple(flat_blocks(m, n, row) for row in space.rows.values())
+
+
 def clear_caches():
-    """Drop the memoized hom spaces and endomorphism rings, and the
-    memoized sides and presentations of each module (``endoscope.spin``)."""
-    for cache in (hom_basis, end_ring, sides, presentation):
+    """Drop the memoized hom spaces, endomorphism rings and non-isomorphism
+    blocks, and the sides and presentations of each module (``endoscope.spin``)."""
+    for cache in (hom_basis, end_ring, noniso_blocks, sides, presentation):
         cache.cache_clear()

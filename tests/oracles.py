@@ -18,7 +18,7 @@ is the first ``endosocle._annihilated``: every map drawn first, then one
 from functools import reduce
 
 from endoscope.endosocle import _prepare_members, family_endosocle
-from endoscope.homs import hom_basis
+from endoscope.homs import hom_basis, noniso_blocks
 from endoscope.linalg import Mat, Subspace, kernel_basis, sparse_kernel
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum
 
@@ -114,11 +114,12 @@ def embedded(components, embedding) -> SubspaceFamily:
     return reduce(SubspaceFamily.add, (c.image(embedding[l]) for l, c in components.items()))
 
 
-def annihilated_by_stacking(m: Representation, blocks, within: SubspaceFamily | None = None) -> SubspaceFamily:
-    """Vertex by vertex, the elements of m that every map out of m (given by
-    its vertex blocks) sends into ``within`` (zero when None): the kernel of
-    the stacked blocks annihilator(W_v) @ f_v, all of m when there are no maps."""
-    blocks = list(blocks)
+def annihilated_by_stacking(m: Representation, targets, within: SubspaceFamily | None = None) -> SubspaceFamily:
+    """Vertex by vertex, the elements of m that every non-isomorphism from m
+    to a module of ``targets`` (its vertex blocks, ``homs.noniso_blocks``)
+    sends into ``within`` (zero when None): the kernel of the stacked blocks
+    annihilator(W_v) @ f_v, all of m when there are no maps."""
+    blocks = [b for n in targets for b in noniso_blocks(m, n)]
     if not blocks:
         return SubspaceFamily.full_for(m)
     kernels = {}

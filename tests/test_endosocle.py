@@ -338,15 +338,16 @@ def test_relative_series_splits_each_pair_once(monkeypatch):
     from endoscope.homs import noniso_subspace
 
     module = importlib.import_module("endoscope.endosocle")  # the package exports a function of that name
+    homs = importlib.import_module("endoscope.homs")
 
     clear_caches()
     calls = Counter()
     for name in ("noniso_subspace", "flat_blocks"):
-        def counted(*args, _name=name, _original=getattr(module, name)):
+        def counted(*args, _name=name, _original=getattr(homs, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(homs, name, counted)
 
     def refuse(*args):
         raise AssertionError("the relative series embeds its terms into the direct sum")
@@ -360,6 +361,43 @@ def test_relative_series_splits_each_pair_once(monkeypatch):
     rows = sum(noniso_subspace(m, n).dim for m in members for n in members if m is not n)
     assert calls == {"noniso_subspace": 56, "flat_blocks": 112}
     assert rows == 112
+
+
+def _split_counts(monkeypatch, compute):
+    """The ``noniso_subspace`` and ``flat_blocks`` calls of compute() from cold
+    caches, and the hom systems it solves."""
+    homs = importlib.import_module("endoscope.homs")
+    calls = Counter()
+    for name in ("noniso_subspace", "flat_blocks"):
+        def counted(*args, _name=name, _original=getattr(homs, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(homs, name, counted)
+    clear_caches()
+    compute()
+    return calls["noniso_subspace"], calls["flat_blocks"], hom_basis.cache_info().misses
+
+
+@pytest.mark.parametrize(
+    "invariant, counts",
+    # splitting again at every truncation made 166 / 292 and 96 / 187 calls
+    [("relative-length", (56, 112, 64)), ("endosoc-support", (26, 62, 34))],
+)
+def test_sweep_splits_each_pair_once_across_truncations(monkeypatch, invariant, counts):
+    from endoscope.harness import sweep
+
+    spec = FamilySpec.parse("preinj", "1..8")
+    assert _split_counts(monkeypatch, lambda: sweep(spec, invariant, range(3, 9))) == counts
+
+
+def test_cli_endosocle_and_relative_series_share_the_splits(monkeypatch, capsys):
+    # the family endosocle and the relative series each split the pairs: 82 / 174
+    from endoscope.cli import main
+
+    argv = ["endosoc", "--family", "preinj", "--range", "1..8", "--relative"]
+    assert _split_counts(monkeypatch, lambda: main(argv)) == (56, 112, 64)
+    assert json.loads(capsys.readouterr().out)["results"]["support"] == ["1", "2"]
 
 
 def test_two_route_consistency_small():

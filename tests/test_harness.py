@@ -260,6 +260,21 @@ def test_cli_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert captured.out == ""
 
 
+def test_cli_radical_depth_sweep_of_zero_members_meets_the_profile_refusal(capsys, tmp_path):
+    # every member has length 0, so 2^0 - 1 = 0 would be a depth bound the user
+    # never gave; floored at 1, the sweep refuses as radical-profile does on the file
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"algebra": presentation_to_json(kronecker()), "members": [{"dims": {"1": 0, "2": 0}}]}))
+    errors = []
+    for argv in (["sweep", "--invariant", "radical-depth", "--min", "1", "--max", "1"], ["radical-profile"]):
+        assert main(argv + ["--family", "file", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and "depth bound" not in errors[0]
+
+
 @pytest.mark.parametrize("command", ["endosoc", "radical-profile", "transversal"])
 def test_cli_family_file_of_mixed_algebras_is_a_usage_error(capsys, tmp_path, command):
     # no top-level algebra: each member carries its own, and I2 and its dual differ

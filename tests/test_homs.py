@@ -18,6 +18,7 @@ from endoscope.homs import (
     is_isomorphism,
     is_local,
     jacobson_radical,
+    noniso_blocks,
     noniso_subspace,
 )
 from endoscope.linalg import QQ, Mat, PrimeField
@@ -329,6 +330,30 @@ def test_noniso_subspace_requires_locality(preinj):
     total, _, _ = direct_sum([preinj[1], preinj[2]])
     with pytest.raises(LocalityUnverified):
         noniso_subspace(total, total)
+
+
+def test_noniso_blocks_are_cached_until_clear_caches(preinj):
+    homs.clear_caches()
+    blocks = noniso_blocks(preinj[3], preinj[2])
+    assert len(blocks) == noniso_subspace(preinj[3], preinj[2]).dim == 2
+    assert noniso_blocks(kronecker_preinjective(3), kronecker_preinjective(2)) is blocks  # by value
+    homs.clear_caches()
+    assert noniso_blocks.cache_info().currsize == 0
+
+
+def test_noniso_blocks_keep_fields_apart():
+    # End(I3) is the field: no radical rows over Q, and over GF(101) the radical
+    # is refused, not read from the rational entry
+    homs.clear_caches()
+    rational, prime = kronecker_preinjective(3), kronecker_preinjective(3, PrimeField(101))
+    assert noniso_blocks(rational, rational) == ()
+    with pytest.raises(UnsupportedFieldError):
+        noniso_blocks(prime, prime)
+    assert noniso_blocks.cache_info().hits == 0
+    # zero modules have no radical to refuse: one entry per field
+    zeros = [Representation(kronecker(), {}, {}, field) for field in (QQ, PrimeField(101))]
+    assert [noniso_blocks(z, z) for z in zeros] == [(), ()]
+    assert noniso_blocks.cache_info().currsize == 3
 
 
 def test_hom_rejects_mixed_presentations(preinj):
