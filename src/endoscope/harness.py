@@ -115,16 +115,16 @@ class FamilySpec:
         labels = tuple(range(self.lo, self.hi + 1))
         return Family(members, labels, (self.hi,))
 
-    def truncated_family(self, hi: int, field=QQ) -> Family:
-        """The family at truncation hi: indices up to hi for builtin
-        ranges (tube parameters 0..hi-1 for regulars), a member prefix
-        for file families."""
-        if self.kind == "file":
-            fam = self.build(field)
-            return Family(fam.members[:hi], fam.labels[:hi])
-        if self.kind == "kronecker-regular":
-            return FamilySpec(self.kind, 0, hi - 1, self.size).build(field)
-        return FamilySpec(self.kind, self.lo, hi, self.size).build(field)
+    def truncated_families(self, his, field=QQ):
+        """The family at each truncation hi, in order: indices up to hi (tube parameters
+        0..hi-1 for regulars), or for a file family a prefix of its members, read once."""
+        full = self.build(field) if self.kind == "file" else None
+        for hi in his:
+            if full is not None:
+                yield Family(full.members[:hi], full.labels[:hi])
+            else:
+                lo, top = (0, hi - 1) if self.kind == "kronecker-regular" else (self.lo, hi)
+                yield FamilySpec(self.kind, lo, top, self.size).build(field)
 
 
 @dataclass
@@ -164,8 +164,7 @@ def sweep(spec: FamilySpec, invariant: str, truncations, field=QQ) -> list[dict]
     if not truncations:
         raise HarnessError("empty truncation range")
     rows = []
-    for n in truncations:
-        fam = spec.truncated_family(n, field)
+    for n, fam in zip(truncations, spec.truncated_families(truncations, field)):
         if not fam.members:
             raise HarnessError(f"truncation {n} leaves the family empty")
         if invariant in ("endosoc-support", "endosoc-dim"):

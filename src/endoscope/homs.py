@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Literal, Mapping, Sequence
 
 from .linalg import Mat, Subspace, _eliminate, _reduce, _subtract, invert, kernel_basis
-from .reps import Morphism, Representation, flat_blocks
+from .reps import Morphism, Representation, composite_flats, flat_blocks
 from .spin import presentation, sides, spun_homs
 
 
@@ -112,13 +112,17 @@ class HomSpace:
         return self.try_coordinates(f) is not None
 
     def from_coordinates(self, coords: Sequence) -> Morphism:
+        return Morphism.unflatten(self.source, self.target, self._flat(coords))
+
+    def _flat(self, coords: Sequence) -> dict:
+        """The flat of the map with coordinates ``coords``: the rows weighted by them."""
         if len(coords) != self.dim:
             raise HomalgError("coordinate length mismatch")
         field, flat = self.source.field, {}
         for c, row in zip(coords, self.rows.values()):
             if c := field.of(c):
                 _subtract(flat, -c, row, -1, field.characteristic)  # flat += c * row
-        return Morphism.unflatten(self.source, self.target, flat)
+        return flat
 
     def __repr__(self):
         return f"HomSpace(dim {self.dim})"
@@ -229,7 +233,8 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
     ``ring.hom`` and as a hom space.
 
     End(M) acts faithfully on M, so in characteristic zero this kernel is
-    the Jacobson radical (Dickson's criterion).  It is checked nilpotent.
+    the Jacobson radical (Dickson's criterion).  Its maps, formed as flats,
+    are checked nilpotent on their vertex blocks, with no ``Morphism`` built.
     """
     m, hom = ring.module, ring.hom
     if hom.dim == 0:
@@ -246,23 +251,23 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
     flipped = [{transpose[i]: x for i, x in g.items()} for g in rows]
     gram = [[sum(x * g[i] for i, x in f.items() if i in g) for g in flipped] for f in rows]
     radical = kernel_basis(Mat(gram, hom.dim, hom.dim, m.field))
-    maps = [hom.from_coordinates(x) for x in radical.vectors()]
-    _check_nilpotent(m, maps)
+    flats = [hom._flat(x) for x in radical.vectors()]
+    _check_nilpotent(m, [flat_blocks(m, m, flat) for flat in flats])
     # a canonical coordinate row weights the rows of hom, each 1 at its pivot and
     # 0 at the others, into a map that is 1 at the pivot of its own pivot row and 0
     # at those of the other coordinate rows: the canonical rows of J's span
-    return radical, HomSpace(m, m, {min(flat): flat for flat in (f.flatten() for f in maps)})
+    return radical, HomSpace(m, m, {min(flat): flat for flat in flats})
 
 
-def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
-    """Raise unless every product of s of the morphisms vanishes, for some s.
+def _check_nilpotent(m: Representation, maps: Sequence[Mapping[str, Mat]]):
+    """Raise unless every product of s of the maps ``{vertex: Mat}`` vanishes, for some s.
 
-    With J the span of the morphisms, W runs through M, JM, J^2 M, ...;
-    each step maps W vertex by vertex through every morphism.  End(M)
-    acts faithfully on M, so J^s = 0 iff J^s M = 0, and a nilpotent J
-    shrinks W at every step, so W = 0 within dim M steps.
+    With J their span, W runs through M, JM, J^2 M, ...; each step maps W
+    vertex by vertex through every map.  End(M) acts faithfully on M, so
+    J^s = 0 iff J^s M = 0, and a nilpotent J shrinks W at every step, so
+    W = 0 within dim M steps.
     """
-    if not morphisms:
+    if not maps:
         return
     layer = {v: Mat.identity(m.dim(v), m.field) for v in m.presentation.quiver.vertices}
     steps = 0
@@ -271,7 +276,7 @@ def _check_nilpotent(m: Representation, morphisms: Sequence[Morphism]):
             raise HomalgError("trace-form radical failed the nilpotency check")
         steps += 1
         layer = {
-            v: Subspace(m.dim(v), reduce(Mat.hstack, [r.blocks[v] @ w for r in morphisms])).basis
+            v: Subspace(m.dim(v), reduce(Mat.hstack, [r[v] @ w for r in maps])).basis
             for v, w in layer.items()
         }
 
@@ -283,10 +288,11 @@ def jacobson_radical(ring: EndoRing) -> Subspace:
 
 def is_isomorphism(f: Morphism) -> bool:
     """True iff every vertex block is square and invertible."""
-    for v, m in f.blocks.items():
-        if m.rows != m.cols or m.rank() != m.rows:
-            return False
-    return True
+    return _invertible(f.blocks)
+
+
+def _invertible(blocks: Mapping[str, Mat]) -> bool:
+    return all(m.rows == m.cols and m.rank() == m.rows for m in blocks.values())
 
 
 @dataclass(frozen=True)
@@ -310,10 +316,7 @@ class IsoCertificate:
 def inverse_morphism(f: Morphism) -> Morphism | None:
     blocks = {}
     for v, m in f.blocks.items():
-        if m.rows != m.cols:
-            return None
-        inv = invert(m)
-        if inv is None:
+        if m.rows != m.cols or (inv := invert(m)) is None:
             return None
         blocks[v] = inv
     return Morphism(f.target, f.source, blocks, _validate=False)
@@ -345,8 +348,7 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     if m.dim_vector != n.dim_vector:
         return IsoCertificate("certified_no")
     if m.total_dim == 0:
-        ident = Morphism.zero(m, n)
-        return IsoCertificate("iso", ident, Morphism.zero(n, m))
+        return IsoCertificate("iso", Morphism.zero(m, n), Morphism.zero(n, m))
     if m == n:
         ident = Morphism.identity(m)
         return IsoCertificate("iso", ident, ident)
@@ -354,8 +356,6 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     if forward.dim == 0:
         return IsoCertificate("certified_no")
     for f in forward.basis:
-        if not is_isomorphism(f):
-            continue
         g = inverse_morphism(f)
         if g is not None and f.compose(g) == Morphism.identity(n) and g.compose(f) == Morphism.identity(m):
             return IsoCertificate("iso", f, g)
@@ -541,23 +541,25 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     """The subspace of Hom(m, n) consisting of the non-isomorphisms.
 
     Both endomorphism rings must be certified local (``require_local``).
-    For non-isomorphic ends this is all of Hom(m, n); for isomorphic ends
-    it is phi . J(End m), where phi is the witness of ``are_isomorphic`` (a
-    basis element of Hom(m, n), since m is local), and those are
-    exactly the non-invertible homomorphisms.  Either is held, like every
-    hom space, as the canonical rows of its span.
+    For m == n this is J(End m), ``EndoRing.radical_space``.  For
+    non-isomorphic ends it is all of Hom(m, n); for isomorphic ends it is
+    phi . J(End m) (``reps.composite_flats``), where phi is the witness of
+    ``are_isomorphic``, checked to have codimension 1 and no invertible row.
+    Those are exactly the non-invertible homomorphisms, held, like every
+    hom space, as the canonical rows of their span.
     """
     ring = require_local(m)
+    if m == n:
+        return ring.radical_space()
     require_local(n)
     cert = are_isomorphic(m, n)
     if cert.status == "certified_no":
         return hom_basis(m, n)
-    sub = HomSpace.span(m, n, [cert.witness.compose(r).flatten() for r in ring.radical_space().basis])
+    sub = HomSpace.span(m, n, composite_flats([cert.witness.blocks], noniso_blocks(m, m)))
     if sub.dim != hom_basis(m, n).dim - 1:
         raise HomalgError("non-isomorphism subspace has unexpected dimension")
-    for f in sub.basis:
-        if is_isomorphism(f):
-            raise HomalgError("non-isomorphism subspace contains an isomorphism")
+    if any(_invertible(flat_blocks(m, n, row)) for row in sub.rows.values()):
+        raise HomalgError("non-isomorphism subspace contains an isomorphism")
     return sub
 
 

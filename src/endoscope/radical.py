@@ -12,16 +12,18 @@ non-isomorphisms between indecomposables of length <= b are zero.
 The profile is built level by level, one ordered pair at a time.  Each
 power of a pair is held as the canonical reduced echelon rows of its
 span in the ``Morphism.flatten`` layout, where the composites are
-formed (``Morphism.composite_flats``) and reduced.  The maps a level
-composes are its rows scaled to coprime ints (``linalg.primitive_row``),
-which leaves each span as it is and makes every product in a composite
-an int product.  From depth 3 on only the irreducible maps, a complement
-of rad^2 in rad, are composed on the left; a middle member with no map
-on one side is skipped, and a pair whose power has vanished is not
-composed again.  Every level is built on the least-height member of
-each isomorphism class at source, middle and target, so a rational
-conjugate of an integer module is not composed; another pair's rows are
-carried over through the certified isomorphisms when first asked for.
+formed from vertex blocks (``reps.composite_flats``) and reduced; a
+``Morphism`` is built only for the basis maps a caller asks for.  The
+maps a level composes are its rows scaled to coprime ints
+(``linalg.primitive_row``), which leaves each span as it is and makes
+every product in a composite an int product.  From depth 3 on only the
+irreducible maps, a complement of rad^2 in rad, are composed on the
+left; a middle member with no map on one side is skipped, and a pair
+whose power has vanished is not composed again.  Every level is built
+on the least-height member of each isomorphism class at source, middle
+and target, so a rational conjugate of an integer module is not
+composed; another pair's rows are carried over through the certified
+isomorphisms when first asked for.
 ``radical_profile`` proves that all of this spans the same powers.
 
 Left-sided conditions are measured through vector-space duality: the
@@ -46,7 +48,7 @@ from .homs import (
     require_local,
 )
 from .linalg import Subspace, _reduce, primitive_row
-from .reps import Morphism, dual, family_labels
+from .reps import Morphism, composite_flats, dual, family_labels, flat_blocks
 
 
 class RadicalError(ValueError):
@@ -97,10 +99,11 @@ class RadicalProfile:
         source, target = self._members[i], self._members[j]
         if key not in self._rows:
             (a, phi), (b, psi) = self._classes[i], self._classes[j]
-            rep_maps = [Morphism.unflatten(self._members[a], self._members[b], r) for r in self._rows[(depth, a, b)]]
-            flats = [psi.witness.compose(f).compose(phi.inverse).flatten() for f in rep_maps]
+            rep_maps = [flat_blocks(self._members[a], self._members[b], r) for r in self._rows[(depth, a, b)]]
+            psi_f = composite_flats([psi.witness.blocks], rep_maps)
+            flats = composite_flats([flat_blocks(self._members[a], target, x) for x in psi_f], [phi.inverse.blocks])
             self._rows[key] = list(HomSpace.span(source, target, flats).rows.values())
-        return [Morphism(source, target, Morphism.unflatten(source, target, r).blocks) for r in self._rows[key]]
+        return [Morphism(source, target, flat_blocks(source, target, r)) for r in self._rows[key]]
 
     def _position(self, label) -> int:
         if label not in self.labels:
@@ -209,7 +212,9 @@ def _height(m) -> int:
 
 
 def _refusal(m) -> Exception | None:
-    """Why m cannot be a profile member (decomposable, or not certified local), or None."""
+    """Why m cannot be a profile member (zero, decomposable, or not certified local), or None."""
+    if m.is_zero():
+        return RadicalError(f"member {m!r} is the zero module; members must be nonzero")
     try:
         if is_local(end_ring(m)) is False:
             return RadicalError(f"member {m!r} is decomposable; pass its indecomposable summands")
@@ -231,14 +236,14 @@ def _checked_rows(hom: HomSpace, space: HomSpace) -> list:
 
 def _composite_rows(hom: HomSpace, factors) -> list:
     """``_checked_rows`` of the span of the composites g f over ``factors`` = [(gs, fs), ...]."""
-    flats = [flat for gs, fs in factors for flat in Morphism.composite_flats(gs, fs)]
+    flats = [flat for gs, fs in factors for flat in composite_flats(gs, fs)]
     return _checked_rows(hom, HomSpace.span(hom.source, hom.target, flats))
 
 
-def _maps(hom: HomSpace, rows) -> list[Morphism]:
-    """The rows as maps, each scaled to coprime ints (``linalg.primitive_row``)."""
+def _maps(hom: HomSpace, rows) -> list[dict]:
+    """The rows as vertex blocks (``reps.flat_blocks``), each scaled to coprime ints (``linalg.primitive_row``)."""
     field = hom.source.field
-    return [Morphism.unflatten(hom.source, hom.target, primitive_row(r, field)) for r in rows]
+    return [flat_blocks(hom.source, hom.target, primitive_row(r, field)) for r in rows]
 
 
 @dataclass

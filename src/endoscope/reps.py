@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .linalg import Mat, QQ, Subspace, assemble, kernel_basis
+from .linalg import Mat, QQ, Subspace, _mat, assemble, kernel_basis
 from .quiver import AlgebraPresentation, QuiverError, act, kronecker
 
 
@@ -309,57 +310,9 @@ class Morphism:
 
     @classmethod
     def unflatten(cls, source: Representation, target: Representation, flat: Mapping) -> "Morphism":
-        """The map source -> target whose ``flatten()`` is ``flat``.
-
-        Not checked to commute with the arrows: callers check membership
-        themselves (the radical profile reduces every row against the
-        canonical rows of its hom space, or rebuilds the map validated).
-        """
+        """The map source -> target whose ``flatten()`` is ``flat``, a flat in
+        value format (``flat_blocks``); not checked to commute with the arrows."""
         return cls(source, target, flat_blocks(source, target, flat), _validate=False)
-
-    @staticmethod
-    def composite_flats(gs: Sequence["Morphism"], fs: Sequence["Morphism"]) -> list[dict]:
-        """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major.
-
-        Each composite block is multiplied out from the blocks' sparse
-        rows straight into the flatten layout, so no composite
-        ``Morphism`` or ``Mat`` is built.  Every f must end where every
-        g starts.
-        """
-        if not gs or not fs:
-            return []
-        source, middle, target = fs[0].source, fs[0].target, gs[0].target
-        if any(f.source != source or f.target != middle for f in fs) or any(
-            g.source != middle or g.target != target for g in gs
-        ):
-            raise RepresentationError("composition mismatch")
-        vertices = source.presentation.quiver.vertices
-        # per f and vertex: the (column, value) pairs of each block row
-        f_rows = [
-            [[tuple(blk.row(r).items()) for r in range(blk.rows)] for blk in map(f.blocks.get, vertices)]
-            for f in fs
-        ]
-        # per g: (vertex position, flat index of the composite block row, block row entries)
-        g_rows = []
-        for g in gs:
-            entries, pos = [], 0
-            for t, v in enumerate(vertices):
-                blk, width = g.blocks[v], source.dim(v)
-                entries += [(t, pos + r * width, row) for r in range(blk.rows) if (row := tuple(blk.row(r).items()))]
-                pos += blk.rows * width
-            g_rows.append(entries)
-        of = source.field.of
-        out = []
-        for entries in g_rows:
-            for blocks in f_rows:
-                acc = {}
-                for t, base, grow in entries:
-                    rows = blocks[t]
-                    for k, a in grow:
-                        for c, x in rows[k]:
-                            acc[base + c] = acc.get(base + c, 0) + a * x
-                out.append({idx: y for idx, x in acc.items() if (y := of(x))})
-        return out
 
     def total_mat(self) -> Mat:
         """The block-diagonal action on total spaces, assembled on the first call."""
@@ -387,20 +340,60 @@ class Morphism:
 
 
 def flat_blocks(source: Representation, target: Representation, flat: Mapping) -> dict[str, Mat]:
-    """The vertex blocks of the map source -> target whose ``Morphism.flatten()``
-    is ``flat``, read from its entries with no morphism built."""
+    """The vertex blocks ``{vertex: Mat}`` of the map source -> target whose
+    ``Morphism.flatten()`` is ``flat``, a flat in value format (``linalg``),
+    as every flat the package makes is: canonical rows, ``primitive_row``,
+    ``composite_flats``, ``flatten``.  Its entries are not re-checked."""
     vertices = source.presentation.quiver.vertices
-    starts, pos = [], 0
-    for v in vertices:
-        starts.append(pos)
-        pos += target.dim(v) * source.dim(v)
-    rows = [[{} for _ in range(target.dim(v))] for v in vertices]
+    starts = list(accumulate((target.dim(v) * source.dim(v) for v in vertices), initial=0))
+    rows = [tuple({} for _ in range(target.dim(v))) for v in vertices]
     for idx, x in flat.items():
         # an empty block starts where the next one does, so this finds the block holding idx
         k = bisect_right(starts, idx) - 1
         i, j = divmod(idx - starts[k], source.dim(vertices[k]))
         rows[k][i][j] = x
-    return {v: Mat.sparse(r, source.dim(v), source.field) for v, r in zip(vertices, rows)}
+    return {v: _mat(r, target.dim(v), source.dim(v), source.field) for v, r in zip(vertices, rows)}
+
+
+def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, Mat]]) -> list[dict]:
+    """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, from
+    block dicts ``{vertex: Mat}`` (``flat_blocks``, ``Morphism.blocks``), with no
+    ``Morphism`` or ``Mat`` built.  Vertex by vertex, every f must have the first
+    f's shape, and every g must end where the first g ends and start where f ends."""
+    if not gs or not fs:
+        return []
+    vertices = list(fs[0])
+    f_shape, ends = _shapes(fs[0]), {v: b.rows for v, b in gs[0].items()}
+    g_shape = {v: (ends.get(v), rows, field) for v, (rows, _, field) in f_shape.items()}
+    if any(_shapes(f) != f_shape for f in fs) or any(_shapes(g) != g_shape for g in gs):
+        raise RepresentationError("composition mismatch")
+    # per f and vertex: the (column, value) pairs of each block row
+    f_rows = [[[tuple(f[v].row(r).items()) for r in range(f[v].rows)] for v in vertices] for f in fs]
+    # per g: (vertex position, flat index of the composite block row, block row entries)
+    g_rows = []
+    for g in gs:
+        entries, pos = [], 0
+        for t, v in enumerate(vertices):
+            blk, width = g[v], f_shape[v][1]
+            entries += [(t, pos + r * width, row) for r in range(blk.rows) if (row := tuple(blk.row(r).items()))]
+            pos += blk.rows * width
+        g_rows.append(entries)
+    of = next((b.field.of for b in fs[0].values()), None)  # with no vertex there is no entry to read
+    out = []
+    for entries in g_rows:
+        for blocks in f_rows:
+            acc = {}
+            for t, base, grow in entries:
+                rows = blocks[t]
+                for k, a in grow:
+                    for c, x in rows[k]:
+                        acc[base + c] = acc.get(base + c, 0) + a * x
+            out.append({idx: y for idx, x in acc.items() if (y := of(x))})
+    return out
+
+
+def _shapes(blocks: Mapping[str, Mat]) -> dict:
+    return {v: (b.rows, b.cols, b.field) for v, b in blocks.items()}
 
 
 # -- construction ------------------------------------------------------------

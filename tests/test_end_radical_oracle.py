@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from endoscope.homs import HomalgError, _check_nilpotent, end_ring
+from endoscope.homs import HomalgError, _check_nilpotent, clear_caches, end_ring
 from endoscope.linalg import Mat, Subspace, kernel_basis
 from endoscope.reps import Morphism, direct_sum, kronecker_preinjective, kronecker_regular
 from oracles import multiply_coords
@@ -60,10 +60,27 @@ def test_radical_morphisms_span_the_radical():
     ring = end_ring(_sum([kronecker_preinjective(n) for n in (1, 2, 3)]))
     coords = [ring.hom.coordinates(f) for f in ring.radical_space().basis]
     assert Subspace.span(ring.dim, coords) == ring.radical
-    _check_nilpotent(ring.module, ring.radical_space().basis)
+    _check_nilpotent(ring.module, [f.blocks for f in ring.radical_space().basis])
+
+
+def test_trace_form_radical_builds_no_morphism(monkeypatch):
+    # J's maps are formed as flats and checked nilpotent on their vertex blocks;
+    # forming them with from_coordinates built one Morphism per basis map (7)
+    clear_caches()
+    ring = end_ring(_sum([kronecker_preinjective(n) for n in (1, 2, 3)]))
+    built = []
+    original = Morphism.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Morphism, "__init__", counted)
+    assert ring.radical.dim == 7
+    assert built == []
 
 
 @pytest.mark.parametrize("module", [kronecker_preinjective(1), kronecker_regular(2, 0)], ids=["I1", "R2(0)"])
 def test_nilpotency_check_rejects_the_identity(module):
     with pytest.raises(HomalgError):
-        _check_nilpotent(module, [Morphism.identity(module)])
+        _check_nilpotent(module, [Morphism.identity(module).blocks])

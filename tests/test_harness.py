@@ -126,6 +126,37 @@ def test_sweep_file_family_truncates_by_prefix(tmp_path):
     assert [r["value"] for r in rows] == [2, 3, 4]
 
 
+def test_sweep_reads_a_family_file_once(monkeypatch, tmp_path):
+    # each truncation is a prefix of the members loaded once; loading the file
+    # again at every truncation gave these rows too
+    from endoscope.harness import SWEEP_INVARIANTS, load_family_file
+
+    members = [kronecker_preinjective(1), kronecker_regular(1, 0), kronecker_preinjective(2), kronecker_preinjective(3)]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "algebra": presentation_to_json(kronecker()),
+        "members": [representation_to_json(m, include_algebra=False) for m in members],
+    }))
+    loads = []
+
+    def counted(*args):
+        loads.append(args)
+        return load_family_file(*args)
+
+    monkeypatch.setattr("endoscope.harness.load_family_file", counted)
+    spec = FamilySpec.parse("file", path=str(path))
+    rows = {}
+    for invariant in SWEEP_INVARIANTS:
+        rows[invariant] = [(r["truncation"], r["value"], r["boundary_flag"]) for r in sweep(spec, invariant, range(1, 5))]
+    assert len(loads) == len(SWEEP_INVARIANTS)
+    assert rows == {
+        "endosoc-support": [(1, 1, False), (2, 2, False), (3, 2, False), (4, 2, False)],
+        "endosoc-dim": [(1, 1, False), (2, 2, False), (3, 2, False), (4, 2, False)],
+        "relative-length": [(1, 1, False), (2, 1, False), (3, 2, False), (4, 3, False)],
+        "radical-depth": [(1, 1, False), (2, 2, False), (3, 3, False), (4, 4, False)],
+    }
+
+
 # -- verify suites ----------------------------------------------------------------
 
 
@@ -273,6 +304,8 @@ def test_cli_radical_depth_sweep_of_zero_members_meets_the_profile_refusal(capsy
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: ") and "depth bound" not in errors[0]
+    # refused as a zero member, not as a decomposable one
+    assert "zero" in errors[0] and "decomposable" not in errors[0]
 
 
 @pytest.mark.parametrize("command", ["endosoc", "radical-profile", "transversal"])

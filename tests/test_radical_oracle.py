@@ -22,7 +22,7 @@ from endoscope.homs import clear_caches, end_ring, hom_basis, is_isomorphism, is
 from endoscope.linalg import Mat, Subspace, invert
 from endoscope.quiver import kronecker
 from endoscope.radical import harada_sai_check, left_profile, radical_profile, right_witness
-from endoscope.reps import Morphism, kronecker_preinjective, kronecker_preprojective, kronecker_regular, simple
+from endoscope.reps import Morphism, composite_flats, kronecker_preinjective, kronecker_preprojective, kronecker_regular, simple
 from test_iso_certificate import conjugate
 from test_properties import kronecker_reps
 
@@ -321,15 +321,34 @@ def test_right_witness_solves_only_the_profiles_hom_systems():
     assert chain.labels == (1, 2, 8)
 
 
+def test_profile_builds_morphisms_only_for_its_class_certificates(monkeypatch):
+    # the level loop composes vertex blocks (reps.flat_blocks), and the
+    # m == n non-isomorphisms are J(End m) as it is; what is left is the
+    # identities and isomorphism witnesses of the class partition.  Turning
+    # every composed row into a Morphism made 842.
+    members = conjugated_family(6, seed=1)
+    built = []
+    original = Morphism.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        original(self, *args, **kwargs)
+
+    clear_caches()
+    monkeypatch.setattr(Morphism, "__init__", counted)
+    assert radical_profile(members, d_max=63).vanishing_depth == 10
+    assert len(built) == 117
+
+
 def test_no_composite_is_formed_with_an_empty_side(monkeypatch):
     members = conjugated_family(6, seed=1)
     sides = []
-    original = Morphism.composite_flats
+    original = composite_flats
 
     def recorded(gs, fs):
         sides.append((len(gs), len(fs)))
         return original(gs, fs)
 
-    monkeypatch.setattr(Morphism, "composite_flats", staticmethod(recorded))
+    monkeypatch.setattr("endoscope.radical.composite_flats", recorded)
     assert radical_profile(members, d_max=63).vanishing_depth == 10
     assert sides and all(g and f for g, f in sides)

@@ -10,6 +10,7 @@ from endoscope.reps import (
     Representation,
     RepresentationError,
     SubspaceFamily,
+    composite_flats,
     direct_sum,
     dual,
     kronecker_preinjective,
@@ -205,12 +206,49 @@ def test_composite_flats_are_the_flattened_composites(field):
     fs = [f.scale(Fraction(1, 3)) for f in hom_basis(p2, r2).basis] if field == QQ else list(hom_basis(p2, r2).basis)
     gs = list(hom_basis(r2, i3).basis) + [Morphism.zero(r2, i3)]
     assert fs and len(gs) > 1
-    flats = Morphism.composite_flats(gs, fs)
+    g_blocks, f_blocks = [g.blocks for g in gs], [f.blocks for f in fs]
+    flats = composite_flats(g_blocks, f_blocks)
     assert flats == [g.compose(f).flatten() for g in gs for f in fs]
     assert any(flats) and {} in flats
-    assert Morphism.composite_flats([], fs) == Morphism.composite_flats(gs, []) == []
+    assert composite_flats([], f_blocks) == composite_flats(g_blocks, []) == []
     with pytest.raises(RepresentationError, match="composition mismatch"):
-        Morphism.composite_flats(fs, gs)
+        composite_flats(f_blocks, g_blocks)
+
+
+def _cells(blocks):
+    """Every stored entry of the blocks with its type, so that an int and an
+    equal integral Fraction differ."""
+    return [(v, i, j, type(x), x) for v, b in blocks.items() for i in range(b.rows) for j, x in b.row(i).items()]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+def test_flat_blocks_store_what_mat_sparse_would(field, monkeypatch):
+    # flat_blocks stores the canonical rows' entries unchecked; Mat.sparse
+    # checks and normalises each entry, and must find nothing to change
+    from endoscope.homs import hom_basis
+    from endoscope.reps import flat_blocks
+
+    members = [build(n, field) for build in (kronecker_preinjective, kronecker_preprojective) for n in range(1, 5)]
+    members += [kronecker_regular(n, lam, field) for n in (1, 2) for lam in (0, 1, INFINITY)]
+    rows = [(m, n, row) for m in members for n in members for row in hom_basis(m, n).rows.values()]
+    expected = []
+    for m, n, row in rows:
+        blocks, pos = {}, 0
+        for v in m.presentation.quiver.vertices:
+            width = m.dim(v)
+            cells = [{j: row[pos + i * width + j] for j in range(width) if pos + i * width + j in row} for i in range(n.dim(v))]
+            blocks[v] = Mat.sparse(cells, width, field)
+            pos += n.dim(v) * width
+        expected.append(blocks)
+
+    def refuse(*args):
+        raise AssertionError("flat_blocks re-checks the entries")
+
+    monkeypatch.setattr(Mat, "sparse", refuse)
+    got = [flat_blocks(m, n, row) for m, n, row in rows]
+    assert len(rows) > 100
+    assert [_cells(b) for b in got] == [_cells(b) for b in expected]
+    assert got == expected
 
 
 @pytest.mark.parametrize(
