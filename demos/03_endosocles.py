@@ -18,7 +18,6 @@ from endoscope import (
     end_ring,
     endosocle,
     family_endosocle,
-    jacobson_radical,
     kronecker_preinjective,
     kronecker_preprojective,
     kronecker_regular,
@@ -28,7 +27,7 @@ from endoscope import (
 s1, i2 = kronecker_preinjective(1), kronecker_preinjective(2)
 total, _, _ = direct_sum([s1, i2])
 ring = end_ring(total)
-print("End(I1 + I2): dimension", ring.dim, "radical dimension", jacobson_radical(ring).dim)
+print("End(I1 + I2): dimension", ring.dim, "radical dimension", ring.radical.dim)
 print("endosocle(I1 + I2) dims per vertex:", endosocle(total).dims())
 
 print("\npreinjectives 1..N: support is always {1, 2}")

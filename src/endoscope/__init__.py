@@ -71,7 +71,6 @@ from .homs import (
     inverse_morphism,
     is_isomorphism,
     is_local,
-    jacobson_radical,
     noniso_subspace,
     require_local,
 )

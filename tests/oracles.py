@@ -13,6 +13,9 @@ series: ``family_endosocle`` on each remaining subfamily, its components
 embedded into the direct sum of all members.  ``annihilated_by_stacking``
 is the first ``endosocle._annihilated``: every map drawn first, then one
 ``kernel_basis`` per vertex of the stacked blocks.
+``nilpotent_by_stacked_images`` is the first ``homs._check_nilpotent``:
+each layer's images joined with ``Mat.hstack`` and re-eliminated as a
+``Subspace``, for dim M layers.
 """
 
 from functools import reduce
@@ -130,3 +133,18 @@ def annihilated_by_stacking(m: Representation, targets, within: SubspaceFamily |
             stack = [annihilator @ b for b in stack]
         kernels[v] = kernel_basis(reduce(Mat.vstack, stack))
     return SubspaceFamily(kernels)
+
+
+def nilpotent_by_stacked_images(m: Representation, maps) -> bool:
+    """True iff some product of the maps ``{vertex: Mat}`` vanishes: W runs
+    through M, JM, J^2 M, ... (J their span), each layer the column span of
+    the images r_v @ W_v of every map, stacked side by side, for at most
+    dim M layers."""
+    if not maps:
+        return True
+    layer = {v: Mat.identity(m.dim(v), m.field) for v in m.presentation.quiver.vertices}
+    for _ in range(m.total_dim):
+        if not any(w.cols for w in layer.values()):
+            return True
+        layer = {v: Subspace(m.dim(v), reduce(Mat.hstack, [r[v] @ w for r in maps])).basis for v, w in layer.items()}
+    return not any(w.cols for w in layer.values())

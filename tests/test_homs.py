@@ -17,7 +17,6 @@ from endoscope.homs import (
     inverse_morphism,
     is_isomorphism,
     is_local,
-    jacobson_radical,
     noniso_blocks,
     noniso_subspace,
 )
@@ -118,7 +117,7 @@ def test_end_ring_of_sum(preinj):
     ring = end_ring(total)
     assert ring.dim == 4
     assert ring.basis[0] == Morphism.identity(total)
-    assert jacobson_radical(ring).dim == 2
+    assert ring.radical.dim == 2
     rad = ring.radical.vectors()
     for x in rad:
         for y in rad:
@@ -164,7 +163,7 @@ def test_radical_requires_characteristic_zero():
     rep = kronecker_preinjective(2, field=gf)
     ring = end_ring(rep)
     with pytest.raises(UnsupportedFieldError):
-        jacobson_radical(ring)
+        ring.radical
 
 
 @pytest.mark.parametrize("p", [2, 5, 101])
