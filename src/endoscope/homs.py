@@ -141,8 +141,8 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
     socle side on a tie).  The basis is the canonical one, the RREF rows
     of Hom(m, n) in the ``Morphism.flatten`` layout.
     """
-    if m.presentation is not n.presentation and m.presentation != n.presentation:
-        raise HomalgError("hom between different presentations")
+    if (m.presentation is not n.presentation and m.presentation != n.presentation) or m.field != n.field:
+        raise HomalgError("hom between different presentations or fields")
     top, socle = sides(m)[0][1], sides(n)[1][1]
     top_unknowns = sum(len(top[v]) * d for v, d in n.dims_by_vertex.items())
     if top_unknowns < sum(len(socle[v]) * d for v, d in m.dims_by_vertex.items()):
@@ -315,11 +315,17 @@ def _check_nilpotent(m: Representation, maps: Sequence[Mapping[str, Mat]]):
 
 def is_isomorphism(f: Morphism) -> bool:
     """True iff every vertex block is square and invertible."""
-    return _invertible(f.blocks)
+    return _inverse(f.blocks) is not None
 
 
-def _invertible(blocks: Mapping[str, Mat]) -> bool:
-    return all(m.rows == m.cols and m.rank() == m.rows for m in blocks.values())
+def _inverse(blocks: Mapping[str, Mat]) -> dict[str, Mat] | None:
+    """The inverse vertex blocks, or None unless every block is square and invertible."""
+    out = {}
+    for v, m in blocks.items():
+        if m.rows != m.cols or (inv := invert(m)) is None:
+            return None
+        out[v] = inv
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,12 +347,8 @@ class IsoCertificate:
 
 
 def inverse_morphism(f: Morphism) -> Morphism | None:
-    blocks = {}
-    for v, m in f.blocks.items():
-        if m.rows != m.cols or (inv := invert(m)) is None:
-            return None
-        blocks[v] = inv
-    return Morphism(f.target, f.source, blocks, _validate=False)
+    blocks = _inverse(f.blocks)
+    return None if blocks is None else Morphism(f.target, f.source, blocks, _validate=False)
 
 
 def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
@@ -362,7 +364,9 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     ch. I-II).  Hence, when either ring is local, an isomorphism
     exists iff a basis element is one, and that element is returned
     as the witness with its verified inverse; Hom(n, m) != 0 and the rings
-    are only tested when no basis element of Hom(m, n) is one.
+    are only tested when no basis element of Hom(m, n) is one.  Each is
+    tried on its vertex blocks (``reps.flat_blocks``), inverted and checked
+    against I on both sides; only the pair returned is built as ``Morphism``s.
 
     When neither ring is local, the indecomposable summands of m and
     n (each local) are matched pairwise by the same certificate; by
@@ -370,8 +374,8 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     "iso" carries no witness.  ``DecompositionInconclusive`` from
     ``indecompose`` propagates: the answer is refused, not guessed.
     """
-    if m.presentation != n.presentation:
-        raise HomalgError("isomorphism test across different presentations")
+    if m.presentation != n.presentation or m.field != n.field:
+        raise HomalgError("isomorphism test across different presentations or fields")
     if m.dim_vector != n.dim_vector:
         return IsoCertificate("certified_no")
     if m.total_dim == 0:
@@ -382,10 +386,11 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     forward = hom_basis(m, n)
     if forward.dim == 0:
         return IsoCertificate("certified_no")
-    for f in forward.basis:
-        g = inverse_morphism(f)
-        if g is not None and f.compose(g) == Morphism.identity(n) and g.compose(f) == Morphism.identity(m):
-            return IsoCertificate("iso", f, g)
+    for row in forward.rows.values():
+        f = flat_blocks(m, n, row)
+        g = _inverse(f)
+        if g is not None and all(f[v] @ g[v] == Mat.identity(f[v].rows, m.field) == g[v] @ f[v] for v in f):
+            return IsoCertificate("iso", Morphism(m, n, f, _validate=False), Morphism(n, m, g, _validate=False))
     if hom_basis(n, m).dim == 0 or end_ring(m).local or end_ring(n).local:
         return IsoCertificate("certified_no")
     unmatched = indecompose(n)
@@ -398,23 +403,29 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     return IsoCertificate("iso")
 
 
-def iso_classes(members: Sequence[Representation]) -> list[tuple[int, IsoCertificate]]:
-    """Split a family into isomorphism classes, in order.
+def iso_classes(members: Sequence[Representation], key=None, admit=None) -> list[tuple[int, IsoCertificate]]:
+    """Split a family into isomorphism classes, the one partition of
+    ``harness.transversal`` and ``radical.radical_profile``.
 
-    Entry k is (c, cert): member c, the first member isomorphic to member k,
-    represents its class, and cert is ``are_isomorphic(members[c], members[k])``
-    (the identity when c == k).  Only members with equal dimension vectors
-    are compared; a refused certificate propagates.
+    Members are walked by position, or by ``key(member)`` with ties by
+    position; one isomorphic to no representative met so far of its
+    dimension vector is passed to ``admit(k)``, which may raise, and then
+    represents its class.  Entry k is (c, cert): member c represents it, and
+    cert is ``are_isomorphic(members[c], members[k])``, or one identity as
+    witness and inverse when c == k.  A refused certificate propagates.
     """
-    out, reps = [], {}
-    for k, m in enumerate(members):
+    out, reps = {}, {}
+    for k in sorted(range(len(members)), key=None if key is None else lambda k: key(members[k])):
+        m = members[k]
         same = reps.setdefault(m.dim_vector, [])
-        found = next(((c, cert) for c in same if (cert := are_isomorphic(members[c], m))), None)
-        if found is None:
+        out[k] = next(((c, cert) for c in same if (cert := are_isomorphic(members[c], m))), None)
+        if out[k] is None:
+            if admit is not None:
+                admit(k)
             same.append(k)
-            found = (k, IsoCertificate("iso", Morphism.identity(m), Morphism.identity(m)))
-        out.append(found)
-    return out
+            ident = Morphism.identity(m)
+            out[k] = (k, IsoCertificate("iso", ident, ident))
+    return [out[k] for k in range(len(members))]
 
 
 # -- Fitting decomposition -----------------------------------------------------
@@ -585,7 +596,7 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     sub = HomSpace.span(m, n, composite_flats([cert.witness.blocks], noniso_blocks(m, m)))
     if sub.dim != hom_basis(m, n).dim - 1:
         raise HomalgError("non-isomorphism subspace has unexpected dimension")
-    if any(_invertible(flat_blocks(m, n, row)) for row in sub.rows.values()):
+    if any(_inverse(flat_blocks(m, n, row)) is not None for row in sub.rows.values()):
         raise HomalgError("non-isomorphism subspace contains an isomorphism")
     return sub
 

@@ -38,12 +38,11 @@ from dataclasses import dataclass
 from .homs import (
     HomalgError,
     HomSpace,
-    IsoCertificate,
-    are_isomorphic,
     end_ring,
     hom_basis,
     is_isomorphism,
     is_local,
+    iso_classes,
     noniso_subspace,
     require_local,
 )
@@ -127,10 +126,8 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     are a level's rows scaled to coprime ints; a span does not change
     when a vector of it is scaled by a nonzero rational.
 
-    Every index runs over class representatives only.  In ``_height``
-    order, ties by position, a member isomorphic to no earlier
-    representative of its dimension vector represents its class and must
-    pass the locality checks before a later member meets it.  So each
+    Every index runs over class representatives (``homs.iso_classes`` by
+    ``_height``), each admitted once certified local.  So every
     ``are_isomorphic`` has a local end, where no isomorphism in a Hom basis
     is a certified no; a copy M_i = phi M_a is local, End(M_i) = phi End(M_a) phi^-1.
     For isomorphisms phi: M_a -> M_i and psi: M_b -> M_j, R_d is an ideal, so
@@ -159,7 +156,13 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     labels = family_labels(members, labels, RadicalError)
     if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < 1:
         raise RadicalError(f"depth bound must be an int >= 1, not {d_max!r}")
-    classes = _classes(members)
+
+    def admit(k):
+        # a copy of an admitted member is local: this is the first failing member by position
+        if _refusal(members[k]) is not None:
+            raise next(filter(None, map(_refusal, members[: k + 1])))
+
+    classes = iso_classes(members, key=_height, admit=admit)
     cls = [c for c, _ in classes]
     reps = [k for k, c in enumerate(cls) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
@@ -186,23 +189,6 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     rows = {(d, *pair): r for d, lvl in enumerate(levels, start=1) for pair, r in lvl.items()}
     vanishing = next((d for d, level in enumerate(dims, start=1) if not any(level.values())), None)
     return RadicalProfile(tuple(labels), dims, vanishing, rows, tuple(members), tuple(classes))
-
-
-def _classes(members) -> list:
-    """Per member, (its representative's position, ``are_isomorphic(rep,
-    member)``).  A refusal names the first failing member by position."""
-    order = sorted(range(len(members)), key=lambda k: _height(members[k]))
-    out, reps = {}, {}
-    for k in order:
-        m = members[k]
-        same = reps.setdefault(m.dim_vector, [])
-        out[k] = next(((c, cert) for c in same if (cert := are_isomorphic(members[c], m))), None)
-        if out[k] is None:
-            if (err := _refusal(m)) is not None:
-                raise next(filter(None, (_refusal(members[q]) for q in range(k) if q not in out)), err)
-            same.append(k)
-            out[k] = (k, IsoCertificate("iso", Morphism.identity(m), Morphism.identity(m)))
-    return [out[k] for k in range(len(members))]
 
 
 def _height(m) -> int:

@@ -356,10 +356,14 @@ def test_noniso_blocks_keep_fields_apart():
 
 
 def test_hom_rejects_mixed_presentations(preinj):
+    from endoscope.harness import transversal
     from endoscope.reps import dual
 
-    with pytest.raises(HomalgError):
-        hom_basis(preinj[2], dual(preinj[2]))
+    # the presentation and the ground field are both part of hom and iso identity
+    for other in (dual(preinj[2]), kronecker_preinjective(2, PrimeField(101))):
+        for refused in (hom_basis, hom_dim, are_isomorphic, lambda m, n: transversal([m, n])):
+            with pytest.raises(HomalgError):
+                refused(preinj[2], other)
 
 
 @pytest.fixture()

@@ -18,11 +18,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endoscope.harness import length_bounded_kronecker_family
-from endoscope.homs import clear_caches, end_ring, hom_basis, is_isomorphism, is_local, noniso_subspace
+from endoscope.homs import (
+    are_isomorphic,
+    clear_caches,
+    end_ring,
+    hom_basis,
+    is_isomorphism,
+    is_local,
+    iso_classes,
+    noniso_subspace,
+)
 from endoscope.linalg import Mat, Subspace, invert
 from endoscope.quiver import kronecker
 from endoscope.radical import harada_sai_check, left_profile, radical_profile, right_witness
-from endoscope.reps import Morphism, composite_flats, kronecker_preinjective, kronecker_preprojective, kronecker_regular, simple
+from endoscope.reps import (
+    Morphism,
+    composite_flats,
+    direct_sum,
+    kronecker_preinjective,
+    kronecker_preprojective,
+    kronecker_regular,
+    simple,
+)
 from test_iso_certificate import conjugate
 from test_properties import kronecker_reps
 
@@ -270,6 +287,21 @@ def least_height_reps(members, klass):
     return [min((q for q in idx if klass[q] == klass[k]), key=lambda q: (height(members[q]), q)) for k in idx]
 
 
+def test_one_partition_walked_by_position_or_by_height():
+    members, original, _ = copied_family(4, seed=4)
+    by_position, by_height = iso_classes(members), iso_classes(members, key=height)
+
+    def class_sets(classes):
+        return {frozenset(k for k, (c, _) in enumerate(classes) if c == r) for r, _ in classes}
+
+    assert class_sets(by_position) == class_sets(by_height) == class_sets([(c, None) for c in original])
+    assert [c for c, _ in by_height] == least_height_reps(members, original)
+    idx = range(len(members))
+    assert [c for c, _ in by_position] == [min(q for q in idx if original[q] == original[k]) for k in idx]
+    # the orders pick different representatives for some class
+    assert [c for c, _ in by_position] != [c for c, _ in by_height]
+
+
 def test_profile_of_a_reversed_family_is_the_same_and_on_least_height_members():
     members, original, _ = copied_family(4, seed=4)
     n = len(members)
@@ -321,12 +353,8 @@ def test_right_witness_solves_only_the_profiles_hom_systems():
     assert chain.labels == (1, 2, 8)
 
 
-def test_profile_builds_morphisms_only_for_its_class_certificates(monkeypatch):
-    # the level loop composes vertex blocks (reps.flat_blocks), and the
-    # m == n non-isomorphisms are J(End m) as it is; what is left is the
-    # identities and isomorphism witnesses of the class partition.  Turning
-    # every composed row into a Morphism made 842.
-    members = conjugated_family(6, seed=1)
+def count_morphisms(monkeypatch) -> list:
+    """Clear the caches and record every ``Morphism`` built from now on, in the list returned."""
     built = []
     original = Morphism.__init__
 
@@ -336,8 +364,37 @@ def test_profile_builds_morphisms_only_for_its_class_certificates(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(Morphism, "__init__", counted)
+    return built
+
+
+def test_profile_builds_morphisms_only_for_its_class_certificates(monkeypatch):
+    # the level loop composes vertex blocks (reps.flat_blocks), the m == n
+    # non-isomorphisms are J(End m) as it is, and the class certificates are
+    # decided on blocks: what is left is 13 witness pairs and one shared identity
+    # per representative.  Turning every composed row into a Morphism made 842;
+    # building every Hom basis map, inverse, composite and identity made 117.
+    members = conjugated_family(6, seed=1)
+    built = count_morphisms(monkeypatch)
     assert radical_profile(members, d_max=63).vanishing_depth == 10
-    assert len(built) == 117
+    assert len(built) == 41
+
+
+R20 = kronecker_regular(2, 0)
+
+
+@pytest.mark.parametrize(
+    "m, n, status, n_built",
+    [
+        (R20, random_conjugate(R20, random.Random(2)), "iso", 2),
+        (R20, kronecker_regular(2, 1), "certified_no", 0),
+        (kronecker_preinjective(2), direct_sum([simple(kronecker(), "1")] * 2 + [simple(kronecker(), "2")])[0], "certified_no", 0),
+    ],
+    ids=["conjugate", "other-eigenvalue", "local-against-sum"],
+)
+def test_a_certificate_builds_morphisms_only_for_the_witness_pair(monkeypatch, m, n, status, n_built):
+    built = count_morphisms(monkeypatch)
+    assert are_isomorphic(m, n).status == status
+    assert len(built) == n_built
 
 
 def test_no_composite_is_formed_with_an_empty_side(monkeypatch):
