@@ -4,8 +4,10 @@ The radical between indecomposables i and j is the space of
 non-isomorphisms in Hom(M_i, M_j); its d-th power is spanned by
 composites of d such maps through the family.  The depth at which the
 profile vanishes measures how long non-trivial composite chains can
-get, and for members of length <= b it is bounded by 2^b - 1.
-Witness chains make the surviving composites concrete.
+get, and for members of length <= b it is bounded by 2^b - 1.  Per
+member, the row depth bounds the chains out of it and the column depth
+the composites into it.  Witness chains make the surviving composites
+concrete.
 """
 
 from fractions import Fraction
@@ -13,7 +15,6 @@ from fractions import Fraction
 from endoscope import (
     harada_sai_check,
     kronecker_preinjective,
-    left_profile,
     length_bounded_kronecker_family,
     radical_profile,
     right_witness,
@@ -37,9 +38,9 @@ print("  image dimensions stay nonzero along the trail:", [any(v) for v in chain
 print("  at depth 3 every composite kills x:",
       right_witness(fam, start=3, x=x, depth=3, labels=labels) is None)
 
-print("\nleft-sided profile via duality (transposed pairs):")
-lp = left_profile(fam, d_max=8, labels=labels)
-print("  left vanishing depth:", lp.vanishing_depth)
+print("\nper-member depths of the same profile:")
+print("  row depths (chains out of I_i):", [profile.row_depth(i) for i in labels])
+print("  column depths (composites into I_j):", [profile.column_depth(j) for j in labels])
 
 members, tags = length_bounded_kronecker_family(5)
 report = harada_sai_check(members, 5, labels=tags)

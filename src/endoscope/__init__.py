@@ -91,7 +91,6 @@ from .radical import (
     RadicalProfile,
     WitnessChain,
     harada_sai_check,
-    left_profile,
     radical_profile,
     right_witness,
 )

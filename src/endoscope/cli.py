@@ -149,6 +149,8 @@ def _sweep_csv(results) -> str:
 
 
 def _verify(args, field):
+    if args.field != "q":
+        raise HarnessError(f"verify suites run over the rationals, not --field {args.field}")
     result = verify(args.suite, seed=args.seed)
     return result, EXIT_OK if result["passed"] else EXIT_FAIL
 

@@ -26,9 +26,8 @@ composed; another pair's rows are carried over through the certified
 isomorphisms when first asked for.
 ``radical_profile`` proves that all of this spans the same powers.
 
-Left-sided conditions are measured through vector-space duality: the
-left profile of a family is the right profile of the dualized family
-over the opposite presentation.
+Both sides of semi-T-nilpotence are read per member from one profile: the
+row depth bounds the chains out of a member, the column depth those into it.
 """
 
 from __future__ import annotations
@@ -43,11 +42,10 @@ from .homs import (
     is_isomorphism,
     is_local,
     iso_classes,
-    noniso_subspace,
     require_local,
 )
 from .linalg import Subspace, _reduce, primitive_row
-from .reps import Morphism, composite_flats, dual, family_labels, flat_blocks
+from .reps import Morphism, composite_flats, family_labels, flat_blocks
 
 
 class RadicalError(ValueError):
@@ -78,6 +76,18 @@ class RadicalProfile:
 
     def depth_reached(self) -> int:
         return len(self.dims)
+
+    def row_depth(self, i) -> int | None:
+        """The least depth d with R_d(i, j) = 0 for every member j (the chains out of i), or None if none reached has it."""
+        return self._depth(i, 0)
+
+    def column_depth(self, j) -> int | None:
+        """The least depth d with R_d(i, j) = 0 for every member i (the composites into j), or None likewise."""
+        return self._depth(j, 1)
+
+    def _depth(self, label, side: int) -> int | None:
+        self._position(label)
+        return next((d for d, level in enumerate(self.dims, start=1) if not any(n for p, n in level.items() if p[side] == label)), None)
 
     def subspace(self, depth: int, i, j) -> Subspace:
         """Coordinate subspace of the depth-d power inside Hom(i, j), from the
@@ -117,14 +127,16 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     through the family, so R_a R_b = R_{a+b}, and R_{d+1} is contained in R_d
     because the members are local (the non-isomorphisms form an ideal, so
     each R_d is one too).  R_d(i, j) is held as the canonical rows of its
-    span in the ``Morphism.flatten`` layout; level 1 is the rows of
-    ``noniso_subspace``.  Level d + 1 is built pair by pair: for
-    each (i, j) the composites g f of a left factor g: M_k -> M_j and a map
-    f of R_d(i, k) are reduced as flats (a middle k with no g or no f adds
-    none).  Every row of every level must reduce to zero against the
-    canonical rows of Hom(i, j), so a map that leaves the hom space raises.  The maps
-    are a level's rows scaled to coprime ints; a span does not change
-    when a vector of it is scaled by a nonzero rational.
+    span in the ``Morphism.flatten`` layout.  Level 1 is read from the
+    partition below: all of Hom(a, b) for two representatives a != b, which
+    are certified non-isomorphic and local, and J(End M_a) for a = b.  Level
+    d + 1 is built pair by pair: for each (i, j) the composites g f of a left
+    factor g: M_k -> M_j and a map f of R_d(i, k) are reduced as flats (a
+    middle k with no g or no f adds none).  Every composed row, and every row
+    of J(End M_a), must reduce to zero against the canonical rows of the hom
+    space, so a map that leaves it raises.  The maps are a level's rows scaled
+    to coprime ints; a span does not change when a vector of it is scaled by
+    a nonzero rational.
 
     Every index runs over class representatives (``homs.iso_classes`` by
     ``_height``), each admitted once certified local.  So every
@@ -167,7 +179,8 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     reps = [k for k, c in enumerate(cls) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
     hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
-    rad1 = {(a, b): _checked_rows(hom[(a, b)], noniso_subspace(members[a], members[b])) for a, b in pairs}
+    rad1 = {(a, b): list(hom[(a, b)].rows.values()) for a, b in pairs}
+    rad1.update({(a, a): _checked_rows(hom[(a, a)], end_ring(members[a]).radical_space()) for a in reps})
 
     levels = [rad1]
     while len(levels) < d_max and any(levels[-1].values()):
@@ -351,16 +364,3 @@ def _witness_step(states, actions, labels, distinct: bool) -> list:
                 seen.add(key)
                 nxt.append((chain_labels + (labels[j],), chain_maps + (f,), image, j, visited))
     return nxt
-
-
-def left_profile(members, d_max: int, labels=None) -> RadicalProfile:
-    """The left-sided profile, computed on the dualized family.
-
-    Composites on the left of the original family correspond to
-    right-composites of the duals over the opposite presentation, with
-    source and target labels exchanged; in particular the
-    left-vanishing depth of the family equals the vanishing depth of
-    the returned profile.
-    """
-    duals = [dual(m) for m in members]
-    return radical_profile(duals, d_max=d_max, labels=labels)

@@ -15,7 +15,10 @@ is the first ``endosocle._annihilated``: every map drawn first, then one
 ``kernel_basis`` per vertex of the stacked blocks.
 ``nilpotent_by_stacked_images`` is the first ``homs._check_nilpotent``:
 each layer's images joined with ``Mat.hstack`` and re-eliminated as a
-``Subspace``, for dim M layers.
+``Subspace``, for dim M layers.  ``left_profile_by_duals`` is the first
+left-sided radical profile: ``radical_profile`` of the dualized family
+over the opposite presentation, every hom system and composite solved
+again.
 """
 
 from functools import reduce
@@ -23,7 +26,8 @@ from functools import reduce
 from endoscope.endosocle import _prepare_members, family_endosocle
 from endoscope.homs import hom_basis, noniso_blocks
 from endoscope.linalg import Mat, Subspace, kernel_basis, sparse_kernel
-from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum
+from endoscope.radical import radical_profile
+from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual
 
 
 def commuting_square_basis(m: Representation, n: Representation) -> list[Morphism]:
@@ -148,3 +152,11 @@ def nilpotent_by_stacked_images(m: Representation, maps) -> bool:
             return True
         layer = {v: Subspace(m.dim(v), reduce(Mat.hstack, [r[v] @ w for r in maps])).basis for v, w in layer.items()}
     return not any(w.cols for w in layer.values())
+
+
+def left_profile_by_duals(members, d_max, labels=None):
+    """The profile of the duals D M_i over the opposite presentation.  D is a
+    contravariant equivalence, so its depth-d power from j to i is D R_d(i, j):
+    the dims are the right profile's transposed, source and target labels
+    exchanged, and its vanishing depth is the right one."""
+    return radical_profile([dual(m) for m in members], d_max=d_max, labels=labels)

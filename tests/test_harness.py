@@ -234,6 +234,11 @@ def test_cli_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "verify", "all", "--field", "fp:abc")
     assert code == 2
+    # the suites build their modules over Q, so a prime field is refused, not reported
+    code, _ = run_cli(capsys, "verify", "examples-o", "--field", "fp:101")
+    assert code == 2
+    code, _ = run_cli(capsys, "verify", "examples-o", "--field", "q")
+    assert code == 0
     code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "9..3")
     assert code == 2
     code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "1..4", "--field", "fp:5")

@@ -8,7 +8,6 @@ from endoscope.homs import HomalgError, HomSpace, LocalityUnverified, hom_basis,
 from endoscope.radical import (
     RadicalError,
     harada_sai_check,
-    left_profile,
     radical_profile,
     right_witness,
 )
@@ -21,6 +20,7 @@ from endoscope.reps import (
     kronecker_preprojective,
     kronecker_regular,
 )
+from oracles import left_profile_by_duals
 from test_iso_certificate import fixed_conjugate, gaussian
 
 
@@ -86,6 +86,11 @@ def test_profile_refuses_depths_outside_the_profile_and_unknown_labels():
             prof.basis_morphisms(1, i, j)
         with pytest.raises(RadicalError, match="not a member label"):
             prof.pair_dims(i, j)
+    for label in (4, "1", 0):
+        with pytest.raises(RadicalError, match="not a member label"):
+            prof.row_depth(label)
+        with pytest.raises(RadicalError, match="not a member label"):
+            prof.column_depth(label)
 
 
 def test_singleton_profiles():
@@ -279,7 +284,7 @@ def test_right_witness_distinct_flag():
 def test_left_profile_duality():
     members, labels = preinj_family(3)
     right = radical_profile(members, d_max=8, labels=labels)
-    left = left_profile(members, d_max=8, labels=labels)
+    left = left_profile_by_duals(members, d_max=8, labels=labels)
     assert left.vanishing_depth == right.vanishing_depth == 3
     for d in range(1, 4):
         for i in labels:
@@ -289,11 +294,42 @@ def test_left_profile_duality():
 
 def test_left_profile_of_preprojectives_matches_preinjective_depth():
     members = [kronecker_preprojective(n) for n in (1, 2, 3)]
-    left = left_profile(members, d_max=8, labels=[1, 2, 3])
+    left = left_profile_by_duals(members, d_max=8, labels=[1, 2, 3])
     assert left.vanishing_depth == 3
 
 
 def test_depth_symmetry_for_orthogonal_family():
     fam = [kronecker_regular(1, 0), kronecker_regular(1, 1)]
     assert radical_profile(fam, 3).vanishing_depth == 1
-    assert left_profile(fam, 3).vanishing_depth == 1
+    assert left_profile_by_duals(fam, 3).vanishing_depth == 1
+
+
+def preproj_family(hi):
+    return [kronecker_preprojective(n) for n in range(1, hi + 1)], list(range(1, hi + 1))
+
+
+@pytest.mark.parametrize(
+    "family, rows, columns",
+    [
+        (preinj_family(8), list(range(1, 9)), list(range(8, 0, -1))),
+        (preproj_family(8), list(range(8, 0, -1)), list(range(1, 9))),
+    ]
+    + [(([kronecker_regular(s, lam) for lam in range(4)], list(range(4))), [s] * 4, [s] * 4) for s in (1, 2, 3)],
+    ids=["preinj-1..8", "preproj-1..8", "regular-size-1", "regular-size-2", "regular-size-3"],
+)
+def test_row_and_column_depths_read_the_dims_only(family, rows, columns):
+    # chains out of I_i stop at depth i, composites into I_j at n + 1 - j
+    members, labels = family
+    prof = radical_profile(members, d_max=63, labels=labels)
+    solved = hom_basis.cache_info()
+    assert [prof.row_depth(i) for i in labels] == rows
+    assert [prof.column_depth(j) for j in labels] == columns
+    assert hom_basis.cache_info() == solved
+
+
+def test_a_depth_not_reached_is_none():
+    members, labels = preinj_family(8)
+    prof = radical_profile(members, d_max=4, labels=labels)
+    assert prof.vanishing_depth is None
+    assert [prof.row_depth(i) for i in labels] == [1, 2, 3, 4, None, None, None, None]
+    assert [prof.column_depth(j) for j in labels] == [None, None, None, None, 4, 3, 2, 1]

@@ -30,7 +30,7 @@ from endoscope.homs import (
 )
 from endoscope.linalg import Mat, Subspace, invert
 from endoscope.quiver import kronecker
-from endoscope.radical import harada_sai_check, left_profile, radical_profile, right_witness
+from endoscope.radical import harada_sai_check, radical_profile, right_witness
 from endoscope.reps import (
     Morphism,
     composite_flats,
@@ -40,6 +40,7 @@ from endoscope.reps import (
     kronecker_regular,
     simple,
 )
+from oracles import left_profile_by_duals
 from test_iso_certificate import conjugate
 from test_properties import kronecker_reps
 
@@ -272,13 +273,59 @@ def test_copies_get_the_pair_dims_of_their_originals_on_both_sides():
     # some copy comes before its original, so it represents the class
     assert any(original[k] > k for k in range(len(members)))
     idx = range(len(members))
-    for prof in (left_profile(members, d_max=15), harada_sai_check(members, 4).profile):
+    for prof in (left_profile_by_duals(members, d_max=15), harada_sai_check(members, 4).profile):
         for i in idx:
             for j in idx:
                 assert prof.pair_dims(i, j) == prof.pair_dims(original[i], original[j])
-    reference = left_profile(originals, d_max=15)
-    assert left_profile(members, d_max=15).vanishing_depth == reference.vanishing_depth
+    reference = left_profile_by_duals(originals, d_max=15)
+    assert left_profile_by_duals(members, d_max=15).vanishing_depth == reference.vanishing_depth
     assert harada_sai_check(members, 4).depth == harada_sai_check(originals, 4).depth == 6
+
+
+def mixed_family():
+    return [
+        kronecker_preprojective(2), kronecker_regular(1, 0), kronecker_preinjective(3),
+        kronecker_regular(2, 1), kronecker_preprojective(1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: [kronecker_preinjective(n) for n in range(1, 8)],
+        lambda: [kronecker_preprojective(n) for n in range(1, 8)],
+        lambda: length_bounded_kronecker_family(4)[0],
+        mixed_family,
+        lambda: conjugated_family(5, seed=1),
+    ],
+    ids=["preinj-1..7", "preproj-1..7", "length-4", "mixed", "conjugated-5"],
+)
+def test_dual_route_gives_the_transposed_profile_and_swapped_depths(family):
+    members = family()
+    right = radical_profile(members, d_max=63)
+    left = left_profile_by_duals(members, d_max=63)
+    assert left.depth_reached() == right.depth_reached()
+    for level, dual_level in zip(right.dims, left.dims):
+        assert dual_level == {(j, i): d for (i, j), d in level.items()}
+    assert left.vanishing_depth == right.vanishing_depth
+    # a chain out of M_i dualizes to a composite into D M_i, and the other way round
+    for k in right.labels:
+        assert right.row_depth(k) == left.column_depth(k)
+        assert right.column_depth(k) == left.row_depth(k)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: conjugated_family(6, seed=1), lambda: copied_family(4, seed=4)[0]],
+    ids=["conjugated-6", "copied-4"],
+)
+def test_level_1_between_representatives_is_the_noniso_subspace(family):
+    members = family()
+    prof = radical_profile(members, d_max=1)
+    reps = [k for k, (c, _) in enumerate(prof._classes) if c == k]
+    for a in reps:
+        for b in reps:
+            assert prof.basis_morphisms(1, a, b) == list(noniso_subspace(members[a], members[b]).basis)
 
 
 def least_height_reps(members, klass):
@@ -377,6 +424,23 @@ def test_profile_builds_morphisms_only_for_its_class_certificates(monkeypatch):
     built = count_morphisms(monkeypatch)
     assert radical_profile(members, d_max=63).vanishing_depth == 10
     assert len(built) == 41
+
+
+def test_profile_asks_one_certificate_per_partition_question(monkeypatch):
+    # level 1 reads the partition, so only iso_classes compares members; asking
+    # noniso_subspace for every pair of representatives made 241
+    members = conjugated_family(6, seed=1)
+    calls = []
+    original = are_isomorphic
+
+    def counted(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    clear_caches()
+    monkeypatch.setattr("endoscope.homs.are_isomorphic", counted)
+    assert radical_profile(members, d_max=63).vanishing_depth == 10
+    assert len(calls) == 31
 
 
 R20 = kronecker_regular(2, 0)
