@@ -126,11 +126,14 @@ def _prepare_members(members, labels, boundary=()):
     decomposable one are labelled "<label>.<k>", and a boundary flag on
     it passes to each of them.  Boundary labels of no member are dropped.
     ``labels`` are checked first, and the new labels must not collide
-    with them either.
+    with them either.  A zero member, which has no summand to label, is
+    refused.
     """
     labels = family_labels(members, labels, EndostructureError)
     out_members, out_labels, summands = [], [], {}
     for m, label in zip(members, labels):
+        if m.is_zero():
+            raise EndostructureError(f"member {m!r} is the zero module; members must be nonzero")
         parts = indecompose(m)
         out_members += parts
         summands[label] = [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]

@@ -29,11 +29,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Literal, Mapping, Sequence
 
 from .linalg import Mat, Subspace, _eliminate, _mat, _reduce, _subtract, invert, kernel_basis
-from .reps import Morphism, Representation, composite_flats, flat_blocks
+from .reps import Morphism, Representation, SubspaceFamily, composite_flats, flat_blocks, sub_from_family
 from .spin import presentation, sides, spun_homs
 
 
@@ -174,18 +174,6 @@ class EndoRing:
         self.hom = hom
         self._radical = None
         self._split = _UNSEARCHED
-
-    @property
-    def basis(self) -> tuple[Morphism, ...]:
-        """The identity, then the maps of ``hom`` but the last one the identity
-        involves, the rest staying independent.  ``_find_split`` searches in
-        this order, which decides the order of ``indecompose``'s summands."""
-        maps = self.hom.basis
-        if not maps:
-            return maps
-        ident = Morphism.identity(self.module)
-        drop = max(i for i, c in enumerate(self.hom.coordinates(ident)) if c)
-        return (ident,) + maps[:drop] + maps[drop + 1 :]
 
     @property
     def dim(self) -> int:
@@ -491,48 +479,47 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _rational_eigenvalues(f: Morphism) -> list[Fraction]:
+def _rational_eigenvalues(blocks: Mapping[str, Mat]) -> list[Fraction]:
     eigs: set[Fraction] = set()
-    for v, block in f.blocks.items():
+    for block in blocks.values():
         if block.rows:
             eigs.update(_rational_roots(_charpoly(block)))
     return sorted(eigs)
 
 
-def _fitting_split(m: Representation, g: Morphism, lam: Fraction):
-    """Try M = ker(h^s) + im(h^s) for h = g - lam id; None if h is nilpotent or invertible."""
-    from .reps import SubspaceFamily, sub_from_family
-
-    quiver = m.presentation.quiver
-    shifted = {
-        v: g.blocks[v] - Mat.identity(m.dim(v), m.field).scale(lam) for v in quiver.vertices
-    }
-    powers = dict(shifted)
-    prev_dims = None
-    for _ in range(m.total_dim + 1):
-        ker = SubspaceFamily({v: kernel_basis(powers[v]) for v in quiver.vertices})
-        dims = ker.total_dim
-        if dims == prev_dims:
-            break
-        prev_dims = dims
-        powers = {v: shifted[v] @ powers[v] for v in quiver.vertices}
-    if prev_dims in (0, m.total_dim):
+def _fitting_split(m: Representation, h: Mapping[str, Mat]):
+    """M = ker(h^s) + im(h^s) for the endomorphism with vertex blocks h, by
+    Fitting's lemma; None if h is nilpotent or invertible.  On a space of
+    dimension d a linear map's kernel and image are stable from exponent d
+    on, so each vertex takes one power, squaring h_v until s >= dim M_v."""
+    powers = {}
+    for v, x in h.items():
+        for _ in range((x.rows - 1).bit_length()):
+            x = x @ x
+        powers[v] = x
+    ker = SubspaceFamily({v: kernel_basis(x) for v, x in powers.items()})
+    if ker.total_dim in (0, m.total_dim):
         return None
-    image = SubspaceFamily({v: Subspace(powers[v].rows, powers[v]) for v in quiver.vertices})
-    part_k = sub_from_family(m, ker)
-    part_i = sub_from_family(m, image)
-    if part_k.total_dim + part_i.total_dim != m.total_dim:
-        raise HomalgError("Fitting split dimensions are inconsistent")
-    return part_k, part_i
+    image = SubspaceFamily({v: Subspace(x.rows, x) for v, x in powers.items()})
+    return sub_from_family(m, ker), sub_from_family(m, image)
 
 
 def _find_split(m: Representation, ring: EndoRing):
-    candidates = list(ring.basis)
-    candidates += [a + b for a, b in combinations(ring.basis, 2)]
-    for g in candidates:
+    """The first Fitting split along g - lam, g a canonical row of End(m) but
+    the identity's last pivot row, then a sum of two such rows, lam a rational
+    eigenvalue of g; or None.  The identity and the sums I + b are not tried:
+    I + b - (1 + lam) = b - lam was tried with b, and I - 1 = 0 splits nothing."""
+    rows = list(ring.hom.rows.values())
+    if not rows:
+        return None
+    coords = ring.hom.coordinates(Morphism.identity(m))
+    del rows[max(i for i, c in enumerate(coords) if c)]
+    sums = (_subtract(dict(a), -1, b, -1, m.field.characteristic) for a, b in combinations(rows, 2))  # a + b
+    for flat in chain(rows, sums):
+        g = flat_blocks(m, m, flat)
         for lam in _rational_eigenvalues(g):
-            split = _fitting_split(m, g, lam)
-            if split is not None:
+            h = {v: b - Mat.identity(b.rows, m.field).scale(lam) for v, b in g.items()}
+            if (split := _fitting_split(m, h)) is not None:
                 return split
     return None
 
@@ -541,8 +528,10 @@ def indecompose(m: Representation) -> list[Representation]:
     """Indecomposable summands of m, by iterated Fitting splits.
 
     A summand whose ring is ``local`` is certified indecomposable.  Any
-    other is split along the rational eigenvalues of the End basis
-    elements and their pairwise sums; when none splits it, the
+    other is split (``_find_split``) along the rational eigenvalues of the
+    canonical rows of End(m) but the identity's last pivot row, and their
+    pairwise sums, each read on its vertex blocks; the order of those rows
+    decides the order of the summands.  When none splits it, the
     decomposition is refused (``DecompositionInconclusive``) rather than
     guessed.
     """

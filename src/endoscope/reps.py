@@ -500,9 +500,8 @@ def socle(rep: Representation) -> SubspaceFamily:
 
 
 def sub_from_family(rep: Representation, fam: SubspaceFamily) -> Representation:
-    """The subrepresentation carried by an arrow-closed subspace family."""
-    if not fam.is_arrow_closed(rep):
-        raise RepresentationError("family is not closed under the arrow actions")
+    """The subrepresentation carried by an arrow-closed subspace family;
+    raises unless every arrow maps the family into itself."""
     quiver = rep.presentation.quiver
     dims = {v: fam.space(v).dim for v in quiver.vertices}
     matrices = {}

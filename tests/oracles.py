@@ -18,16 +18,20 @@ each layer's images joined with ``Mat.hstack`` and re-eliminated as a
 ``Subspace``, for dim M layers.  ``left_profile_by_duals`` is the first
 left-sided radical profile: ``radical_profile`` of the dualized family
 over the opposite presentation, every hom system and composite solved
-again.
+again.  ``split_by_basis_morphisms`` is the first ``homs._find_split``:
+the identity and End(M)'s canonical rows as ``Morphism``s, all their
+pairwise ``Morphism`` sums, and each power of g - lam raised one step at
+a time until the kernels stop growing.
 """
 
 from functools import reduce
+from itertools import combinations
 
 from endoscope.endosocle import _prepare_members, family_endosocle
-from endoscope.homs import hom_basis, noniso_blocks
+from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks
 from endoscope.linalg import Mat, Subspace, kernel_basis, sparse_kernel
 from endoscope.radical import radical_profile
-from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual
+from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
 
 
 def commuting_square_basis(m: Representation, n: Representation) -> list[Morphism]:
@@ -160,3 +164,32 @@ def left_profile_by_duals(members, d_max, labels=None):
     the dims are the right profile's transposed, source and target labels
     exchanged, and its vanishing depth is the right one."""
     return radical_profile([dual(m) for m in members], d_max=d_max, labels=labels)
+
+
+def split_by_basis_morphisms(m: Representation):
+    """The first Fitting split M = ker(h^s) + im(h^s), h = g - lam, or None.
+
+    g runs through the identity, the canonical rows of End(m) as maps but
+    the one at the identity's last nonzero coordinate, then the pairwise
+    sums of all of these; lam through the rational eigenvalues of g.  The
+    powers of h are raised one step at a time until the total kernel
+    dimension stops growing; h nilpotent or invertible splits nothing.
+    """
+    hom = hom_basis(m, m)
+    ident = Morphism.identity(m)
+    drop = max(i for i, c in enumerate(hom.coordinates(ident)) if c)
+    basis = (ident,) + hom.basis[:drop] + hom.basis[drop + 1 :]
+    for g in list(basis) + [a + b for a, b in combinations(basis, 2)]:
+        for lam in _rational_eigenvalues(g.blocks):
+            shifted = {v: b - Mat.identity(b.rows, m.field).scale(lam) for v, b in g.blocks.items()}
+            powers, before = dict(shifted), None
+            for _ in range(m.total_dim + 1):
+                ker = SubspaceFamily({v: kernel_basis(x) for v, x in powers.items()})
+                if ker.total_dim == before:
+                    break
+                before = ker.total_dim
+                powers = {v: shifted[v] @ powers[v] for v in powers}
+            if before not in (0, m.total_dim):
+                image = SubspaceFamily({v: Subspace(x.rows, x) for v, x in powers.items()})
+                return sub_from_family(m, ker), sub_from_family(m, image)
+    return None

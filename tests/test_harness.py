@@ -313,6 +313,23 @@ def test_cli_radical_depth_sweep_of_zero_members_meets_the_profile_refusal(capsy
     assert "zero" in errors[0] and "decomposable" not in errors[0]
 
 
+def test_cli_endosocle_of_a_family_with_a_zero_member_refuses_it(capsys, tmp_path):
+    # the zero module has no indecomposable summand, so it would get no label and
+    # no component: it is refused as radical-profile refuses it
+    path = tmp_path / "zero-member.json"
+    members = [{"dims": {"1": 1, "2": 0}}, {"dims": {"1": 0, "2": 0}}, {"dims": {"1": 0, "2": 1}}]
+    path.write_text(json.dumps({"algebra": presentation_to_json(kronecker()), "members": members}))
+    for argv in (
+        ["endosoc"],
+        ["endosoc", "--relative"],
+        ["sweep", "--invariant", "endosoc-support", "--min", "1", "--max", "3"],
+    ):
+        assert main(argv + ["--family", "file", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: member Representation(dims (0, 0)) is the zero module; members must be nonzero\n"
+
+
 @pytest.mark.parametrize("command", ["endosoc", "radical-profile", "transversal"])
 def test_cli_family_file_of_mixed_algebras_is_a_usage_error(capsys, tmp_path, command):
     # no top-level algebra: each member carries its own, and I2 and its dual differ

@@ -116,7 +116,7 @@ def test_end_ring_of_sum(preinj):
     total, _, _ = direct_sum([preinj[1], preinj[2]])
     ring = end_ring(total)
     assert ring.dim == 4
-    assert ring.basis[0] == Morphism.identity(total)
+    assert ring.hom.contains(Morphism.identity(total))
     assert ring.radical.dim == 2
     rad = ring.radical.vectors()
     for x in rad:
@@ -286,10 +286,43 @@ def test_indecompose(preinj):
     ids=["I1+I2", "I2+I1", "R2(0)+P1", "I1+I2+I3"],
 )
 def test_fitting_summand_order(parts, dims):
-    # the order of EndoRing.basis decides which split is found first, and so
-    # which summand of a member is labelled "<label>.0" in reports
+    # the order of End(M)'s canonical rows decides which split is found first,
+    # and so which summand of a member is labelled "<label>.0" in reports
     total, _, _ = direct_sum(parts)
     assert [p.dim_vector for p in indecompose(total)] == dims
+
+
+def test_decomposing_I1_to_I4_takes_one_candidate_per_split(monkeypatch):
+    # each split is found by the first candidate tried, read on its vertex blocks:
+    # the only maps built are the identities that find each dropped row
+    built, tried = [], []
+    original_init, original_split = Morphism.__init__, homs._fitting_split
+
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self))
+        original_init(self, *args, **kwargs)
+
+    def counted_split(m, h):
+        tried.append(m)
+        return original_split(m, h)
+
+    homs.clear_caches()
+    total, _, _ = direct_sum([kronecker_preinjective(n) for n in range(1, 5)])
+    monkeypatch.setattr(Morphism, "__init__", counted_init)
+    monkeypatch.setattr(homs, "_fitting_split", counted_split)
+    assert [p.dim_vector for p in indecompose(total)] == [(4, 3), (3, 2), (2, 1), (1, 0)]
+    assert len(built) <= 3
+    assert len(tried) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fitting_split_takes_a_power_where_kernel_and_image_are_stable(n):
+    # h = beta on R_n(0) + R_1(1), the nilpotent shift on R_n(0) and 1 on R_1(1):
+    # ker h^s grows until s = n, and a smaller power would split off ker h, which
+    # meets im h, in place of R_n(0)
+    total, _, _ = direct_sum([kronecker_regular(n, 0), kronecker_regular(1, 1)])
+    h = Morphism(total, total, {v: total.matrix("beta") for v in ("1", "2")})  # checked to commute
+    assert homs._fitting_split(total, h.blocks) == (kronecker_regular(n, 0), kronecker_regular(1, 1))
 
 
 def test_indecompose_power(preinj):
