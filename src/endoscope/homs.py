@@ -7,7 +7,8 @@ for the images of the generators: one kernel, with
 sum_v dim top(M)_v * n_v unknowns.  Run on the duals, the same routine
 has sum_v dim soc(N)_v * m_v unknowns, and the smaller side is solved.
 Every hom space is held as the canonical RREF rows of its span in the
-``Morphism.flatten`` layout (``HomSpace``), as the solver returns them.
+``Morphism.flatten`` layout (``HomSpace``); a solved one knows its
+dimension from the solve and spreads its rows on their first read.
 End(M) multiplies by composing on M.  Its Jacobson radical is the
 kernel of the trace form (f, g) -> tr_M(f g) of End(M) acting on M,
 which is faithful (Dickson's criterion; valid in characteristic zero,
@@ -67,17 +68,28 @@ class HomSpace:
     A row is 1 at its pivot and 0 at the other pivots, so a map of the span
     has its coordinates at the pivots; a map lies in the span iff its flat
     reduces to zero against the rows.  ``basis``, the rows as morphisms, is
-    built when first asked for.
+    built when first asked for.  A space that ``hom_basis`` solved knows
+    its ``dim`` from the solve and builds its ``rows`` on first read.
     """
 
-    __slots__ = ("source", "target", "rows", "_basis")
+    __slots__ = ("source", "target", "_dim", "_rows", "_spread", "_basis")
 
     def __init__(self, source: Representation, target: Representation, rows: Mapping[int, dict]):
         """The span of the canonical rows ``{pivot: row}``, as ``linalg._eliminate`` returns them."""
         self.source = source
         self.target = target
-        self.rows = {c: rows[c] for c in sorted(rows)}
+        self._dim = len(rows)
+        self._rows = {c: rows[c] for c in sorted(rows)}
+        self._spread = None
         self._basis = None
+
+    @classmethod
+    def _solved(cls, source: Representation, target: Representation, dim: int, spread) -> "HomSpace":
+        """The space of dimension ``dim`` whose rows ``spread()`` returns, called on the first read."""
+        space = cls.__new__(cls)
+        space.source, space.target, space._dim = source, target, dim
+        space._rows, space._spread, space._basis = None, spread, None
+        return space
 
     @classmethod
     def span(cls, source: Representation, target: Representation, flats) -> "HomSpace":
@@ -92,8 +104,19 @@ class HomSpace:
         return self._basis
 
     @property
+    def rows(self) -> dict[int, dict]:
+        """The canonical rows ``{pivot: row}``; a solved space spreads them on
+        this first read and refuses them unless there are ``dim`` of them."""
+        if self._rows is None:
+            rows = self._spread()
+            if len(rows) != self._dim:
+                raise HomalgError(f"hom space of dimension {self._dim} spread to {len(rows)} rows")
+            self._rows, self._spread = {c: rows[c] for c in sorted(rows)}, None
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self._dim
 
     def coordinates(self, f: Morphism) -> tuple:
         """Coefficients of f in this basis; raises if f is outside the span."""
@@ -138,21 +161,23 @@ def hom_basis(m: Representation, n: Representation) -> HomSpace:
     generators, sum_v dim top(m)_v * n_v of them.  The same routine on
     Hom(Dn, Dm), which the transpose identifies with Hom(m, n), has
     sum_v dim soc(n)_v * m_v unknowns; the side with fewer is solved (the
-    socle side on a tie).  The basis is the canonical one, the RREF rows
-    of Hom(m, n) in the ``Morphism.flatten`` layout.
+    socle side on a tie).  The solve's one elimination gives ``dim``; the
+    basis, the canonical RREF rows of Hom(m, n) in the ``Morphism.flatten``
+    layout, is spread from the solutions on the first read of ``rows``.
     """
     if (m.presentation is not n.presentation and m.presentation != n.presentation) or m.field != n.field:
         raise HomalgError("hom between different presentations or fields")
     top, socle = sides(m)[0][1], sides(n)[1][1]
     top_unknowns = sum(len(top[v]) * d for v, d in n.dims_by_vertex.items())
     if top_unknowns < sum(len(socle[v]) * d for v, d in m.dims_by_vertex.items()):
-        rows = spun_homs(presentation(m, False), m, n, sides(n)[0][0], transpose=False)
+        dim, spread = spun_homs(presentation(m, False), m, n, sides(n)[0][0], transpose=False)
     else:
-        rows = spun_homs(presentation(n, True), n, m, sides(m)[1][0], transpose=True)
-    return HomSpace(m, n, rows)
+        dim, spread = spun_homs(presentation(n, True), n, m, sides(m)[1][0], transpose=True)
+    return HomSpace._solved(m, n, dim, spread)
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n), from the solve of ``hom_basis``; no row is spread."""
     return hom_basis(m, n).dim
 
 

@@ -28,13 +28,16 @@ are the canonical reduced row echelon form.  A column -> pivot-row
 index limits back-substitution to the rows holding the new pivot
 column, so the work follows the nonzeros.  Given the width, it draws no
 row after full rank, so a kernel (``_kernel_rows``) stops reading a lazy
-row stream once it is zero.  A pivot other than +-1 is
-inverted as ``Fraction(1, pivot)`` over the rationals and by
-``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and returns
-dicts of values, for systems that are sparse from the start (the hom
-systems).  ``Subspace.is_stable`` tests m(S) ⊆ S on the annihilator of
-S.  ``primitive_row`` scales a rational row to coprime ints, for
-callers that only need its span and want int products.
+row stream once it is zero.  ``_free_rows`` reads a kernel basis off
+the RREF, one solution per free column, for callers that need only the
+kernel's span or its dimension (the hom systems of ``spin``).  A pivot
+other than +-1 is inverted as ``Fraction(1, pivot)`` over the rationals
+and by ``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and
+returns dicts of values and checks every entry, for systems that are
+sparse from the start, such as the commuting-square system of the test
+oracle.  ``Subspace.is_stable`` tests m(S) ⊆ S on the annihilator of S,
+read by columns.  ``primitive_row`` scales a rational row to coprime
+ints, for callers that only need its span and want int products.
 """
 
 from __future__ import annotations
@@ -480,16 +483,22 @@ def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None) -> dict[i
     return reduced
 
 
-def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> dict[int, dict]:
-    """The right kernel of sparse kernel rows, as the RREF rows of its canonical
-    basis; no row is drawn once the kernel is zero."""
-    reduced = _eliminate(rows, p, ncols)
+def _free_rows(reduced: dict[int, dict], ncols: int, p: int) -> list[dict]:
+    """A basis of the right kernel of RREF rows ``{pivot: row}`` of width
+    ``ncols``: for each free column f, the solution that is 1 at f, 0 at
+    the other free columns and -row[f] at each pivot."""
     free = {f: {f: 1} for f in range(ncols) if f not in reduced}
     for q, row in reduced.items():
         for j, v in row.items():
             if j != q:
                 free[j][q] = -v % p if p else -v
-    return _eliminate(free.values(), p)
+    return list(free.values())
+
+
+def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> dict[int, dict]:
+    """The right kernel of sparse kernel rows, as the RREF rows of its canonical
+    basis; no row is drawn once the kernel is zero."""
+    return _eliminate(_free_rows(_eliminate(rows, p, ncols), ncols, p), p)
 
 
 def sparse_kernel(equations: Iterable[Mapping], ncols: int, field) -> list[dict]:
@@ -643,8 +652,10 @@ class Subspace:
         """True iff m(S) ⊆ S for every n x n matrix m in ``maps``.
 
         Tested on the annihilator: q m s = 0 for all s in S iff q @ m lies
-        in Ann(S), so a map costs one product with the annihilator's
-        canonical rows and their reduction; no image subspace is built.
+        in Ann(S), so no image subspace is built.  The annihilator's
+        canonical rows are read by columns, so a map costs work only at
+        its nonzero rows k, each added into the products of the rows q
+        with q[k] != 0, and the products are reduced against the rows.
         The zero and full subspaces need no products, but every map is
         still checked for its field and shape.
         """
@@ -657,8 +668,18 @@ class Subspace:
             if ann is None:
                 p = field.characteristic
                 ann = _kernel_rows([dict(r) for r in self._rows.values()], n, p) if 0 < self.dim < n else {}
-                q = _mat(tuple(ann.values()), len(ann), n, field)
-            if ann and any(_reduce(r, ann, p) for r in (q @ m)._data):
+                columns = {}  # k -> [(i, q_i[k])] over the annihilator rows q_i
+                for i, q in enumerate(ann.values()):
+                    for k, x in q.items():
+                        columns.setdefault(k, []).append((i, x))
+            if not ann:
+                continue
+            products = {}  # i -> q_i @ m
+            for k, row in enumerate(m._data):
+                if row:
+                    for i, x in columns.get(k, ()):
+                        _subtract(products.setdefault(i, {}), -x, row, -1, p)  # += x * m[k]
+            if any(_reduce(r, ann, p) for r in products.values()):
                 return False
         return True
 

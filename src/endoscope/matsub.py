@@ -92,9 +92,11 @@ def check_endo_invariant(sub: Subspace, rep: Representation) -> bool:
     """True iff f(sub) ⊆ sub for every basis endomorphism f of rep.
 
     Each f acts by its total matrix (assembled once per morphism), and
-    the test runs on the annihilator of sub: f keeps sub iff every
-    annihilator row q has q f in the annihilator.  A subspace over
-    another field than rep's raises ``LinalgError``.
+    the test runs on the annihilator of sub (``Subspace.is_stable``): f
+    keeps sub iff every annihilator row q has q f in the annihilator.
+    The annihilator is read by columns, so f costs work only at its
+    nonzero rows.  A subspace over another field than rep's raises
+    ``LinalgError``.
     """
     if sub.ambient_dim != rep.total_dim:
         raise MatrixSubgroupError("subspace does not live in the total space")

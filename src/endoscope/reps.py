@@ -585,7 +585,7 @@ def kronecker_regular(n: int, lam, field=QQ) -> Representation:
     (alpha nilpotent Jordan, beta identity).
     """
     if n < 1:
-        raise RepresentationError("index must be >= 1")
+        raise RepresentationError(f"size must be >= 1, not {n}")
     if isinstance(lam, _Infinity):
         alpha = _jordan(n, 0, field)
         beta = Mat.identity(n, field)

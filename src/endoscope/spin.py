@@ -6,8 +6,11 @@ miss: every arrow is applied to every vector found, and each image is
 either a new basis vector or a combination of those already found, a
 relation.  A map M -> N is then fixed by the images of the generators,
 which must satisfy the relations evaluated on N (``spun_homs``), so
-Hom(M, N) is one kernel with sum_v dim top(M)_v * n_v unknowns.  The
-dual side spins DN and solves Hom(DN, DM) the same way.  ``sides`` and
+Hom(M, N) is one kernel with sum_v dim top(M)_v * n_v unknowns.  One
+elimination gives its dimension; the solutions are spread into maps in
+the ``Morphism.flatten`` layout, and eliminated once more into the
+canonical rows, only when those are asked for (``_spread``).  The dual
+side spins DN and solves Hom(DN, DM) the same way.  ``sides`` and
 ``presentation`` are cached per module; ``homs.clear_caches`` drops
 them.
 """
@@ -15,8 +18,9 @@ them.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-from .linalg import _eliminate, _reduce, _subtract, sparse_kernel
+from .linalg import _checked, _eliminate, _free_rows, _reduce, _subtract
 from .reps import Representation
 
 
@@ -123,23 +127,24 @@ def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
     return nodes, relations, inverse
 
 
-def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict, transpose: bool) -> dict[int, dict]:
-    """The canonical basis of Hom(s, t), its RREF rows ``{pivot: row}`` in
-    the ``Morphism.flatten`` layout, from the presentation ``spun`` of s and
-    the arrow ``matrices`` of t; with ``transpose``, the spin is of Ds,
-    the matrices are those of Dt, and the basis is of Hom(t, s).
+def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict, transpose: bool) -> tuple[int, Callable]:
+    """Hom(s, t) from the presentation ``spun`` of s and the arrow
+    ``matrices`` of t, as ``(dim, spread)``; with ``transpose``, the spin
+    is of Ds, the matrices are those of Dt, and the space is Hom(t, s).
 
     The unknowns are the images of the generators.  A node's image is P
     applied to its generator's unknowns, P the product of t's arrow
-    matrices along its path, and each relation gives t_v equations.
-    Entry (r, j) of the block at v is coordinate r of the image of e_j,
-    which the spin's inverse writes in the nodes.  The basis is reduced
-    to the canonical one, so callers see the same maps on either side.
+    matrices along its path, and each relation gives t_v equations.  One
+    elimination solves them, and ``dim`` is the number of its free
+    columns: a map is fixed by the images of the generators, so distinct
+    solutions are distinct maps.  ``spread()`` returns the canonical RREF
+    rows ``{pivot: row}`` of the space in the ``Morphism.flatten``
+    layout, the same maps on either side (see ``_spread``).
     """
     nodes, relations, inverse = spun
     field = s.field
     p = field.characteristic
-    sdims, tdims = s.dims_by_vertex, t.dims_by_vertex
+    tdims = t.dims_by_vertex
     # paths[k] = (u, P): coordinate c of the generator of node k is unknown u - c;
     # later generators take smaller indices, so the pivot of a relation is
     # mostly an unknown that no earlier relation holds: little back-substitution
@@ -154,7 +159,7 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
             a = matrices[arrow][2]
             paths.append((u, a if path is None else a @ path))
     if not unknowns:
-        return {}
+        return 0, dict  # the zero space: no rows
 
     equations = []
     for node, arrow, combination in relations:
@@ -168,12 +173,26 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
                 for w, x in ((uk - r, 1),) if pk is None else ((uk - i, x) for i, x in pk.row(r).items()):
                     eq[w] = eq.get(w, 0) - c * x
             equations.append({w: x % p for w, x in eq.items()} if p else eq)
-    kernel = sparse_kernel(equations, unknowns, field)
+    reduced = _eliminate(_checked((eq.items() for eq in equations), unknowns, field), p, unknowns)
+    kernel = _free_rows(reduced, unknowns, p)
     if not kernel:
-        return {}
+        return 0, dict
+    return len(kernel), lambda: _spread(kernel, paths, inverse, s, t, transpose)
 
-    # row w of `spread` is the flatten layout of the map with unknown w = 1
-    spread, pos = [{} for _ in range(unknowns)], 0
+
+def _spread(kernel: list[dict], paths: list, inverse: dict, s: Representation, t: Representation, transpose: bool) -> dict[int, dict]:
+    """The canonical RREF rows ``{pivot: row}`` of the maps whose generator
+    images are the ``kernel`` vectors, in the ``Morphism.flatten`` layout.
+
+    Entry (r, j) of the block at v is coordinate r of the image of e_j,
+    which the spin's inverse writes in the nodes.  Only the unknowns that
+    the kernel vectors hold are spread.  The RREF of a span is unique, so
+    any basis of the kernel gives the same rows.
+    """
+    p = s.field.characteristic
+    sdims, tdims = s.dims_by_vertex, t.dims_by_vertex
+    # spread[w] is the flatten layout of the map with unknown w = 1
+    spread, pos = {w: {} for y in kernel for w in y}, 0
     for v in s.presentation.quiver.vertices:
         s_v, t_v = sdims[v], tdims[v]
         for j, combination in enumerate(inverse[v]):
@@ -182,7 +201,8 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
                 for r in range(t_v):
                     idx = pos + (j * t_v + r if transpose else r * s_v + j)
                     for w, x in ((u - r, 1),) if path is None else ((u - i, x) for i, x in path.row(r).items()):
-                        spread[w][idx] = spread[w].get(idx, 0) + c * x
+                        if (row := spread.get(w)) is not None:
+                            row[idx] = row.get(idx, 0) + c * x
         pos += s_v * t_v
     flats = []
     for y in kernel:

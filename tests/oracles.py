@@ -6,8 +6,11 @@ every arrow a", with sum_v m_v * n_v unknowns in the ``Morphism.flatten``
 layout.  ``preimage`` is the subspace {x : m @ x in sub}.
 ``stable_by_images`` and ``endo_invariant_by_images`` are the first
 endo-invariance test: the image subspace of sub under every map (every
-End(M) basis map), checked to lie in sub.  ``multiply_coords`` is the
-product of End(M) in the coordinates of ``ring.hom``, composed on M.
+End(M) basis map), checked to lie in sub.  ``stable_by_products`` is the
+first ``Subspace.is_stable`` on the annihilator: every map's product
+q @ m with the annihilator's canonical rows q, checked to lie in their
+span.  ``multiply_coords`` is the product of End(M) in the coordinates
+of ``ring.hom``, composed on M.
 ``relative_series_by_embedding`` is the first relative endosocle
 series: ``family_endosocle`` on each remaining subfamily, its components
 embedded into the direct sum of all members.  ``annihilated_by_stacking``
@@ -29,7 +32,7 @@ from itertools import combinations
 
 from endoscope.endosocle import _prepare_members, family_endosocle
 from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks
-from endoscope.linalg import Mat, Subspace, kernel_basis, sparse_kernel
+from endoscope.linalg import LinalgError, Mat, Subspace, kernel_basis, sparse_kernel
 from endoscope.radical import radical_profile
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
 
@@ -75,6 +78,20 @@ def preimage(sub: Subspace, m: Mat) -> Subspace:
 def stable_by_images(sub: Subspace, maps) -> bool:
     """m(sub) ⊆ sub for every matrix m in ``maps``, one image subspace per map."""
     return all(sub.contains_subspace(sub.image(m)) for m in maps)
+
+
+def stable_by_products(sub: Subspace, maps) -> bool:
+    """m(sub) ⊆ sub for every n x n matrix m in ``maps``: q @ m in the span
+    of the annihilator rows q; every map is checked for its field and shape."""
+    n = sub.ambient_dim
+    q = sub.annihilator()
+    annihilator = Subspace(n, q.transpose())
+    for m in maps:
+        if m.shape != (n, n):
+            raise LinalgError(f"map of shape {m.shape} on K^{n}")
+        if not all(annihilator.contains(row) for row in (q @ m).entries):
+            return False
+    return True
 
 
 def endo_invariant_by_images(sub: Subspace, rep: Representation) -> bool:

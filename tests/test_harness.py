@@ -243,6 +243,15 @@ def test_cli_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "1..4", "--field", "fp:5")
     assert code == 2
+    # a regular family of size < 1 is refused for its size, not for its (valid) range
+    for size in ("0", "-1"):
+        for command in ("endosoc", "transversal", "radical-profile", "sweep"):
+            argv = [command, "--family", "regular", "--range", "0..2", "--size", size]
+            if command == "sweep":
+                argv += ["--invariant", "endosoc-support", "--min", "1", "--max", "2"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: size must be >= 1, not {size}\n")
 
 
 def _matsub_eval(matrix):

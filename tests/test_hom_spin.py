@@ -4,7 +4,8 @@ For every pair, ``hom_basis`` must have the oracle's dimension, every
 basis element must commute with the arrows (a validated ``Morphism``),
 and the basis must be independent.  It is also the canonical basis (the
 RREF rows in the ``Morphism.flatten`` layout), which the oracle's kernel
-is too, so the two bases coincide.
+is too, so the two bases coincide.  The dimension comes from the solve,
+and the rows are spread only when first read.
 """
 
 import json
@@ -12,14 +13,15 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from endoscope import homs, spin
-from endoscope.homs import hom_basis
-from endoscope.linalg import QQ, Mat, PrimeField
+from endoscope import homs, linalg, spin
+from endoscope.homs import HomalgError, hom_basis
+from endoscope.linalg import QQ, Mat, PrimeField, invert
 from endoscope.quiver import AlgebraPresentation, Quiver
 from endoscope.reps import (
     INFINITY,
     Morphism,
     Representation,
+    dual,
     kronecker_preinjective,
     kronecker_preprojective,
     kronecker_regular,
@@ -161,3 +163,104 @@ def test_each_pair_spins_the_side_with_fewer_unknowns():
     hom_basis(p3, p4)
     assert was_spun(i3, True) and was_spun(p3, False)
     assert not was_spun(i4, False) and not was_spun(p4, True)
+
+
+# -- the dimension from the solve, the rows on first read --------------------------
+
+
+def count_calls(monkeypatch, module, name, calls=None):
+    """Wrap ``module.name`` so that every call appends its arguments to
+    ``calls`` (a new list unless given), and return that list."""
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hom_dim_table_spreads_no_row_until_rows_are_read(monkeypatch):
+    homs.clear_caches()
+    spreads = count_calls(monkeypatch, spin, "_spread")
+    mods = [kronecker_preinjective(i, PrimeField(101)) for i in range(1, 9)]
+    pairs = [(mods[m - 1], mods[n - 1], max(0, m - n + 1)) for m in range(1, 9) for n in range(1, 9)]
+    assert all(homs.hom_dim(m, n) == dim for m, n, dim in pairs)
+    assert spreads == []
+    # once per nonzero space on the first read, and never again
+    nonzero = sum(dim > 0 for *_, dim in pairs)
+    for _ in range(2):
+        assert all(len(hom_basis(m, n).rows) == dim for m, n, dim in pairs)
+        assert len(spreads) == nonzero
+
+
+@pytest.mark.parametrize("pair, dim", [((3, 2), 2), ((2, 3), 0)], ids=["nonzero", "zero"])
+def test_a_hom_system_is_eliminated_once_and_spread_once(monkeypatch, pair, dim):
+    homs.clear_caches()
+    m, n = (kronecker_preinjective(i, PrimeField(101)) for i in pair)
+    hom_basis(m, n)
+    hom_basis.cache_clear()  # the spun presentations stay cached
+    eliminations = []
+    for module in (spin, linalg, homs):
+        count_calls(monkeypatch, module, "_eliminate", eliminations)
+    space = hom_basis(m, n)
+    assert (space.dim, len(eliminations)) == (dim, 1)
+    assert len(space.rows) == dim
+    assert len(eliminations) == (2 if dim else 1)
+
+
+def unitriangular_conjugate(rep):
+    """The copy of rep under the base change 1 + (ones above the diagonal) at every vertex."""
+    field = rep.field
+    change = {
+        v: Mat([[field.of(int(i <= j)) for j in range(d)] for i in range(d)], d, d, field)
+        for v, d in rep.dims_by_vertex.items()
+    }
+    matrices = {
+        a.name: change[a.target] @ rep.matrix(a.name) @ invert(change[a.source]) for a in rep.presentation.quiver.arrows
+    }
+    return Representation(rep.presentation, rep.dims_by_vertex, matrices, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)], ids=["Q", "GF7", "GF101"])
+def test_dim_from_the_solve_is_the_number_of_rows(monkeypatch, field):
+    homs.clear_caches()
+    solved = set()
+    original = homs.spun_homs
+
+    def recorded(*args, transpose):
+        solved.add(transpose)
+        return original(*args, transpose=transpose)
+
+    monkeypatch.setattr(homs, "spun_homs", recorded)
+    members = [kronecker_preinjective(i, field) for i in range(1, 6)]
+    members += [kronecker_preprojective(i, field) for i in range(1, 6)]
+    members += [kronecker_regular(n, lam, field) for n in (1, 2) for lam in (0, 1, INFINITY)]
+    members += [unitriangular_conjugate(kronecker_preinjective(3, field))]
+    for family in (members, [dual(m) for m in members]):
+        for m in family:
+            for n in family:
+                space = hom_basis(m, n)
+                dim = space.dim
+                assert dim == len(space.rows)
+    assert solved == {False, True}  # both the top and the socle side
+
+
+def test_a_spread_that_loses_a_row_is_refused(monkeypatch):
+    homs.clear_caches()
+    original = spin._spread
+
+    def lossy(*args):
+        rows = original(*args)
+        del rows[max(rows)]
+        return rows
+
+    monkeypatch.setattr(spin, "_spread", lossy)
+    space = hom_basis(kronecker_preinjective(3), kronecker_preinjective(2))
+    assert space.dim == 2
+    for _ in range(2):  # a failed read leaves nothing half built
+        with pytest.raises(HomalgError, match="dimension 2 spread to 1 rows"):
+            space.rows
+    homs.clear_caches()

@@ -22,7 +22,7 @@ from endoscope.linalg import (
     scalar_to_str,
     solve,
 )
-from oracles import preimage, stable_by_images
+from oracles import preimage, stable_by_images, stable_by_products
 
 
 def F(x, y=1):
@@ -196,7 +196,7 @@ def stability_cases(draw):
 def test_is_stable_agrees_with_image_subspaces(case):
     maps, sub, closed = case
     stable = sub.is_stable(maps)
-    assert stable == stable_by_images(sub, maps)
+    assert stable == stable_by_images(sub, maps) == stable_by_products(sub, maps)
     assert stable or not closed
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endoscope.linalg import QQ, LinalgError, PrimeField, Subspace
+from endoscope.homs import hom_basis
+from endoscope.linalg import QQ, LinalgError, Mat, PrimeField, Subspace
 from endoscope.matsub import (
     MatrixSubgroupError,
     PointedMatrix,
@@ -16,7 +17,7 @@ from endoscope.matsub import (
 )
 from endoscope.quiver import act, kronecker
 from endoscope.reps import direct_sum, kronecker_preinjective, kronecker_preprojective, zero_representation
-from oracles import endo_invariant_by_images
+from oracles import endo_invariant_by_images, stable_by_products
 
 FIELDS = (QQ, PrimeField(101))
 
@@ -150,6 +151,50 @@ def test_invariance_on_five_preinjectives_agrees_with_image_subspaces(pres, fiel
             assert stable == endo_invariant_by_images(sub, rep)
             outcomes.add(stable)
     assert outcomes == {True, False}
+
+
+def summands(parts):
+    """The direct sum of ``parts`` and the subspaces its summands span in its total space."""
+    total, embeddings, _ = direct_sum(parts)
+    return total, [Subspace(total.total_dim, e.total_mat()) for e in embeddings]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_stability_by_columns_agrees_with_products_on_five_preinjectives(pres, field):
+    # the summand I_k of I1+...+I5 is moved by the maps I_k -> I_j, j < k: only I_1 stays
+    rep, parts = summands([kronecker_preinjective(n, field) for n in range(1, 6)])
+    n = rep.total_dim
+    maps = [f.total_mat() for f in hom_basis(rep, rep).basis]
+    rng = random.Random(17)
+    subs = [Subspace.zero(n, field), Subspace.full(n, field)] + parts
+    subs += [evaluate(random_pointed_matrix(pres, rng), rep) for _ in range(15)]
+    for _ in range(10):
+        span = [[field.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        subs.append(Subspace.span(n, span, field))
+    outcomes = [sub.is_stable(maps) for sub in subs]
+    assert outcomes == [stable_by_products(sub, maps) for sub in subs]
+    assert outcomes[:7] == [True, True, True, False, False, False, False]
+    assert all(outcomes[7:22]) and set(outcomes) == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_summand_i2_of_i1_plus_i2_is_not_invariant(field):
+    # Hom(I2, I1) != 0 moves the summand I2 into I1; Hom(I1, I2) = 0 keeps I1
+    rep, (i1, i2) = summands([kronecker_preinjective(1, field), kronecker_preinjective(2, field)])
+    maps = [f.total_mat() for f in hom_basis(rep, rep).basis]
+    assert not check_endo_invariant(i2, rep) and not stable_by_products(i2, maps)
+    assert check_endo_invariant(i1, rep) and stable_by_products(i1, maps)
+
+
+def test_stability_refuses_a_map_over_another_field_or_not_square():
+    gf = PrimeField(101)
+    rep, (i1, i2) = summands([kronecker_preinjective(1, gf), kronecker_preinjective(2, gf)])
+    n = rep.total_dim
+    for sub in (i1, i2, Subspace.zero(n, gf), Subspace.full(n, gf)):
+        for bad in (Mat.identity(n), Mat.zeros(n, n + 1, gf)):
+            for stable in (sub.is_stable, lambda maps: stable_by_products(sub, maps)):
+                with pytest.raises(LinalgError):
+                    stable([Mat.identity(n, gf), bad])
 
 
 def test_evaluate_distributes_over_direct_sums(pres):

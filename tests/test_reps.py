@@ -41,6 +41,14 @@ def test_preinjective_rejects_zero_index():
         kronecker_preprojective(0)
 
 
+def test_regular_rejects_size_below_one():
+    for n in (0, -1):
+        with pytest.raises(RepresentationError, match=f"^size must be >= 1, not {n}$"):
+            kronecker_regular(n, 0)
+    with pytest.raises(RepresentationError, match="^size must be >= 1, not 0$"):
+        kronecker_regular(0, INFINITY)
+
+
 def test_preprojective_is_dual_of_right_preinjective():
     for n in range(1, 13):
         right = kronecker_preinjective_right(n)
