@@ -23,20 +23,18 @@ Every elimination (``rref``, ``kernel_basis``, ``solve``, ``invert``,
 ``Mat.rank``, ``Subspace``, ``intersect``) runs one sparse Gauss-Jordan
 kernel, ``_eliminate``.  Rows are folded in one at a time, each reduced
 against the pivot rows so far, which are kept fully reduced; its
-smallest column becomes its pivot, so the pivot rows sorted by pivot
-are the canonical reduced row echelon form.  A column -> pivot-row
-index limits back-substitution to the rows holding the new pivot
-column, so the work follows the nonzeros.  Given the width, it draws no
-row after full rank, so a kernel (``_kernel_rows``) stops reading a lazy
-row stream once it is zero.  ``_free_rows`` reads a kernel basis off
-the RREF, one solution per free column, for callers that need only the
-kernel's span or its dimension (the hom systems of ``spin``).  A pivot
-other than +-1 is inverted as ``Fraction(1, pivot)`` over the rationals
-and by ``pow(pivot, -1, p)`` over GF(p).  ``sparse_kernel`` takes and
-returns dicts of values and checks every entry, for systems that are
-sparse from the start, such as the commuting-square system of the test
-oracle.  ``Subspace.is_stable`` tests m(S) ⊆ S on the annihilator of S,
-read by columns.  ``primitive_row`` scales a rational row to coprime
+smallest column becomes its pivot, so the pivot rows sorted by pivot are
+the canonical reduced row echelon form.  A column -> pivot-row index
+limits back-substitution to the rows holding the new pivot column, so
+the work follows the nonzeros.  Given a bound on the rank, such as the
+width, it draws no row once it holds that many pivots, so a kernel
+(``_kernel_rows``) stops reading a lazy row stream once it is zero.
+``_free_rows`` reads a kernel basis off the RREF, one solution per free
+column, for callers that need only the kernel's span or its dimension
+(the hom systems of ``spin``).  A pivot other than +-1 is inverted as
+``Fraction(1, pivot)`` over the rationals and by ``pow(pivot, -1, p)``
+over GF(p).  ``Subspace.is_stable`` tests m(S) ⊆ S on the annihilator of
+S, read by columns.  ``primitive_row`` scales a rational row to coprime
 ints, for callers that only need its span and want int products.
 """
 
@@ -450,9 +448,9 @@ def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None) -> dict[i
 
     Returns ``{pivot column: row}``.  Each row has a 1 at its pivot, its
     smallest column, and no entry at any other pivot column; sorted by
-    pivot, the rows are the canonical RREF of the row space.  Given the
-    width ``ncols``, it draws no row once it holds ``ncols`` pivots, since
-    every later row would reduce to zero: a lazy ``rows`` is left unread.
+    pivot, the rows are the canonical RREF of the row space.  Given ``ncols``, any
+    bound on the rank (the width is one), it draws no row once it holds ``ncols``
+    pivots, as every later row would reduce to zero: a lazy ``rows`` is left unread.
     """
     reduced: dict[int, dict] = {}
     holders: dict[int, set] = {}  # column -> pivots of the rows with an entry there
@@ -499,17 +497,6 @@ def _kernel_rows(rows: Iterable[dict], ncols: int, p: int) -> dict[int, dict]:
     """The right kernel of sparse kernel rows, as the RREF rows of its canonical
     basis; no row is drawn once the kernel is zero."""
     return _eliminate(_free_rows(_eliminate(rows, p, ncols), ncols, p), p)
-
-
-def sparse_kernel(equations: Iterable[Mapping], ncols: int, field) -> list[dict]:
-    """The right kernel of sparse equations ``{column: value}`` over ``field``.
-
-    Zero entries and empty equations are allowed.  Returns the canonical
-    basis (the RREF rows of the kernel) as dicts ``{column: nonzero value}``.
-    """
-    p = field.characteristic
-    reduced = _kernel_rows(_checked((eq.items() for eq in equations), ncols, field), ncols, p)
-    return [reduced[c] for c in sorted(reduced)]
 
 
 def primitive_row(row: Mapping, field) -> dict:

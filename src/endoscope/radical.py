@@ -11,20 +11,21 @@ non-isomorphisms between indecomposables of length <= b are zero.
 
 The profile is built level by level, one ordered pair at a time.  Each
 power of a pair is held as the canonical reduced echelon rows of its
-span in the ``Morphism.flatten`` layout, where the composites are
-formed from vertex blocks (``reps.composite_flats``) and reduced; a
+span in the ``Morphism.flatten`` layout, where the composites are formed
+from vertex blocks one at a time (``reps.composite_flats``) and reduced
+until they span as much as the power before, which holds them; a
 ``Morphism`` is built only for the basis maps a caller asks for.  The
 maps a level composes are its rows scaled to coprime ints
 (``linalg.primitive_row``), which leaves each span as it is and makes
 every product in a composite an int product.  From depth 3 on only the
 irreducible maps, a complement of rad^2 in rad, are composed on the
 left; a middle member with no map on one side is skipped, and a pair
-whose power has vanished is not composed again.  Every level is built
-on the least-height member of each isomorphism class at source, middle
-and target, so a rational conjugate of an integer module is not
-composed; another pair's rows are carried over through the certified
-isomorphisms when first asked for.
-``radical_profile`` proves that all of this spans the same powers.
+whose power has vanished is not composed again.  Every level is built on
+the least-height member of each isomorphism class at source, middle and
+target, so a rational conjugate of an integer module is not composed;
+another pair's rows are carried over through the certified isomorphisms
+when first asked for.  ``radical_profile`` proves that all of this spans
+the same powers.
 
 Both sides of semi-T-nilpotence are read per member from one profile: the
 row depth bounds the chains out of a member, the column depth those into it.
@@ -44,7 +45,7 @@ from .homs import (
     iso_classes,
     require_local,
 )
-from .linalg import Subspace, _reduce, primitive_row
+from .linalg import Subspace, _eliminate, _reduce, primitive_row
 from .reps import Morphism, composite_flats, family_labels, flat_blocks
 
 
@@ -100,7 +101,7 @@ class RadicalProfile:
         """The canonical basis of the depth-d power from i to j, as maps built
         with validation, which raises unless each commutes with the arrows.
         A pair not of two representatives is carried over when first asked
-        for: its rows span psi R_d(a, b) phi^-1 (``radical_profile``)."""
+        for: its rows span psi R_d(a, b) phi^-1, as many as R_d(a, b) has (``radical_profile``)."""
         if depth not in range(1, self.depth_reached() + 1):
             raise RadicalError(f"depth {depth!r} is outside 1..{self.depth_reached()}")
         key = (depth, self._position(i), self._position(j))
@@ -111,7 +112,10 @@ class RadicalProfile:
             rep_maps = [flat_blocks(self._members[a], self._members[b], r) for r in self._rows[(depth, a, b)]]
             psi_f = composite_flats([psi.witness.blocks], rep_maps)
             flats = composite_flats([flat_blocks(self._members[a], target, x) for x in psi_f], [phi.inverse.blocks])
-            self._rows[key] = list(HomSpace.span(source, target, flats).rows.values())
+            carried = list(HomSpace.span(source, target, flats).rows.values())
+            if len(carried) != len(rep_maps):
+                raise HomalgError(f"a copy's pair carried {len(carried)} of the {len(rep_maps)} rows of its depth-{depth} power")
+            self._rows[key] = carried
         return [Morphism(source, target, flat_blocks(source, target, r)) for r in self._rows[key]]
 
     def _position(self, label) -> int:
@@ -131,12 +135,13 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     partition below: all of Hom(a, b) for two representatives a != b, which
     are certified non-isomorphic and local, and J(End M_a) for a = b.  Level
     d + 1 is built pair by pair: for each (i, j) the composites g f of a left
-    factor g: M_k -> M_j and a map f of R_d(i, k) are reduced as flats (a
-    middle k with no g or no f adds none).  Every composed row, and every row
-    of J(End M_a), must reduce to zero against the canonical rows of the hom
-    space, so a map that leaves it raises.  The maps are a level's rows scaled
-    to coprime ints; a span does not change when a vector of it is scaled by
-    a nonzero rational.
+    factor g: M_k -> M_j and a map f of R_d(i, k) are drawn one at a time and
+    reduced as flats (a middle k with no g or no f adds none) until they hold
+    dim R_d(i, j) pivots: their span lies in R_d(i, j), so it is then R_d(i, j),
+    which holds every composite not drawn.  Each drawn row must reduce to zero
+    against R_d(i, j)'s canonical rows, and each row of J(End M_a) against
+    Hom(a, a)'s, so a map that leaves its level (by induction, its hom space)
+    raises.  The maps, a level's rows scaled to coprime ints, span that level.
 
     Every index runs over class representatives (``homs.iso_classes`` by
     ``_height``), each admitted once certified local.  So every
@@ -193,8 +198,8 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
             left = {pair: _maps(hom[pair], [r for r in rad1[pair] if min(r) not in taken[pair]]) for pair in pairs}
         nxt = {}
         for a, b in pairs:
-            factors = [(left[(k, b)], maps[(a, k)]) for k in reps if left[(k, b)] and maps[(a, k)]]
-            nxt[(a, b)] = _composite_rows(hom[(a, b)], factors) if prev[(a, b)] else []
+            factors = ((left[(k, b)], maps[(a, k)]) for k in reps if left[(k, b)] and maps[(a, k)])
+            nxt[(a, b)] = _composite_rows(hom[(a, b)], prev[(a, b)], factors) if prev[(a, b)] else []
         levels.append(nxt)
 
     idx = range(len(members))
@@ -233,10 +238,15 @@ def _checked_rows(hom: HomSpace, space: HomSpace) -> list:
     return list(space.rows.values())
 
 
-def _composite_rows(hom: HomSpace, factors) -> list:
-    """``_checked_rows`` of the span of the composites g f over ``factors`` = [(gs, fs), ...]."""
-    flats = [flat for gs, fs in factors for flat in composite_flats(gs, fs)]
-    return _checked_rows(hom, HomSpace.span(hom.source, hom.target, flats))
+def _composite_rows(hom: HomSpace, above: list, factors) -> list:
+    """The canonical rows of the composites g f over the pairs (gs, fs) of ``factors``, drawn until they hold
+    ``len(above)`` pivots; raises unless each reduces to zero against ``above``, the level that holds them."""
+    p = hom.source.field.characteristic
+    reduced = _eliminate((flat for gs, fs in factors for flat in composite_flats(gs, fs)), p, len(above))
+    bound = {min(r): r for r in above}
+    if any(_reduce(dict(row), bound, p) for row in reduced.values()):
+        raise HomalgError("a composite leaves the radical power it must lie in")
+    return [reduced[c] for c in sorted(reduced)]
 
 
 def _maps(hom: HomSpace, rows) -> list[dict]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import Mat, QQ, Subspace, _mat, assemble, kernel_basis
 from .quiver import AlgebraPresentation, QuiverError, act, kronecker
@@ -355,13 +355,13 @@ def flat_blocks(source: Representation, target: Representation, flat: Mapping) -
     return {v: _mat(r, target.dim(v), source.dim(v), source.field) for v, r in zip(vertices, rows)}
 
 
-def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, Mat]]) -> list[dict]:
-    """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, from
-    block dicts ``{vertex: Mat}`` (``flat_blocks``, ``Morphism.blocks``), with no
-    ``Morphism`` or ``Mat`` built.  Vertex by vertex, every f must have the first
-    f's shape, and every g must end where the first g ends and start where f ends."""
+def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, Mat]]) -> Iterator[dict]:
+    """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, from block dicts
+    ``{vertex: Mat}`` (``flat_blocks``, ``Morphism.blocks``), each formed when drawn from the lazy
+    iterator returned, with no ``Morphism`` or ``Mat`` built.  Checked at the call: by vertex, every
+    f has the first f's shape, and every g ends where the first g ends and starts where f ends."""
     if not gs or not fs:
-        return []
+        return iter(())
     vertices = list(fs[0])
     f_shape, ends = _shapes(fs[0]), {v: b.rows for v, b in gs[0].items()}
     g_shape = {v: (ends.get(v), rows, field) for v, (rows, _, field) in f_shape.items()}
@@ -379,7 +379,11 @@ def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, M
             pos += blk.rows * width
         g_rows.append(entries)
     of = next((b.field.of for b in fs[0].values()), None)  # with no vertex there is no entry to read
-    out = []
+    return _products(g_rows, f_rows, of)
+
+
+def _products(g_rows, f_rows, of) -> Iterator[dict]:
+    """The flats of ``composite_flats``, one product per draw."""
     for entries in g_rows:
         for blocks in f_rows:
             acc = {}
@@ -388,8 +392,7 @@ def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, M
                 for k, a in grow:
                     for c, x in rows[k]:
                         acc[base + c] = acc.get(base + c, 0) + a * x
-            out.append({idx: y for idx, x in acc.items() if (y := of(x))})
-    return out
+            yield {idx: y for idx, x in acc.items() if (y := of(x))}
 
 
 def _shapes(blocks: Mapping[str, Mat]) -> dict:

@@ -3,7 +3,8 @@
 ``commuting_square_basis`` is the first hom-space builder: one kernel of
 the commuting-square system "f_target(a) . M_a = N_a . f_source(a) for
 every arrow a", with sum_v m_v * n_v unknowns in the ``Morphism.flatten``
-layout.  ``preimage`` is the subspace {x : m @ x in sub}.
+layout, taken by ``sparse_kernel`` from equations as dicts of values.
+``preimage`` is the subspace {x : m @ x in sub}.
 ``stable_by_images`` and ``endo_invariant_by_images`` are the first
 endo-invariance test: the image subspace of sub under every map (every
 End(M) basis map), checked to lie in sub.  ``stable_by_products`` is the
@@ -32,7 +33,7 @@ from itertools import combinations
 
 from endoscope.endosocle import _prepare_members, family_endosocle
 from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks
-from endoscope.linalg import LinalgError, Mat, Subspace, kernel_basis, sparse_kernel
+from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, kernel_basis
 from endoscope.radical import radical_profile
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
 
@@ -68,6 +69,18 @@ def commuting_square_basis(m: Representation, n: Representation) -> list[Morphis
                 equations.append(eq)
 
     return [Morphism.unflatten(m, n, vec) for vec in sparse_kernel(equations, unknowns, m.field)]
+
+
+def sparse_kernel(equations, ncols: int, field) -> list[dict]:
+    """The right kernel of sparse equations ``{column: value}`` over ``field``.
+
+    Zero entries and empty equations are allowed, and every entry is
+    checked.  Returns the canonical basis (the RREF rows of the kernel) as
+    dicts ``{column: nonzero value}``.
+    """
+    p = field.characteristic
+    reduced = _kernel_rows(_checked((eq.items() for eq in equations), ncols, field), ncols, p)
+    return [reduced[c] for c in sorted(reduced)]
 
 
 def preimage(sub: Subspace, m: Mat) -> Subspace:

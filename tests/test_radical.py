@@ -1,5 +1,7 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -149,9 +151,9 @@ def test_a_vanished_pair_is_not_composed_again(monkeypatch):
     calls = []
     original = radical._composite_rows
 
-    def counted(hom, factors):
+    def counted(hom, above, factors):
         calls.append((labels[members.index(hom.source)], labels[members.index(hom.target)]))
-        return original(hom, factors)
+        return original(hom, above, factors)
 
     monkeypatch.setattr(radical, "_composite_rows", counted)
     prof = radical_profile(members, d_max=63, labels=labels)
@@ -169,6 +171,41 @@ def test_checked_rows_refuse_a_row_that_is_not_a_homomorphism():
     # flat index 0 is entry (0, 0) of the block at vertex 1, which no map in Hom(I3, I2) has alone
     with pytest.raises(HomalgError, match="not a homomorphism"):
         radical._checked_rows(hom, HomSpace(i3, i2, {0: {0: 1}}))
+
+
+def test_composite_rows_refuse_a_composite_outside_the_level_above():
+    i3, i2, i1 = (kronecker_preinjective(n) for n in (3, 2, 1))
+    hom = hom_basis(i3, i1)
+    factors = [([g.blocks for g in hom_basis(i2, i1).basis], [f.blocks for f in hom_basis(i3, i2).basis])]
+    rows = list(hom.rows.values())
+    # the composites through I2 fill Hom(I3, I1) = R_1(I3, I1); the first is the row {0: 1}
+    assert rows == [{0: 1}, {1: 1}, {2: 1}]
+    assert radical._composite_rows(hom, rows, factors) == rows
+    # a level above that misses that first composite is refused
+    for above in ([rows[1]], [rows[2]], rows[1:], [rows[0], rows[2]]):
+        with pytest.raises(HomalgError, match="leaves the radical power"):
+            radical._composite_rows(hom, above, factors)
+    # the span of the first two composites is the whole level above, so no
+    # composite past them is drawn, and the drawn ones lie in it
+    assert radical._composite_rows(hom, rows[:1], factors) == rows[:1]
+    assert radical._composite_rows(hom, rows[:2], factors) == rows[:2]
+
+
+def test_a_copy_carried_short_of_its_representatives_rows_is_refused():
+    # phi^-1 patched to a singular block at vertex 1 carries one of the two rows
+    # of R_1(I2, I1) to the copy of I2; dims says two, so the rows are refused
+    i2, i1 = kronecker_preinjective(2), kronecker_preinjective(1)
+    prof = radical_profile([fixed_conjugate(i2), i2, i1], d_max=63, labels=["c", "i2", "i1"])
+    assert prof.pair_dims("c", "i1") == prof.pair_dims("i2", "i1") == [2, 0]
+    a, cert = prof._classes[0]
+    block = cert.inverse.blocks["1"]
+    singular = Mat([[0] * block.cols] + [[block.row(r).get(c, 0) for c in range(block.cols)] for r in range(1, block.rows)])
+    inverse = SimpleNamespace(blocks={**cert.inverse.blocks, "1": singular})
+    prof._classes = ((a, replace(cert, inverse=inverse)),) + prof._classes[1:]
+    with pytest.raises(HomalgError, match="carried 1 of the 2 rows"):
+        prof.basis_morphisms(1, "c", "i1")
+    with pytest.raises(HomalgError, match="carried 1 of the 2 rows"):
+        prof.subspace(1, "c", "i1")
 
 
 def test_harada_sai_small_family():

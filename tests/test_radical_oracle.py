@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from endoscope import radical, reps
 from endoscope.harness import length_bounded_kronecker_family
 from endoscope.homs import (
     are_isomorphic,
@@ -28,7 +29,7 @@ from endoscope.homs import (
     iso_classes,
     noniso_subspace,
 )
-from endoscope.linalg import Mat, Subspace, invert
+from endoscope.linalg import Mat, Subspace, _eliminate, invert
 from endoscope.quiver import kronecker
 from endoscope.radical import harada_sai_check, radical_profile, right_witness
 from endoscope.reps import (
@@ -473,3 +474,65 @@ def test_no_composite_is_formed_with_an_empty_side(monkeypatch):
     monkeypatch.setattr("endoscope.radical.composite_flats", recorded)
     assert radical_profile(members, d_max=63).vanishing_depth == 10
     assert sides and all(g and f for g, f in sides)
+
+
+def count_composites(monkeypatch) -> list:
+    """Clear the caches and record a copy of every composite ``reps.composite_flats``
+    yields from now on, in the list returned."""
+    drawn = []
+    original = reps._products
+
+    def counted(*args):
+        for flat in original(*args):
+            drawn.append(dict(flat))
+            yield flat
+
+    clear_caches()
+    monkeypatch.setattr(reps, "_products", counted)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "family, depth, n_drawn",
+    [
+        (lambda: conjugated_family(6, seed=1), 10, 820),
+        (lambda: [kronecker_preinjective(n) for n in range(1, 9)], 8, 504),
+        (lambda: [kronecker_preprojective(n) for n in range(1, 9)], 8, 504),
+    ],
+    ids=["conj-family", "preinj-1..8", "preproj-1..8"],
+)
+def test_a_profile_draws_composites_only_until_each_span_fills_its_bound(monkeypatch, family, depth, n_drawn):
+    # forming every composite of every composed pair and level drew 1 953, 910 and 910
+    members = family()
+    drawn = count_composites(monkeypatch)
+    assert radical_profile(members, d_max=63).vanishing_depth == depth
+    assert len(drawn) == n_drawn
+
+
+def test_a_pair_level_draws_no_composite_once_its_span_reaches_the_level_above(monkeypatch):
+    members = conjugated_family(6, seed=1)
+    drawn = count_composites(monkeypatch)
+    calls = []
+    original = radical._composite_rows
+
+    def recorded(hom, above, factors):
+        factors, start = list(factors), len(drawn)
+        rows = original(hom, above, factors)
+        calls.append((hom, len(above), rows, drawn[start:], sum(len(gs) * len(fs) for gs, fs in factors)))
+        return rows
+
+    monkeypatch.setattr(radical, "_composite_rows", recorded)
+    assert radical_profile(members, d_max=63).vanishing_depth == 10
+    reached = stopped = 0
+    for hom, bound, rows, flats, total in calls:
+        span = lambda fs: _eliminate([dict(f) for f in fs], hom.source.field.characteristic)
+        assert span(flats) == {min(r): r for r in rows}
+        if len(rows) == bound:
+            # the last composite drawn is the one that reached dim R_d
+            assert len(span(flats[:-1])) == bound - 1
+            reached += 1
+            stopped += len(flats) < total
+        else:
+            assert len(flats) == total
+    # of 394 composed pair-levels, 238 reach dim R_d, 165 of them before their last composite
+    assert (len(calls), reached, stopped) == (394, 238, 165)

@@ -215,12 +215,49 @@ def test_composite_flats_are_the_flattened_composites(field):
     gs = list(hom_basis(r2, i3).basis) + [Morphism.zero(r2, i3)]
     assert fs and len(gs) > 1
     g_blocks, f_blocks = [g.blocks for g in gs], [f.blocks for f in fs]
-    flats = composite_flats(g_blocks, f_blocks)
+    flats = list(composite_flats(g_blocks, f_blocks))
     assert flats == [g.compose(f).flatten() for g in gs for f in fs]
     assert any(flats) and {} in flats
-    assert composite_flats([], f_blocks) == composite_flats(g_blocks, []) == []
+    assert list(composite_flats([], f_blocks)) == list(composite_flats(g_blocks, [])) == []
     with pytest.raises(RepresentationError, match="composition mismatch"):
         composite_flats(f_blocks, g_blocks)
+
+
+def test_composite_flats_check_at_the_call_and_form_one_product_per_draw(monkeypatch):
+    from endoscope import reps
+    from endoscope.homs import hom_basis
+
+    p2, r2, i3 = kronecker_preprojective(2), kronecker_regular(2, 1), kronecker_preinjective(3)
+    g_blocks = [g.blocks for g in hom_basis(r2, i3).basis]
+    f_blocks = [f.blocks for f in hom_basis(p2, r2).basis]
+    assert len(g_blocks) * len(f_blocks) > 1
+    # each start of reps._products, and each product it begins to form (one per f it reads)
+    starts, formed = [], []
+    original = reps._products
+
+    class Read(list):
+        def __iter__(self):
+            for blocks in list.__iter__(self):
+                formed.append(len(formed))
+                yield blocks
+
+    def spied(g_rows, f_rows, of):
+        starts.append(len(g_rows) * len(f_rows))
+        return original(g_rows, Read(f_rows), of)
+
+    monkeypatch.setattr(reps, "_products", spied)
+    # an empty side yields nothing and starts no product
+    assert list(composite_flats([], f_blocks)) == list(composite_flats(g_blocks, [])) == []
+    # a shape mismatch raises at the call, with no product formed
+    with pytest.raises(RepresentationError, match="composition mismatch"):
+        composite_flats(f_blocks, g_blocks)
+    assert starts == formed == []
+    flats = composite_flats(g_blocks, f_blocks)
+    assert starts == [len(g_blocks) * len(f_blocks)] and formed == []
+    first = next(flats)
+    assert formed == [0]
+    assert first == Morphism(r2, i3, g_blocks[0]).compose(Morphism(p2, r2, f_blocks[0])).flatten()
+    assert len(list(flats)) == len(formed) - 1 == len(g_blocks) * len(f_blocks) - 1
 
 
 def _cells(blocks):
