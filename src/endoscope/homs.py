@@ -253,6 +253,11 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
     costs O(nnz), not O(sum_v d_v^2).  J's maps are formed as flats, the
     kernel's sparse coordinate rows times the rows of ``hom``, and checked
     nilpotent on their vertex blocks, with no ``Morphism`` built.
+
+    A brick, dim End(M) = 1, is answered from the solve's dimension alone,
+    with no row of ``hom`` read: 1_M != 0 lies in End(M), so End(M) = K 1_M,
+    a field, and J = 0.  The Gram route agrees: its matrix is
+    [tr 1_M] = [dim M], nonzero in characteristic zero.
     """
     m, hom = ring.module, ring.hom
     field = m.field
@@ -260,6 +265,8 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
         return Subspace.zero(0, field), HomSpace(m, m, {})
     if field.characteristic != 0:
         raise UnsupportedFieldError("radical computation requires characteristic zero")
+    if hom.dim == 1:
+        return Subspace.zero(1, field), HomSpace(m, m, {})
     dims = m.dim_vector
     starts = list(accumulate((d * d for d in dims), initial=0))
 

@@ -184,8 +184,9 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     reps = [k for k, c in enumerate(cls) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
     hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
-    rad1 = {(a, b): list(hom[(a, b)].rows.values()) for a, b in pairs}
-    rad1.update({(a, a): _checked_rows(hom[(a, a)], end_ring(members[a]).radical_space()) for a in reps})
+    # the diagonal is built from J(End M_a) alone: Hom(a, a)'s rows are read only to check a row of J
+    radical = {a: end_ring(members[a]).radical_space() for a in reps}
+    rad1 = {(a, b): _checked_rows(hom[(a, b)], radical[a]) if a == b else list(hom[(a, b)].rows.values()) for a, b in pairs}
 
     levels = [rad1]
     while len(levels) < d_max and any(levels[-1].values()):
@@ -231,7 +232,7 @@ def _refusal(m) -> Exception | None:
 def _checked_rows(hom: HomSpace, space: HomSpace) -> list:
     """The canonical rows of ``space``; raises unless each reduces to zero
     against the rows of ``hom`` (``hom_basis``), so every map of the span
-    is a homomorphism between the same ends."""
+    is a homomorphism between the same ends; an empty ``space`` reads none."""
     p = hom.source.field.characteristic
     if any(_reduce(dict(row), hom.rows, p) for row in space.rows.values()):
         raise HomalgError("a radical basis map is not a homomorphism")

@@ -166,12 +166,15 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
         u, path = paths[node]
         a = matrices[arrow][2]
         lhs = a if path is None else a @ path
+        terms = [(c, *paths[k]) for k, c in combination.items()]  # (c, u_k, P_k), read once per relation
         for r in range(a.rows):
             eq = {u - c: x for c, x in lhs.row(r).items()}
-            for k, c in combination.items():
-                uk, pk = paths[k]
-                for w, x in ((uk - r, 1),) if pk is None else ((uk - i, x) for i, x in pk.row(r).items()):
-                    eq[w] = eq.get(w, 0) - c * x
+            for c, uk, pk in terms:
+                if pk is None:  # a generator: its image's coordinate r is unknown uk - r
+                    eq[uk - r] = eq.get(uk - r, 0) - c
+                else:
+                    for i, x in pk.row(r).items():
+                        eq[uk - i] = eq.get(uk - i, 0) - c * x
             equations.append({w: x % p for w, x in eq.items()} if p else eq)
     reduced = _eliminate(_checked((eq.items() for eq in equations), unknowns, field), p, unknowns)
     kernel = _free_rows(reduced, unknowns, p)
@@ -200,9 +203,13 @@ def _spread(kernel: list[dict], paths: list, inverse: dict, s: Representation, t
                 u, path = paths[k]
                 for r in range(t_v):
                     idx = pos + (j * t_v + r if transpose else r * s_v + j)
-                    for w, x in ((u - r, 1),) if path is None else ((u - i, x) for i, x in path.row(r).items()):
-                        if (row := spread.get(w)) is not None:
-                            row[idx] = row.get(idx, 0) + c * x
+                    if path is None:
+                        if (row := spread.get(u - r)) is not None:
+                            row[idx] = row.get(idx, 0) + c
+                    else:
+                        for i, x in path.row(r).items():
+                            if (row := spread.get(u - i)) is not None:
+                                row[idx] = row.get(idx, 0) + c * x
         pos += s_v * t_v
     flats = []
     for y in kernel:

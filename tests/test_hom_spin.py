@@ -13,10 +13,12 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from endoscope import homs, linalg, spin
+from endoscope import homs, linalg, spin, two_route_endosocle_agree
+from endoscope.endosocle import family_endosocle
 from endoscope.homs import HomalgError, hom_basis
 from endoscope.linalg import QQ, Mat, PrimeField, invert
 from endoscope.quiver import AlgebraPresentation, Quiver
+from endoscope.radical import radical_profile
 from endoscope.reps import (
     INFINITY,
     Morphism,
@@ -29,6 +31,7 @@ from endoscope.reps import (
 from endoscope.serialize import load_family_file
 from oracles import commuting_square_basis
 from test_properties import kronecker_reps
+from test_radical_oracle import conjugated_family
 
 
 def assert_matches_oracle(m, n):
@@ -264,3 +267,43 @@ def test_a_spread_that_loses_a_row_is_refused(monkeypatch):
         with pytest.raises(HomalgError, match="dimension 2 spread to 1 rows"):
             space.rows
     homs.clear_caches()
+
+
+# -- bricks certified from the solve ----------------------------------------------
+
+
+def preinjectives(n):
+    return [kronecker_preinjective(i) for i in range(1, n + 1)]
+
+
+# hom spaces spread from cold caches: a brick member's End(M) = K gives J = 0 from
+# the solve's dimension, so its Hom(M, M) is never spread
+@pytest.mark.parametrize(
+    "run, members, spreads",
+    [
+        (family_endosocle, lambda: preinjectives(8), 13),
+        (family_endosocle, lambda: preinjectives(16), 29),
+        (family_endosocle, lambda: [kronecker_preprojective(i) for i in range(1, 9)], 7),
+        (family_endosocle, lambda: conjugated_family(6, seed=1), 42),
+        (lambda ms: radical_profile(ms, 63), lambda: preinjectives(8), 28),
+        (lambda ms: radical_profile(ms, 63), lambda: conjugated_family(6, seed=1), 105),
+        (two_route_endosocle_agree, lambda: preinjectives(4), 6),
+    ],
+    ids=["endosoc-I1..I8", "endosoc-I1..I16", "endosoc-P1..P8", "endosoc-conj6", "profile-I1..I8", "profile-conj6", "two-route-I1..I4"],
+)
+def test_bricks_spread_no_endomorphism_rows(monkeypatch, run, members, spreads):
+    members = members()
+    homs.clear_caches()
+    calls = count_calls(monkeypatch, spin, "_spread")
+    run(members)
+    assert len(calls) == spreads
+
+
+def test_endosocle_of_preinjectives_spreads_no_end_ring(monkeypatch):
+    # every I_k is a brick: certified local, and split against the others, with
+    # no row of Hom(I_k, I_k) read
+    homs.clear_caches()
+    calls = count_calls(monkeypatch, spin, "_spread")
+    family_endosocle(preinjectives(8))
+    assert calls and not any(s == t for _, _, _, s, t, _ in calls)
+    assert all(hom_basis(m, m).dim == 1 for m in preinjectives(8))
