@@ -9,6 +9,11 @@ Values have one format: over the rationals (``QQ``) an ``int``, or a
 an ``int`` residue in ``range(p)``.  ``field.of`` makes a value from an
 int, a Fraction or a "p/q" string and refuses floats and bools.  Values
 are immutable and operations pure, so concurrent reads are safe.
+Values are checked where they enter: ``Mat(...)``, ``Mat.sparse``,
+``Subspace.span``, ``Subspace.contains`` (``_checked``), ``Mat.scale``
+and ``field.of``.  Each value computed inside (by the kernel, ``spin``,
+``reps.composite_flats``) is made in format where it is computed, with
+``% p`` or ``_qq``; ``_eliminate`` and ``flat_blocks`` never check it.
 
 A ``Mat`` stores one dict ``{column: nonzero value}`` per row, the rows
 the elimination kernel reads and writes, and never a zero, so equal
@@ -184,9 +189,9 @@ def _common_field(a, b):
 
 
 def _checked(rows: Iterable[Iterable[tuple]], cols: int, field) -> tuple:
-    """Stored rows from ``(column, value)`` pairs, zeros dropped; refuses a
-    column outside ``range(cols)`` and any value not in the field's format,
-    except that an integral Fraction is stored as an int."""
+    """Stored rows from an entry point's ``(column, value)`` pairs, zeros
+    dropped; refuses a column outside ``range(cols)`` and any value not in
+    the field's format, except that an integral Fraction is stored as an int."""
     p = field.characteristic
     out = []
     for row in rows:
@@ -398,7 +403,7 @@ def assemble(rows: int, cols: int, blocks: Iterable[tuple[int, int, Mat]], field
 # Kernel rows are dicts column -> nonzero value, the rows a Mat stores;
 # ``p`` is the characteristic (0 for the rationals).  Over the rationals
 # every value the kernel makes goes through ``_qq``, so it computes with
-# ints wherever it can and its results are in value format.
+# ints wherever it can; a row it does not reduce is kept as it came.
 
 
 def _qq(x):

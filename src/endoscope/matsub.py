@@ -110,13 +110,9 @@ def meet(subs: Sequence[Subspace]) -> Subspace:
     return intersect_all(list(subs))
 
 
-def random_pointed_matrix(
-    presentation: AlgebraPresentation,
-    rng,
-    max_rows: int = 2,
-    max_cols: int = 2,
-) -> PointedMatrix:
-    """A seeded random pointed matrix for property sweeps.
+def random_pointed_matrix(presentation: AlgebraPresentation, rng) -> PointedMatrix:
+    """A seeded random pointed matrix for property sweeps, with one or
+    two rows and one or two columns.
 
     Entries are drawn from zero, the trivial paths, the arrows, and
     sums of two distinct arrows.
@@ -126,8 +122,8 @@ def random_pointed_matrix(
     arrows = [presentation.arrow_element(a.name) for a in presentation.quiver.arrows]
     pool += arrows
     pool += [a + b for i, a in enumerate(arrows) for b in arrows[i + 1 :]]
-    nrows = rng.randint(1, max_rows)
-    ncols = rng.randint(1, max_cols)
+    nrows = rng.randint(1, 2)
+    ncols = rng.randint(1, 2)
     entries = tuple(
         tuple(pool[rng.randrange(len(pool))] for _ in range(ncols)) for _ in range(nrows)
     )

@@ -20,7 +20,7 @@ from collections import Counter
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import Mat, QQ, Subspace, _mat, assemble, kernel_basis
+from .linalg import Mat, QQ, Subspace, _mat, _qq, assemble, kernel_basis
 from .quiver import AlgebraPresentation, QuiverError, act, kronecker
 
 
@@ -358,8 +358,9 @@ def flat_blocks(source: Representation, target: Representation, flat: Mapping) -
 def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, Mat]]) -> Iterator[dict]:
     """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, from block dicts
     ``{vertex: Mat}`` (``flat_blocks``, ``Morphism.blocks``), each formed when drawn from the lazy
-    iterator returned, with no ``Morphism`` or ``Mat`` built.  Checked at the call: by vertex, every
-    f has the first f's shape, and every g ends where the first g ends and starts where f ends."""
+    iterator returned, with no ``Morphism`` or ``Mat`` built, in value format as the kernel makes its
+    products.  Checked at the call: by vertex, every f has the first f's shape, and every g ends
+    where the first g ends and starts where f ends."""
     if not gs or not fs:
         return iter(())
     vertices = list(fs[0])
@@ -378,11 +379,11 @@ def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, M
             entries += [(t, pos + r * width, row) for r in range(blk.rows) if (row := tuple(blk.row(r).items()))]
             pos += blk.rows * width
         g_rows.append(entries)
-    of = next((b.field.of for b in fs[0].values()), None)  # with no vertex there is no entry to read
-    return _products(g_rows, f_rows, of)
+    p = next((b.field.characteristic for b in fs[0].values()), 0)  # with no vertex there is no entry to read
+    return _products(g_rows, f_rows, p)
 
 
-def _products(g_rows, f_rows, of) -> Iterator[dict]:
+def _products(g_rows, f_rows, p) -> Iterator[dict]:
     """The flats of ``composite_flats``, one product per draw."""
     for entries in g_rows:
         for blocks in f_rows:
@@ -392,7 +393,7 @@ def _products(g_rows, f_rows, of) -> Iterator[dict]:
                 for k, a in grow:
                     for c, x in rows[k]:
                         acc[base + c] = acc.get(base + c, 0) + a * x
-            yield {idx: y for idx, x in acc.items() if (y := of(x))}
+            yield {idx: y for idx, x in acc.items() if (y := x % p if p else x if type(x) is int else _qq(x))}
 
 
 def _shapes(blocks: Mapping[str, Mat]) -> dict:
@@ -589,16 +590,12 @@ def kronecker_regular(n: int, lam, field=QQ) -> Representation:
     """
     if n < 1:
         raise RepresentationError(f"size must be >= 1, not {n}")
+    one = Mat.identity(n, field)
+    shift = _mat(tuple({i + 1: 1} for i in range(n - 1)) + ({},), n, n, field)  # J_n(0)
     if isinstance(lam, _Infinity):
-        alpha = _jordan(n, 0, field)
-        beta = Mat.identity(n, field)
+        alpha, beta = shift, one
     else:
-        alpha = Mat.identity(n, field)
-        beta = _jordan(n, field.of(lam), field)
+        alpha, beta = one, one.scale(lam) + shift  # J_n(lam); scale reads lam as a value of the field
     return Representation(
         _KRONECKER, {"1": n, "2": n}, {"alpha": alpha, "beta": beta}, field, _validate=False
     )
-
-
-def _jordan(n: int, eig, field) -> Mat:
-    return Mat.sparse([{i: eig, i + 1: 1} for i in range(n - 1)] + [{n - 1: eig}], n, field)

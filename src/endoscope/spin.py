@@ -9,10 +9,11 @@ which must satisfy the relations evaluated on N (``spun_homs``), so
 Hom(M, N) is one kernel with sum_v dim top(M)_v * n_v unknowns.  One
 elimination gives its dimension; the solutions are spread into maps in
 the ``Morphism.flatten`` layout, and eliminated once more into the
-canonical rows, only when those are asked for (``_spread``).  The dual
-side spins DN and solves Hom(DN, DM) the same way.  ``sides`` and
-``presentation`` are cached per module; ``homs.clear_caches`` drops
-them.
+canonical rows, only when those are asked for (``_spread``).  Both are
+made in value format as they are formed, from checked arrow matrices,
+and not validated again.  The dual side spins DN and solves Hom(DN, DM)
+the same way.  ``sides`` and ``presentation`` are cached per module;
+``homs.clear_caches`` drops them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from .linalg import _checked, _eliminate, _free_rows, _reduce, _subtract
+from .linalg import _eliminate, _free_rows, _qq, _reduce, _subtract
 from .reps import Representation
 
 
@@ -134,16 +135,16 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
 
     The unknowns are the images of the generators.  A node's image is P
     applied to its generator's unknowns, P the product of t's arrow
-    matrices along its path, and each relation gives t_v equations.  One
-    elimination solves them, and ``dim`` is the number of its free
-    columns: a map is fixed by the images of the generators, so distinct
-    solutions are distinct maps.  ``spread()`` returns the canonical RREF
-    rows ``{pivot: row}`` of the space in the ``Morphism.flatten``
-    layout, the same maps on either side (see ``_spread``).
+    matrices along its path, and each relation gives t_v equations, made
+    in value format and handed to the kernel unchecked.  One elimination
+    solves them, and ``dim`` is the number of its free columns: a map is
+    fixed by the images of the generators, so distinct solutions are
+    distinct maps.  ``spread()`` returns the canonical RREF rows
+    ``{pivot: row}`` of the space in the ``Morphism.flatten`` layout, the
+    same maps on either side (see ``_spread``).
     """
     nodes, relations, inverse = spun
-    field = s.field
-    p = field.characteristic
+    p = s.field.characteristic
     tdims = t.dims_by_vertex
     # paths[k] = (u, P): coordinate c of the generator of node k is unknown u - c;
     # later generators take smaller indices, so the pivot of a relation is
@@ -175,8 +176,8 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
                 else:
                     for i, x in pk.row(r).items():
                         eq[uk - i] = eq.get(uk - i, 0) - c * x
-            equations.append({w: x % p for w, x in eq.items()} if p else eq)
-    reduced = _eliminate(_checked((eq.items() for eq in equations), unknowns, field), p, unknowns)
+            equations.append({w: y for w, x in eq.items() if (y := x % p if p else x if type(x) is int else _qq(x))})
+    reduced = _eliminate(equations, p, unknowns)
     kernel = _free_rows(reduced, unknowns, p)
     if not kernel:
         return 0, dict
@@ -189,8 +190,9 @@ def _spread(kernel: list[dict], paths: list, inverse: dict, s: Representation, t
 
     Entry (r, j) of the block at v is coordinate r of the image of e_j,
     which the spin's inverse writes in the nodes.  Only the unknowns that
-    the kernel vectors hold are spread.  The RREF of a span is unique, so
-    any basis of the kernel gives the same rows.
+    the kernel vectors hold are spread, in value format: the kernel keeps
+    them as they come.  The RREF of a span is unique, so any basis of the
+    kernel gives the same rows.
     """
     p = s.field.characteristic
     sdims, tdims = s.dims_by_vertex, t.dims_by_vertex
@@ -217,5 +219,5 @@ def _spread(kernel: list[dict], paths: list, inverse: dict, s: Representation, t
         for w, a in y.items():
             for idx, x in spread[w].items():
                 flat[idx] = flat.get(idx, 0) + a * x
-        flats.append({idx: z for idx, x in flat.items() if (z := x % p if p else x)})
+        flats.append({idx: z for idx, x in flat.items() if (z := x % p if p else x if type(x) is int else _qq(x))})
     return _eliminate(flats, p)

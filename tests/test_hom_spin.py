@@ -15,9 +15,9 @@ from hypothesis import given, settings
 
 from endoscope import homs, linalg, spin, two_route_endosocle_agree
 from endoscope.endosocle import family_endosocle
-from endoscope.homs import HomalgError, hom_basis
+from endoscope.homs import HomalgError, hom_basis, hom_dim
 from endoscope.linalg import QQ, Mat, PrimeField, invert
-from endoscope.quiver import AlgebraPresentation, Quiver
+from endoscope.quiver import AlgebraPresentation, Path, Quiver
 from endoscope.radical import radical_profile
 from endoscope.reps import (
     INFINITY,
@@ -74,8 +74,9 @@ def _mat(rows, field=QQ):
     return Mat([[field.of(x) for x in row] for row in rows], len(rows), len(rows[0]) if rows else 0, field)
 
 
-def test_file_family_with_relations_matches_oracle(tmp_path):
-    # 1 -a-> 2 -c-> 3 with a loop x at 1 and the relation "a then c" = 0
+def bound_family(tmp_path):
+    """Six modules of 1 -a-> 2 -c-> 3 with a loop x at 1 and the relation
+    "a then c" = 0, read from a family file."""
     algebra = {
         "vertices": ["1", "2", "3"],
         "arrows": [
@@ -95,9 +96,27 @@ def test_file_family_with_relations_matches_oracle(tmp_path):
     ]
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"algebra": algebra, "members": members}))
-    family = load_family_file(str(path))
+    return load_family_file(str(path))
+
+
+def test_file_family_with_relations_matches_oracle(tmp_path):
+    family = bound_family(tmp_path)
     assert family[0].presentation.relations
     assert_family_matches_oracle(family)
+
+
+def test_duality_over_a_presentation_with_relations(tmp_path):
+    # D reverses the relation "a then c" into "c then a" over the opposite quiver,
+    # is an involution, and Hom(M, N) = Hom(DN, DM)
+    family = bound_family(tmp_path)
+    duals = [dual(m) for m in family]
+    assert [dual(d) for d in duals] == family
+    for d in duals:
+        (relation,) = d.presentation.relations
+        assert dict(relation.terms) == {Path("3", "1", ("c", "a")): 1}
+    for m, dm in zip(family, duals):
+        for n, dn in zip(family, duals):
+            assert hom_dim(m, n) == hom_dim(dn, dm)
 
 
 def cycle_modules(field):
