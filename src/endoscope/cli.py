@@ -161,7 +161,7 @@ def _radical_profile(args, field):
     pairs = {}
     for i in fam.labels:
         for j in fam.labels:
-            dims = [level[(i, j)] for level in profile.dims]
+            dims = profile.pair_dims(i, j)
             if any(dims):
                 pairs[f"{i}->{j}"] = dims
     results = {"pairs": pairs, "vanishing_depth": profile.vanishing_depth, "depth_computed": profile.depth_reached()}

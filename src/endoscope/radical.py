@@ -12,14 +12,15 @@ non-isomorphisms between indecomposables of length <= b are zero.
 The profile is built level by level, one ordered pair at a time.  Each
 power of a pair is held as the canonical reduced echelon rows of its
 span in the ``Morphism.flatten`` layout, where the composites are formed
-from vertex blocks one at a time (``reps.composite_flats``) and reduced
-until they span as much as the power before, which holds them; a
-``Morphism`` is built only for the basis maps a caller asks for.  The
-maps a level composes are its rows scaled to coprime ints
-(``linalg.primitive_row``), which leaves each span as it is and makes
-every product in a composite an int product.  From depth 3 on only the
-irreducible maps, a complement of rad^2 in rad, are composed on the
-left; a middle member with no map on one side is skipped, and a pair
+one at a time (``reps.composite_flats``) and reduced until they span as
+much as the power before, which holds them; a ``Morphism`` is built only
+for the basis maps a caller asks for.  A level's rows, scaled to coprime
+ints (``linalg.primitive_row``) so that every product is an int product,
+are decoded from the flats (``reps.decode_flats``), with no ``Mat`` built,
+once per pair, when a composite is first drawn through them; a power that
+keeps its dimension keeps its rows and their decoding.  From depth 3 on
+only the irreducible maps, a complement of rad^2 in rad, are composed on
+the left; a middle member with no map on one side is skipped, and a pair
 whose power has vanished is not composed again.  Every level is built on
 the least-height member of each isomorphism class at source, middle and
 target, so a rational conjugate of an integer module is not composed;
@@ -34,6 +35,7 @@ row depth bounds the chains out of a member, the column depth those into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .homs import (
     HomalgError,
@@ -46,7 +48,7 @@ from .homs import (
     require_local,
 )
 from .linalg import Subspace, _eliminate, _reduce, primitive_row
-from .reps import Morphism, composite_flats, family_labels, flat_blocks
+from .reps import Morphism, composite_flats, decode_blocks, decode_flats, family_labels, flat_blocks
 
 
 class RadicalError(ValueError):
@@ -61,22 +63,31 @@ class RadicalProfile:
     from member i to member j; ``vanishing_depth`` is the least depth
     at which every pair vanishes (None if not reached by the requested
     maximum).  Depths run over 1..``depth_reached()``; a depth outside
-    it, or a label that is not a member's, is a ``RadicalError``.
+    it, or a label that is not a member's, is a ``RadicalError``.  One
+    dimension is kept per pair of class representatives, read through
+    the class map; ``dims`` spells them out for every label pair.
     """
 
     labels: tuple
-    dims: tuple
     vanishing_depth: int | None
+    _dims: tuple  # per depth: {(a, b) representatives' positions: dimension}
     _rows: dict  # (depth, i, j) positions -> canonical flatten-layout rows; copies' pairs once asked for
     _members: tuple
     _classes: tuple  # per member: (its representative's position, IsoCertificate)
+    _index: dict  # label -> position
+
+    @cached_property
+    def dims(self) -> tuple:
+        cls = [c for c, _ in self._classes]
+        pairs = [((i, j), (a, b)) for i, a in zip(self.labels, cls) for j, b in zip(self.labels, cls)]
+        return tuple({pair: level[rep] for pair, rep in pairs} for level in self._dims)
 
     def pair_dims(self, i, j) -> list[int]:
-        self._position(i), self._position(j)
-        return [level[(i, j)] for level in self.dims]
+        pair = self._classes[self._position(i)][0], self._classes[self._position(j)][0]
+        return [level[pair] for level in self._dims]
 
     def depth_reached(self) -> int:
-        return len(self.dims)
+        return len(self._dims)
 
     def row_depth(self, i) -> int | None:
         """The least depth d with R_d(i, j) = 0 for every member j (the chains out of i), or None if none reached has it."""
@@ -87,15 +98,16 @@ class RadicalProfile:
         return self._depth(j, 1)
 
     def _depth(self, label, side: int) -> int | None:
-        self._position(label)
-        return next((d for d, level in enumerate(self.dims, start=1) if not any(n for p, n in level.items() if p[side] == label)), None)
+        a = self._classes[self._position(label)][0]
+        return next((d for d, level in enumerate(self._dims, start=1) if not any(n for p, n in level.items() if p[side] == a)), None)
 
     def subspace(self, depth: int, i, j) -> Subspace:
         """Coordinate subspace of the depth-d power inside Hom(i, j), from the
         basis maps; ``hom.coordinates`` raises if one leaves the space."""
         maps = self.basis_morphisms(depth, i, j)
         hom = hom_basis(self._members[self._position(i)], self._members[self._position(j)])
-        return Subspace.span(hom.dim, [hom.coordinates(f) for f in maps], hom.source.field)
+        rows = _eliminate(({k: x for k, x in enumerate(hom.coordinates(f)) if x} for f in maps), hom.source.field.characteristic)
+        return Subspace._from_rref(hom.dim, rows, hom.source.field)
 
     def basis_morphisms(self, depth: int, i, j) -> list[Morphism]:
         """The canonical basis of the depth-d power from i to j, as maps built
@@ -109,9 +121,10 @@ class RadicalProfile:
         source, target = self._members[i], self._members[j]
         if key not in self._rows:
             (a, phi), (b, psi) = self._classes[i], self._classes[j]
-            rep_maps = [flat_blocks(self._members[a], self._members[b], r) for r in self._rows[(depth, a, b)]]
-            psi_f = composite_flats([psi.witness.blocks], rep_maps)
-            flats = composite_flats([flat_blocks(self._members[a], target, x) for x in psi_f], [phi.inverse.blocks])
+            m_a, m_b = self._members[a], self._members[b]
+            rep_maps = decode_flats(m_a, m_b, self._rows[(depth, a, b)])
+            psi_f = composite_flats(decode_blocks(m_b, target, [psi.witness.blocks]), rep_maps)
+            flats = composite_flats(decode_flats(m_a, target, psi_f), decode_blocks(source, m_a, [phi.inverse.blocks]))
             carried = list(HomSpace.span(source, target, flats).rows.values())
             if len(carried) != len(rep_maps):
                 raise HomalgError(f"a copy's pair carried {len(carried)} of the {len(rep_maps)} rows of its depth-{depth} power")
@@ -119,9 +132,10 @@ class RadicalProfile:
         return [Morphism(source, target, flat_blocks(source, target, r)) for r in self._rows[key]]
 
     def _position(self, label) -> int:
-        if label not in self.labels:
-            raise RadicalError(f"{label!r} is not a member label")
-        return self.labels.index(label)
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise RadicalError(f"{label!r} is not a member label") from None
 
 
 def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
@@ -180,34 +194,34 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
             raise next(filter(None, map(_refusal, members[: k + 1])))
 
     classes = iso_classes(members, key=_height, admit=admit)
-    cls = [c for c, _ in classes]
-    reps = [k for k, c in enumerate(cls) if c == k]
+    reps = [k for k, (c, _) in enumerate(classes) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
     hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
     # the diagonal is built from J(End M_a) alone: Hom(a, a)'s rows are read only to check a row of J
     radical = {a: end_ring(members[a]).radical_space() for a in reps}
     rad1 = {(a, b): _checked_rows(hom[(a, b)], radical[a]) if a == b else list(hom[(a, b)].rows.values()) for a, b in pairs}
 
-    levels = [rad1]
+    levels, maps = [rad1], _Maps(members, rad1, {})
     while len(levels) < d_max and any(levels[-1].values()):
         prev = levels[-1]
-        maps = {pair: _maps(hom[pair], rows) for pair, rows in prev.items()}
         if len(levels) == 1:
             left = maps
         elif len(levels) == 2:
             taken = {pair: {min(r) for r in rows} for pair, rows in prev.items()}
-            left = {pair: _maps(hom[pair], [r for r in rad1[pair] if min(r) not in taken[pair]]) for pair in pairs}
+            complement = {pair: [r for r in rad1[pair] if min(r) not in taken[pair]] for pair in pairs}
+            left = _Maps(members, complement, {pair: m for pair, m in left.items() if not taken[pair]})  # C = R_1 where R_2 = 0
         nxt = {}
         for a, b in pairs:
-            factors = ((left[(k, b)], maps[(a, k)]) for k in reps if left[(k, b)] and maps[(a, k)])
+            factors = ((left[(k, b)], maps[(a, k)]) for k in reps if left.rows[(k, b)] and prev[(a, k)])
             nxt[(a, b)] = _composite_rows(hom[(a, b)], prev[(a, b)], factors) if prev[(a, b)] else []
         levels.append(nxt)
+        # a pair whose power kept its dimension kept its rows, and so its maps
+        maps = _Maps(members, nxt, {pair: m for pair, m in maps.items() if nxt[pair] is prev[pair]})
 
-    idx = range(len(members))
-    dims = tuple({(labels[i], labels[j]): len(lvl[(cls[i], cls[j])]) for i in idx for j in idx} for lvl in levels)
+    dims = tuple({pair: len(rows) for pair, rows in lvl.items()} for lvl in levels)
     rows = {(d, *pair): r for d, lvl in enumerate(levels, start=1) for pair, r in lvl.items()}
     vanishing = next((d for d, level in enumerate(dims, start=1) if not any(level.values())), None)
-    return RadicalProfile(tuple(labels), dims, vanishing, rows, tuple(members), tuple(classes))
+    return RadicalProfile(tuple(labels), vanishing, dims, rows, tuple(members), tuple(classes), {label: k for k, label in enumerate(labels)})
 
 
 def _height(m) -> int:
@@ -240,20 +254,28 @@ def _checked_rows(hom: HomSpace, space: HomSpace) -> list:
 
 
 def _composite_rows(hom: HomSpace, above: list, factors) -> list:
-    """The canonical rows of the composites g f over the pairs (gs, fs) of ``factors``, drawn until they hold
-    ``len(above)`` pivots; raises unless each reduces to zero against ``above``, the level that holds them."""
+    """The canonical rows of the composites g f over the pairs (gs, fs) of ``factors`` (``reps.BlockRows``), drawn until
+    they hold ``len(above)`` pivots, when the span is ``above`` itself; raises unless each reduces to zero against ``above``."""
     p = hom.source.field.characteristic
     reduced = _eliminate((flat for gs, fs in factors for flat in composite_flats(gs, fs)), p, len(above))
     bound = {min(r): r for r in above}
     if any(_reduce(dict(row), bound, p) for row in reduced.values()):
         raise HomalgError("a composite leaves the radical power it must lie in")
-    return [reduced[c] for c in sorted(reduced)]
+    return above if len(reduced) == len(above) else [reduced[c] for c in sorted(reduced)]
 
 
-def _maps(hom: HomSpace, rows) -> list[dict]:
-    """The rows as vertex blocks (``reps.flat_blocks``), each scaled to coprime ints (``linalg.primitive_row``)."""
-    field = hom.source.field
-    return [flat_blocks(hom.source, hom.target, primitive_row(r, field)) for r in rows]
+class _Maps(dict):
+    """pair -> ``rows[pair]`` scaled to coprime ints (``linalg.primitive_row``) and
+    decoded for ``reps.composite_flats`` (``reps.decode_flats``) on the pair's first read."""
+
+    def __init__(self, members: list, rows: dict, decoded: dict):
+        super().__init__(decoded)
+        self.members, self.rows = members, rows
+
+    def __missing__(self, pair):
+        source, target = (self.members[k] for k in pair)
+        maps = self[pair] = decode_flats(source, target, [primitive_row(r, source.field) for r in self.rows[pair]])
+        return maps
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Mat, QQ, Subspace, _mat, _qq, assemble, kernel_basis
 from .quiver import AlgebraPresentation, QuiverError, act, kronecker
@@ -344,6 +344,12 @@ def flat_blocks(source: Representation, target: Representation, flat: Mapping) -
     ``Morphism.flatten()`` is ``flat``, a flat in value format (``linalg``),
     as every flat the package makes is: canonical rows, ``primitive_row``,
     ``composite_flats``, ``flatten``.  Its entries are not re-checked."""
+    rows = _split(source, target, flat)
+    return {v: _mat(r, target.dim(v), source.dim(v), source.field) for v, r in zip(source.presentation.quiver.vertices, rows)}
+
+
+def _split(source: Representation, target: Representation, flat: Mapping) -> list[tuple[dict, ...]]:
+    """Per vertex, the rows ``{column: value}`` of the block of the flat source -> target."""
     vertices = source.presentation.quiver.vertices
     starts = list(accumulate((target.dim(v) * source.dim(v) for v in vertices), initial=0))
     rows = [tuple({} for _ in range(target.dim(v))) for v in vertices]
@@ -352,41 +358,55 @@ def flat_blocks(source: Representation, target: Representation, flat: Mapping) -
         k = bisect_right(starts, idx) - 1
         i, j = divmod(idx - starts[k], source.dim(vertices[k]))
         rows[k][i][j] = x
-    return {v: _mat(r, target.dim(v), source.dim(v), source.field) for v, r in zip(vertices, rows)}
+    return rows
 
 
-def composite_flats(gs: Sequence[Mapping[str, Mat]], fs: Sequence[Mapping[str, Mat]]) -> Iterator[dict]:
-    """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, from block dicts
-    ``{vertex: Mat}`` (``flat_blocks``, ``Morphism.blocks``), each formed when drawn from the lazy
-    iterator returned, with no ``Morphism`` or ``Mat`` built, in value format as the kernel makes its
-    products.  Checked at the call: by vertex, every f has the first f's shape, and every g ends
-    where the first g ends and starts where f ends."""
+class BlockRows(tuple):
+    """Maps source -> target as ``composite_flats`` multiplies them, one entry per map: per vertex, per block
+    row, the tuple of its ``(column, value)`` pairs.  Made by ``decode_blocks`` or ``decode_flats``, checked once."""
+
+    def __new__(cls, source: Representation, target: Representation, maps):
+        if source.field != target.field or source.presentation is not target.presentation and source.presentation != target.presentation:
+            raise RepresentationError("maps between different presentations or fields")
+        rows = super().__new__(cls, maps)
+        rows.source, rows.target = source, target
+        return rows
+
+
+def decode_blocks(source: Representation, target: Representation, blocks: Sequence[Mapping[str, Mat]]) -> BlockRows:
+    """The maps with these vertex blocks ``{vertex: Mat}``; raises unless every block has the shape and field of source -> target."""
+    vertices = source.presentation.quiver.vertices
+    shape = {v: (target.dim(v), source.dim(v), source.field) for v in vertices}
+    if any({v: (m.rows, m.cols, m.field) for v, m in b.items()} != shape for b in blocks):
+        raise RepresentationError("vertex blocks do not match the ends of their list")
+    return BlockRows(source, target, [tuple(tuple(tuple(b[v].row(r).items()) for r in range(b[v].rows)) for v in vertices) for b in blocks])
+
+
+def decode_flats(source: Representation, target: Representation, flats: Iterable[Mapping]) -> BlockRows:
+    """The maps source -> target with these flats, in value format (``flat_blocks``); nothing is re-checked."""
+    return BlockRows(source, target, [tuple(tuple(tuple(r.items()) for r in blk) for blk in _split(source, target, f)) for f in flats])
+
+
+def composite_flats(gs: BlockRows, fs: BlockRows) -> Iterator[dict]:
+    """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, each formed when drawn from
+    the lazy iterator returned, with no ``Morphism`` or ``Mat`` built, in value format as the kernel makes
+    its products.  The lists were checked when decoded; the call checks only that their ends meet."""
+    if gs.source is not fs.target and gs.source != fs.target:
+        raise RepresentationError("composition mismatch")
     if not gs or not fs:
         return iter(())
-    vertices = list(fs[0])
-    f_shape, ends = _shapes(fs[0]), {v: b.rows for v, b in gs[0].items()}
-    g_shape = {v: (ends.get(v), rows, field) for v, (rows, _, field) in f_shape.items()}
-    if any(_shapes(f) != f_shape for f in fs) or any(_shapes(g) != g_shape for g in gs):
-        raise RepresentationError("composition mismatch")
-    # per f and vertex: the (column, value) pairs of each block row
-    f_rows = [[[tuple(f[v].row(r).items()) for r in range(f[v].rows)] for v in vertices] for f in fs]
-    # per g: (vertex position, flat index of the composite block row, block row entries)
-    g_rows = []
-    for g in gs:
-        entries, pos = [], 0
-        for t, v in enumerate(vertices):
-            blk, width = g[v], f_shape[v][1]
-            entries += [(t, pos + r * width, row) for r in range(blk.rows) if (row := tuple(blk.row(r).items()))]
-            pos += blk.rows * width
-        g_rows.append(entries)
-    p = next((b.field.characteristic for b in fs[0].values()), 0)  # with no vertex there is no entry to read
-    return _products(g_rows, f_rows, p)
+    source, target, vertices = fs.source, gs.target, fs.source.presentation.quiver.vertices
+    starts = list(accumulate((target.dim(v) * source.dim(v) for v in vertices), initial=0))
+    return _products(gs, fs, starts, [source.dim(v) for v in vertices], source.field.characteristic)
 
 
-def _products(g_rows, f_rows, p) -> Iterator[dict]:
-    """The flats of ``composite_flats``, one product per draw."""
-    for entries in g_rows:
-        for blocks in f_rows:
+def _products(g_maps, f_maps, starts, widths, p) -> Iterator[dict]:
+    """The flats of ``composite_flats``, one product per draw; the composite's block at vertex t starts at
+    flat index ``starts[t]`` and is ``widths[t]`` wide."""
+    for g in g_maps:
+        # (vertex position, flat index of the composite block row, block row entries)
+        entries = [(t, starts[t] + r * widths[t], row) for t, blk in enumerate(g) for r, row in enumerate(blk) if row]
+        for blocks in f_maps:
             acc = {}
             for t, base, grow in entries:
                 rows = blocks[t]
@@ -394,10 +414,6 @@ def _products(g_rows, f_rows, p) -> Iterator[dict]:
                     for c, x in rows[k]:
                         acc[base + c] = acc.get(base + c, 0) + a * x
             yield {idx: y for idx, x in acc.items() if (y := x % p if p else x if type(x) is int else _qq(x))}
-
-
-def _shapes(blocks: Mapping[str, Mat]) -> dict:
-    return {v: (b.rows, b.cols, b.field) for v, b in blocks.items()}
 
 
 # -- construction ------------------------------------------------------------

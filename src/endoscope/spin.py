@@ -139,9 +139,9 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
     in value format and handed to the kernel unchecked.  One elimination
     solves them, and ``dim`` is the number of its free columns: a map is
     fixed by the images of the generators, so distinct solutions are
-    distinct maps.  ``spread()`` returns the canonical RREF rows
-    ``{pivot: row}`` of the space in the ``Morphism.flatten`` layout, the
-    same maps on either side (see ``_spread``).
+    distinct maps.  A nonzero space reads a kernel basis off it, which
+    ``spread()`` turns into the canonical RREF rows ``{pivot: row}`` of the
+    space in the ``Morphism.flatten`` layout, the same maps on either side.
     """
     nodes, relations, inverse = spun
     p = s.field.characteristic
@@ -178,9 +178,9 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
                         eq[uk - i] = eq.get(uk - i, 0) - c * x
             equations.append({w: y for w, x in eq.items() if (y := x % p if p else x if type(x) is int else _qq(x))})
     reduced = _eliminate(equations, p, unknowns)
+    if len(reduced) == unknowns:
+        return 0, dict  # no free column: the zero space, with no kernel basis to read
     kernel = _free_rows(reduced, unknowns, p)
-    if not kernel:
-        return 0, dict
     return len(kernel), lambda: _spread(kernel, paths, inverse, s, t, transpose)
 
 

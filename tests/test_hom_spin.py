@@ -218,6 +218,24 @@ def test_hom_dim_table_spreads_no_row_until_rows_are_read(monkeypatch):
         assert len(spreads) == nonzero
 
 
+def test_hom_dim_reads_a_kernel_basis_only_for_a_nonzero_space(monkeypatch):
+    # a space with no free column is zero, and is answered with no kernel basis
+    # read off the elimination (linalg._free_rows); reading one on every solve
+    # made 57 calls for this table.  A nonzero space keeps its basis, not the
+    # elimination: a brick's End(I_k) is one vector against unknowns - 1 rows
+    homs.clear_caches()
+    kernels = []
+    for module in (spin, linalg):
+        count_calls(monkeypatch, module, "_free_rows", kernels)
+    mods = [kronecker_preinjective(i, PrimeField(101)) for i in range(1, 9)]
+    pairs = [(mods[m - 1], mods[n - 1], max(0, m - n + 1)) for m in range(1, 9) for n in range(1, 9)]
+    assert [hom_dim(m, n) for m, n, _ in pairs] == [dim for *_, dim in pairs]
+    assert len(kernels) == sum(dim > 0 for *_, dim in pairs) == 36
+    # spreading the rows reads no basis again
+    assert all(len(hom_basis(m, n).rows) == dim for m, n, dim in pairs)
+    assert len(kernels) == 36
+
+
 @pytest.mark.parametrize("pair, dim", [((3, 2), 2), ((2, 3), 0)], ids=["nonzero", "zero"])
 def test_a_hom_system_is_eliminated_once_and_spread_once(monkeypatch, pair, dim):
     homs.clear_caches()

@@ -17,6 +17,7 @@ from endoscope.linalg import LinalgError, Mat
 from endoscope.quiver import kronecker
 from endoscope.reps import (
     Representation,
+    decode_blocks,
     direct_sum,
     kronecker_preinjective,
     kronecker_preprojective,
@@ -176,7 +177,7 @@ def test_checked_rows_refuse_a_row_that_is_not_a_homomorphism():
 def test_composite_rows_refuse_a_composite_outside_the_level_above():
     i3, i2, i1 = (kronecker_preinjective(n) for n in (3, 2, 1))
     hom = hom_basis(i3, i1)
-    factors = [([g.blocks for g in hom_basis(i2, i1).basis], [f.blocks for f in hom_basis(i3, i2).basis])]
+    factors = [(decode_blocks(i2, i1, [g.blocks for g in hom_basis(i2, i1).basis]), decode_blocks(i3, i2, [f.blocks for f in hom_basis(i3, i2).basis]))]
     rows = list(hom.rows.values())
     # the composites through I2 fill Hom(I3, I1) = R_1(I3, I1); the first is the row {0: 1}
     assert rows == [{0: 1}, {1: 1}, {2: 1}]

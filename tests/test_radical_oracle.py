@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endoscope import radical, reps
+from endoscope import homs, radical, reps
 from endoscope.harness import length_bounded_kronecker_family
 from endoscope.homs import (
     are_isomorphic,
@@ -474,6 +474,53 @@ def test_no_composite_is_formed_with_an_empty_side(monkeypatch):
     monkeypatch.setattr("endoscope.radical.composite_flats", recorded)
     assert radical_profile(members, d_max=63).vanishing_depth == 10
     assert sides and all(g and f for g, f in sides)
+
+
+def test_the_level_loop_decodes_each_pair_level_once_and_builds_no_mat(monkeypatch):
+    # every pair of every level was turned into vertex blocks (reps.flat_blocks,
+    # 674 Mat dicts), and each composite_flats call decoded its factors' blocks
+    # again; now each level's rows are decoded once (reps.decode_flats), when a
+    # composite is first drawn through them, and a pair whose power keeps its
+    # rows, or whose irreducible maps are all of R_1, keeps its decoding
+    members = conjugated_family(6, seed=1)
+    decoded, inside, built = [], [], []
+    original_decode, original_set, original_blocks = radical.decode_flats, Mat._set, reps.flat_blocks
+
+    def decode(source, target, flats):
+        flats = list(flats)
+        decoded.append((source, target, tuple(frozenset(f.items()) for f in flats)))
+        return original_decode(source, target, flats)
+
+    def loop(function):
+        def run(*args):
+            inside.append(function)
+            try:
+                return function(*args)
+            finally:
+                inside.pop()
+        return run
+
+    def build(self, *args):
+        if inside:
+            built.append("Mat")
+        original_set(self, *args)
+
+    def blocks(*args):
+        if inside:
+            built.append("flat_blocks")
+        return original_blocks(*args)
+
+    clear_caches()
+    monkeypatch.setattr(radical, "decode_flats", decode)
+    monkeypatch.setattr(radical, "_composite_rows", loop(radical._composite_rows))
+    monkeypatch.setattr(radical._Maps, "__missing__", loop(radical._Maps.__missing__))
+    monkeypatch.setattr(Mat, "_set", build)
+    for module in (reps, radical, homs):
+        monkeypatch.setattr(module, "flat_blocks", blocks)
+    assert radical_profile(members, d_max=63).vanishing_depth == 10
+    assert built == []
+    assert len({(id(source), id(target), rows) for source, target, rows in decoded}) == len(decoded) == 146
+    assert sum(len(rows) for *_, rows in decoded) == 232
 
 
 def count_composites(monkeypatch) -> list:

@@ -11,6 +11,8 @@ from endoscope.reps import (
     RepresentationError,
     SubspaceFamily,
     composite_flats,
+    decode_blocks,
+    decode_flats,
     direct_sum,
     dual,
     kronecker_preinjective,
@@ -214,13 +216,22 @@ def test_composite_flats_are_the_flattened_composites(field):
     fs = [f.scale(Fraction(1, 3)) for f in hom_basis(p2, r2).basis] if field == QQ else list(hom_basis(p2, r2).basis)
     gs = list(hom_basis(r2, i3).basis) + [Morphism.zero(r2, i3)]
     assert fs and len(gs) > 1
-    g_blocks, f_blocks = [g.blocks for g in gs], [f.blocks for f in fs]
-    flats = list(composite_flats(g_blocks, f_blocks))
+    g_maps, f_maps = decode_blocks(r2, i3, [g.blocks for g in gs]), decode_blocks(p2, r2, [f.blocks for f in fs])
+    flats = list(composite_flats(g_maps, f_maps))
     assert flats == [g.compose(f).flatten() for g in gs for f in fs]
     assert any(flats) and {} in flats
-    assert list(composite_flats([], f_blocks)) == list(composite_flats(g_blocks, [])) == []
+    # the same maps decoded from their flats give the same composites
+    g_flats, f_flats = decode_flats(r2, i3, [g.flatten() for g in gs]), decode_flats(p2, r2, [f.flatten() for f in fs])
+    assert g_flats == g_maps and f_flats == f_maps
+    assert list(composite_flats(g_flats, f_flats)) == flats
+    assert list(composite_flats(decode_blocks(r2, i3, []), f_maps)) == list(composite_flats(g_maps, decode_blocks(p2, r2, []))) == []
     with pytest.raises(RepresentationError, match="composition mismatch"):
-        composite_flats(f_blocks, g_blocks)
+        composite_flats(f_maps, g_maps)
+    # blocks that do not map between a list's ends are refused when the list is decoded
+    with pytest.raises(RepresentationError, match="do not match the ends"):
+        decode_blocks(p2, r2, [g.blocks for g in gs])
+    with pytest.raises(RepresentationError, match="different presentations or fields"):
+        decode_flats(p2, kronecker_regular(2, 1, PrimeField(5) if field == QQ else QQ), [])
 
 
 def test_composite_flats_check_at_the_call_and_form_one_product_per_draw(monkeypatch):
@@ -231,6 +242,8 @@ def test_composite_flats_check_at_the_call_and_form_one_product_per_draw(monkeyp
     g_blocks = [g.blocks for g in hom_basis(r2, i3).basis]
     f_blocks = [f.blocks for f in hom_basis(p2, r2).basis]
     assert len(g_blocks) * len(f_blocks) > 1
+    g_maps, f_maps = decode_blocks(r2, i3, g_blocks), decode_blocks(p2, r2, f_blocks)
+    expected = [Morphism(r2, i3, g).compose(Morphism(p2, r2, f)).flatten() for g in g_blocks for f in f_blocks]
     # each start of reps._products, and each product it begins to form (one per f it reads)
     starts, formed = [], []
     original = reps._products
@@ -241,23 +254,27 @@ def test_composite_flats_check_at_the_call_and_form_one_product_per_draw(monkeyp
                 formed.append(len(formed))
                 yield blocks
 
-    def spied(g_rows, f_rows, of):
+    def spied(g_rows, f_rows, *layout):
         starts.append(len(g_rows) * len(f_rows))
-        return original(g_rows, Read(f_rows), of)
+        return original(g_rows, Read(f_rows), *layout)
+
+    def refuse(*args):
+        raise AssertionError("a decoded factor is read again")
 
     monkeypatch.setattr(reps, "_products", spied)
+    # the lists were decoded once: neither the call nor a draw reads a block again
+    monkeypatch.setattr(Mat, "row", refuse)
     # an empty side yields nothing and starts no product
-    assert list(composite_flats([], f_blocks)) == list(composite_flats(g_blocks, [])) == []
-    # a shape mismatch raises at the call, with no product formed
+    assert list(composite_flats(decode_blocks(r2, i3, []), f_maps)) == list(composite_flats(g_maps, decode_blocks(p2, r2, []))) == []
+    # a mismatch of the ends raises at the call, with no product formed
     with pytest.raises(RepresentationError, match="composition mismatch"):
-        composite_flats(f_blocks, g_blocks)
+        composite_flats(f_maps, g_maps)
     assert starts == formed == []
-    flats = composite_flats(g_blocks, f_blocks)
+    flats = composite_flats(g_maps, f_maps)
     assert starts == [len(g_blocks) * len(f_blocks)] and formed == []
     first = next(flats)
-    assert formed == [0]
-    assert first == Morphism(r2, i3, g_blocks[0]).compose(Morphism(p2, r2, f_blocks[0])).flatten()
-    assert len(list(flats)) == len(formed) - 1 == len(g_blocks) * len(f_blocks) - 1
+    assert formed == [0] and first == expected[0]
+    assert [first, *flats] == expected and len(formed) == len(g_blocks) * len(f_blocks)
 
 
 def _cells(blocks):

@@ -112,3 +112,17 @@ def test_radical_profile_parses_no_value(monkeypatch, family):
     calls = count_parses(monkeypatch)
     assert radical_profile(members, 63).depth_reached() > 1
     assert calls == []
+
+
+def test_profile_subspaces_are_not_validated(monkeypatch):
+    # a power's coordinates in its hom space are read off rows the package made;
+    # passing them to Subspace.span checked every one again: 1 944 _checked calls
+    members = conjugated_family(4, 1)
+    homs.clear_caches()
+    profile = radical_profile(members, 63)
+    calls = count_checked(monkeypatch)
+    idx = range(len(members))
+    spaces = {(d, i, j): profile.subspace(d, i, j) for d in range(1, profile.depth_reached() + 1) for i in idx for j in idx}
+    assert calls == []
+    assert all(s.dim == profile.pair_dims(i, j)[d - 1] for (d, i, j), s in spaces.items())
+    assert sum(s.dim for s in spaces.values()) > 0
