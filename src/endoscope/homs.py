@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from typing import Literal, Mapping, Sequence
 
-from .linalg import Mat, Subspace, _eliminate, _mat, _reduce, _subtract, invert, kernel_basis
+from .linalg import Mat, Subspace, _eliminate, _mat, _qq, _reduce, _subtract, invert, kernel_basis
 from .reps import Morphism, Representation, SubspaceFamily, composite_flats, decode_blocks, flat_blocks, sub_from_family
 from .spin import presentation, sides, spun_homs
 
@@ -451,6 +451,21 @@ def iso_classes(members: Sequence[Representation], key=None, admit=None) -> list
 # -- Fitting decomposition -----------------------------------------------------
 
 
+def _shifted(m: Mat, c: Fraction) -> Mat:
+    """m + c 1 for a square m and a rational c the package computed, formed
+    in value format (over GF(p), c is read as its residue), not parsed by
+    ``field.of``."""
+    p = m.field.characteristic
+    c = c.numerator * pow(c.denominator, -1, p) % p if p else _qq(c)
+    rows = tuple(dict(r) for r in m._data)
+    for i, row in enumerate(rows):
+        if x := (row.get(i, 0) + c) % p if p else _qq(row.get(i, 0) + c):
+            row[i] = x
+        else:
+            row.pop(i, None)
+    return _mat(rows, m.rows, m.cols, m.field)
+
+
 def _charpoly(m: Mat) -> list[Fraction]:
     """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1]."""
     n = m.rows
@@ -463,7 +478,7 @@ def _charpoly(m: Mat) -> list[Fraction]:
         c = Fraction(-work.trace(), k)
         cs.append(c)
         if k < n:
-            work = work + Mat.identity(n, m.field).scale(c)
+            work = _shifted(work, c)
     # cs = [1, c_1, ..., c_n] for x^n + c_1 x^{n-1} + ... + c_n
     return list(reversed(cs))
 
@@ -550,7 +565,7 @@ def _find_split(m: Representation, ring: EndoRing):
     for flat in chain(rows, sums):
         g = flat_blocks(m, m, flat)
         for lam in _rational_eigenvalues(g):
-            h = {v: b - Mat.identity(b.rows, m.field).scale(lam) for v, b in g.items()}
+            h = {v: _shifted(b, -lam) for v, b in g.items()}
             if (split := _fitting_split(m, h)) is not None:
                 return split
     return None

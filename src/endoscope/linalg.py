@@ -404,6 +404,10 @@ def assemble(rows: int, cols: int, blocks: Iterable[tuple[int, int, Mat]], field
 # ``p`` is the characteristic (0 for the rationals).  Over the rationals
 # every value the kernel makes goes through ``_qq``, so it computes with
 # ints wherever it can; a row it does not reduce is kept as it came.
+# ``_reduce``, which every row drawn and every membership test runs,
+# reads only the columns a row shares with the pivots, once, and writes
+# its subtraction once per characteristic; ``_subtract`` is the generic
+# form, which keeps the column index of the back-substitution.
 
 
 def _qq(x):
@@ -440,11 +444,28 @@ def _subtract(dst: dict, f, src: dict, skip: int, p: int, holders=None, owner=No
 def _reduce(row: dict, reduced: dict[int, dict], p: int) -> dict:
     """Reduce ``row`` in place against fully reduced pivot rows ``{pivot: row}``.
 
-    The pivot rows vanish on each other's pivots, so one pass clears
-    them all; the row left over is zero iff ``row`` was in their span.
+    The pivot rows vanish on each other's pivots, so subtracting one
+    never makes an entry at another pivot: one walk over the columns
+    ``row`` shares with the pivots clears them all, each with the
+    multiple it had at the start, and the 1 at the pivot clears the
+    column itself.  The row left over is zero iff ``row`` was in their span.
     """
-    for c in [c for c in row if c in reduced]:
-        _subtract(row, row.pop(c), reduced[c], c, p)
+    if p:
+        for c in row.keys() & reduced.keys():
+            f = row[c]
+            for j, v in reduced[c].items():
+                if x := (row.get(j, 0) - f * v) % p:
+                    row[j] = x
+                else:
+                    del row[j]
+    else:
+        for c in row.keys() & reduced.keys():
+            f = row[c]
+            for j, v in reduced[c].items():
+                if x := row.get(j, 0) - f * v:
+                    row[j] = x if type(x) is int else _qq(x)
+                else:
+                    del row[j]
     return row
 
 

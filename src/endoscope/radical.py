@@ -34,7 +34,7 @@ row depth bounds the chains out of a member, the column depth those into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .homs import (
@@ -75,6 +75,7 @@ class RadicalProfile:
     _members: tuple
     _classes: tuple  # per member: (its representative's position, IsoCertificate)
     _index: dict  # label -> position
+    _decoded: dict = field(default_factory=dict)  # decodings shared by the pairs carried over
 
     @cached_property
     def dims(self) -> tuple:
@@ -122,14 +123,24 @@ class RadicalProfile:
         if key not in self._rows:
             (a, phi), (b, psi) = self._classes[i], self._classes[j]
             m_a, m_b = self._members[a], self._members[b]
-            rep_maps = decode_flats(m_a, m_b, self._rows[(depth, a, b)])
-            psi_f = composite_flats(decode_blocks(m_b, target, [psi.witness.blocks]), rep_maps)
-            flats = composite_flats(decode_flats(m_a, target, psi_f), decode_blocks(source, m_a, [phi.inverse.blocks]))
+            once = self._decode_once
+            rep_maps = once((depth, a, b), lambda: decode_flats(m_a, m_b, self._rows[(depth, a, b)]))
+            psi_maps = once(("psi", j), lambda: decode_blocks(m_b, target, [psi.witness.blocks]))
+            # psi R_d(a, b), shared by every copy i of a
+            psi_r = once(("psi", depth, a, j), lambda: decode_flats(m_a, target, composite_flats(psi_maps, rep_maps)))
+            phi_inv = once(("phi^-1", i), lambda: decode_blocks(source, m_a, [phi.inverse.blocks]))
+            flats = composite_flats(psi_r, phi_inv)
             carried = list(HomSpace.span(source, target, flats).rows.values())
             if len(carried) != len(rep_maps):
                 raise HomalgError(f"a copy's pair carried {len(carried)} of the {len(rep_maps)} rows of its depth-{depth} power")
             self._rows[key] = carried
         return [Morphism(source, target, flat_blocks(source, target, r)) for r in self._rows[key]]
+
+    def _decode_once(self, name, decode):
+        """The decoding kept under ``name``, made by ``decode()`` on first use."""
+        if name not in self._decoded:
+            self._decoded[name] = decode()
+        return self._decoded[name]
 
     def _position(self, label) -> int:
         try:

@@ -10,10 +10,11 @@ Hom(M, N) is one kernel with sum_v dim top(M)_v * n_v unknowns.  One
 elimination gives its dimension; the solutions are spread into maps in
 the ``Morphism.flatten`` layout, and eliminated once more into the
 canonical rows, only when those are asked for (``_spread``).  Both are
-made in value format as they are formed, from checked arrow matrices,
-and not validated again.  The dual side spins DN and solves Hom(DN, DM)
-the same way.  ``sides`` and ``presentation`` are cached per module;
-``homs.clear_caches`` drops them.
+made in value format as they are formed, in one pass over the stored
+rows of checked arrow matrices (``Mat._data``), and not validated again.
+The dual side spins DN and solves Hom(DN, DM) the same way.  ``sides``
+and ``presentation`` are cached per module; ``homs.clear_caches`` drops
+them.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
             for name, target, images in leaving[nodes[done][0]]:
                 image = {}
                 for k, x in vectors[done].items():
-                    _subtract(image, -x, images.row(k), -1, p)
+                    _subtract(image, -x, images._data[k], -1, p)
                 row = _reduce(dict(image), spanned[target], p)
                 width = dims[target]
                 if row and min(row) < width:
@@ -135,9 +136,15 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
 
     The unknowns are the images of the generators.  A node's image is P
     applied to its generator's unknowns, P the product of t's arrow
-    matrices along its path, and each relation gives t_v equations, made
-    in value format and handed to the kernel unchecked.  One elimination
-    solves them, and ``dim`` is the number of its free columns: a map is
+    matrices along its path, and each relation gives t_v equations, one
+    per stored row of P.  Each equation is formed in one pass: the
+    relation's coefficients are negated once, a term's entry is placed as
+    it is where its unknown is new, and added only where two terms meet
+    at one unknown (two nodes of the relation spun from one generator, as
+    when its combination names the node's own generator), an entry that
+    sums to zero being deleted there.  So it comes out in value format
+    with no zero entry, and is handed to the kernel unchecked.  One
+    elimination solves them, and ``dim`` is the number of its free columns: a map is
     fixed by the images of the generators, so distinct solutions are
     distinct maps.  A nonzero space reads a kernel basis off it, which
     ``spread()`` turns into the canonical RREF rows ``{pivot: row}`` of the
@@ -166,17 +173,25 @@ def spun_homs(spun: tuple, s: Representation, t: Representation, matrices: dict,
     for node, arrow, combination in relations:
         u, path = paths[node]
         a = matrices[arrow][2]
-        lhs = a if path is None else a @ path
-        terms = [(c, *paths[k]) for k, c in combination.items()]  # (c, u_k, P_k), read once per relation
-        for r in range(a.rows):
-            eq = {u - c: x for c, x in lhs.row(r).items()}
-            for c, uk, pk in terms:
-                if pk is None:  # a generator: its image's coordinate r is unknown uk - r
-                    eq[uk - r] = eq.get(uk - r, 0) - c
-                else:
-                    for i, x in pk.row(r).items():
-                        eq[uk - i] = eq.get(uk - i, 0) - c * x
-            equations.append({w: y for w, x in eq.items() if (y := x % p if p else x if type(x) is int else _qq(x))})
+        lhs = (a if path is None else a @ path)._data
+        terms = []  # (-c, u_k, stored rows of P_k or None), read and negated once per relation
+        for k, c in combination.items():
+            uk, pk = paths[k]
+            terms.append((-c % p if p else -c, uk, None if pk is None else pk._data))
+        for r, row in enumerate(lhs):
+            eq = {u - c: x for c, x in row.items()}
+            for nc, uk, pk in terms:
+                # a generator's image has coordinate r at unknown uk - r
+                for i, x in ((r, 1),) if pk is None else pk[r].items():
+                    y = nc * x % p if p else nc * x if type(nc) is type(x) is int else _qq(nc * x)
+                    old = eq.get(uk - i)
+                    if old is None:  # a new unknown: placed as it is
+                        eq[uk - i] = y
+                    elif y := (old + y) % p if p else _qq(old + y):  # two terms meet at one unknown
+                        eq[uk - i] = y
+                    else:
+                        del eq[uk - i]
+            equations.append(eq)
     reduced = _eliminate(equations, p, unknowns)
     if len(reduced) == unknowns:
         return 0, dict  # no free column: the zero space, with no kernel basis to read
@@ -209,7 +224,7 @@ def _spread(kernel: list[dict], paths: list, inverse: dict, s: Representation, t
                         if (row := spread.get(u - r)) is not None:
                             row[idx] = row.get(idx, 0) + c
                     else:
-                        for i, x in path.row(r).items():
+                        for i, x in path._data[r].items():
                             if (row := spread.get(u - i)) is not None:
                                 row[idx] = row.get(idx, 0) + c * x
         pos += s_v * t_v

@@ -26,6 +26,9 @@ again.  ``split_by_basis_morphisms`` is the first ``homs._find_split``:
 the identity and End(M)'s canonical rows as ``Morphism``s, all their
 pairwise ``Morphism`` sums, and each power of g - lam raised one step at
 a time until the kernels stop growing.
+``reduce_by_columns`` is the first ``linalg._reduce``: the row's pivot
+columns listed first, then each cleared in turn with the generic
+``linalg._subtract``, skipping the pivot.
 """
 
 from functools import reduce
@@ -33,7 +36,7 @@ from itertools import combinations
 
 from endoscope.endosocle import _prepare_members, family_endosocle
 from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks
-from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, kernel_basis
+from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, _subtract, kernel_basis
 from endoscope.radical import radical_profile
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
 
@@ -81,6 +84,13 @@ def sparse_kernel(equations, ncols: int, field) -> list[dict]:
     p = field.characteristic
     reduced = _kernel_rows(_checked((eq.items() for eq in equations), ncols, field), ncols, p)
     return [reduced[c] for c in sorted(reduced)]
+
+
+def reduce_by_columns(row: dict, reduced: dict[int, dict], p: int) -> dict:
+    """``row`` reduced in place against fully reduced pivot rows ``{pivot: row}``, one pivot column at a time."""
+    for c in [c for c in row if c in reduced]:
+        _subtract(row, row.pop(c), reduced[c], c, p)
+    return row
 
 
 def preimage(sub: Subspace, m: Mat) -> Subspace:

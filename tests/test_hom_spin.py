@@ -74,9 +74,9 @@ def _mat(rows, field=QQ):
     return Mat([[field.of(x) for x in row] for row in rows], len(rows), len(rows[0]) if rows else 0, field)
 
 
-def bound_family(tmp_path):
+def bound_family(tmp_path, field=QQ):
     """Six modules of 1 -a-> 2 -c-> 3 with a loop x at 1 and the relation
-    "a then c" = 0, read from a family file."""
+    "a then c" = 0, read from a family file over ``field``."""
     algebra = {
         "vertices": ["1", "2", "3"],
         "arrows": [
@@ -96,7 +96,7 @@ def bound_family(tmp_path):
     ]
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"algebra": algebra, "members": members}))
-    return load_family_file(str(path))
+    return load_family_file(str(path), field)
 
 
 def test_file_family_with_relations_matches_oracle(tmp_path):
@@ -344,3 +344,17 @@ def test_endosocle_of_preinjectives_spreads_no_end_ring(monkeypatch):
     family_endosocle(preinjectives(8))
     assert calls and not any(s == t for _, _, _, s, t, _ in calls)
     assert all(hom_basis(m, m).dim == 1 for m in preinjectives(8))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+def test_hom_systems_read_stored_rows(monkeypatch, tmp_path, field):
+    # the spin, the equations and the spread read the matrices' stored rows,
+    # not the read-only views of Mat.row
+    members = kronecker_family(field) + cycle_modules(field) + bound_family(tmp_path, field)
+    homs.clear_caches()
+    calls = count_calls(monkeypatch, Mat, "row")
+    for m in members:
+        for n in members:
+            if m.presentation == n.presentation:
+                assert len(hom_basis(m, n).rows) == hom_dim(m, n)
+    assert calls == []

@@ -22,7 +22,7 @@ from endoscope.linalg import (
     scalar_to_str,
     solve,
 )
-from oracles import preimage, stable_by_images, stable_by_products
+from oracles import preimage, reduce_by_columns, stable_by_images, stable_by_products
 
 
 def F(x, y=1):
@@ -506,3 +506,57 @@ def test_eliminate_with_width_stops_at_full_rank(case):
     drawn.clear()
     assert linalg._kernel_rows(counted(), ncols, p) == linalg._kernel_rows([dict(r) for r in rows], ncols, p)
     assert len(drawn) == first
+
+
+@st.composite
+def reductions(draw):
+    """A field's characteristic, fully reduced pivot rows ``{pivot: row}`` in value
+    format, and a row to reduce: a combination of the pivot rows, zero or not,
+    plus entries at columns that may or may not be pivots."""
+    p = draw(st.sampled_from([0, 2, 3, 101]))
+    values = st.integers(1, p - 1) if p else st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool).map(QQ.of)
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)))
+    free = [j for j in range(ncols) if j not in pivots]
+    reduced = {}
+    for c in pivots:
+        row = {c: 1}
+        for j in draw(st.sets(st.sampled_from(free), max_size=len(free))) if free else ():
+            if j > c:
+                row[j] = draw(values)
+        reduced[c] = row
+    row = {}
+    for c in draw(st.sets(st.sampled_from(pivots), max_size=len(pivots))) if pivots else ():
+        linalg._subtract(row, -draw(values), reduced[c], -1, p)  # += a multiple of a pivot row
+    for j, x in draw(st.dictionaries(st.integers(0, ncols - 1), values, max_size=4)).items():
+        linalg._subtract(row, -x, {j: 1}, -1, p)
+    return p, reduced, row
+
+
+@given(reductions())
+@settings(max_examples=300, deadline=None)
+def test_reduce_walks_only_the_shared_columns_as_the_column_loop_did(case):
+    # the pivot rows vanish on each other's pivots, so the columns a row shares
+    # with them are read once, at the start, and the remainder is the same
+    p, reduced, row = case
+    want = reduce_by_columns(dict(row), reduced, p)
+    got = linalg._reduce(dict(row), reduced, p)
+    assert got == want
+    assert not got.keys() & reduced.keys()
+    if p:
+        assert all(type(x) is int and 0 < x < p for x in got.values())
+    else:
+        assert all(type(x) is int or type(x) is Fraction and x.denominator != 1 for x in got.values())
+        assert all(x for x in got.values())
+
+
+def test_reduce_examples():
+    # over Q a remainder entry that becomes integral is stored as an int
+    reduced = {0: {0: 1, 2: F(1, 2)}, 1: {1: 1, 2: F(1, 3)}}
+    got = linalg._reduce({0: 1, 1: 1, 2: F(5, 6)}, reduced, 0)
+    assert got == {}
+    got = linalg._reduce({0: 1, 1: 1, 2: F(11, 6)}, reduced, 0)
+    assert got == {2: 1} and type(got[2]) is int
+    # over GF(7): 3 - 2 * 4 = 2, and 1 - 2 * 4 = 0 leaves nothing
+    assert linalg._reduce({0: 2, 2: 3}, {0: {0: 1, 2: 4}}, 7) == {2: 2}
+    assert linalg._reduce({0: 2, 2: 1}, {0: {0: 1, 2: 4}}, 7) == {}

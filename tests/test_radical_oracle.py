@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from endoscope import homs, radical, reps
 from endoscope.harness import length_bounded_kronecker_family
 from endoscope.homs import (
+    HomSpace,
     are_isomorphic,
     clear_caches,
     end_ring,
@@ -521,6 +522,28 @@ def test_the_level_loop_decodes_each_pair_level_once_and_builds_no_mat(monkeypat
     assert built == []
     assert len({(id(source), id(target), rows) for source, target, rows in decoded}) == len(decoded) == 146
     assert sum(len(rows) for *_, rows in decoded) == 232
+
+
+def test_carried_pairs_decode_each_representatives_pair_and_certificate_once(monkeypatch):
+    # reading basis_morphisms(1, i, j) for every pair decoded R_1(a, b) and psi
+    # R_1(a, b) again for each of the 559 pairs carried over: 1 118 decode_flats
+    # and 1 118 decode_blocks calls; now R_d(a, b) is decoded once per pair of
+    # representatives, psi R_d(a, b) once per (a, j), and psi and phi^-1 once per member
+    members = conjugated_family(6, seed=1)
+    clear_caches()
+    profile = radical_profile(members, 63)
+    calls = {"decode_flats": [], "decode_blocks": []}
+    for name, made in calls.items():
+        monkeypatch.setattr(radical, name, lambda *args, decode=getattr(radical, name), made=made: made.append(args) or decode(*args))
+    idx = range(len(members))
+    got = {(i, j): profile.basis_morphisms(1, i, j) for i in idx for j in idx}
+    assert (len(calls["decode_flats"]), len(calls["decode_blocks"])) == (611, 56)
+    # each carried pair spans psi R_1(a, b) phi^-1, composed here as Morphisms
+    for (i, j), maps in got.items():
+        (a, phi), (b, psi) = profile._classes[i], profile._classes[j]
+        spanned = HomSpace.span(members[i], members[j], [psi.witness.compose(f).compose(phi.inverse).flatten() for f in got[(a, b)]])
+        assert [f.flatten() for f in maps] == list(spanned.rows.values())
+        assert profile.subspace(1, i, j).dim == len(maps) == profile.pair_dims(i, j)[0]
 
 
 def count_composites(monkeypatch) -> list:

@@ -17,10 +17,11 @@ from fractions import Fraction
 import pytest
 
 from endoscope import homs, linalg
-from endoscope.homs import end_ring, hom_basis, hom_dim, noniso_blocks
+from endoscope.homs import end_ring, hom_basis, hom_dim, indecompose, noniso_blocks
 from endoscope.linalg import PrimeField, RationalField
 from endoscope.radical import radical_profile
-from endoscope.reps import kronecker_preinjective
+from endoscope.reps import direct_sum, kronecker_preinjective
+from test_fitting_oracle import _by_oracle
 from test_hom_spin import count_calls
 from test_radical_oracle import conjugated_family
 
@@ -126,3 +127,17 @@ def test_profile_subspaces_are_not_validated(monkeypatch):
     assert calls == []
     assert all(s.dim == profile.pair_dims(i, j)[d - 1] for (d, i, j), s in spaces.items())
     assert sum(s.dim for s in spaces.values()) > 0
+
+
+def test_fitting_splits_parse_no_value(monkeypatch):
+    # g - lam 1 and the characteristic polynomial's c 1 were formed with
+    # Mat.identity(...).scale, which parses its scalar: 49 field.of calls on
+    # I1+I2+I3+I4; the diagonal is now shifted in value format
+    total, _, _ = direct_sum([kronecker_preinjective(n) for n in range(1, 5)])
+    homs.clear_caches()
+    want = _by_oracle(total)
+    homs.clear_caches()
+    calls = count_parses(monkeypatch)
+    parts = indecompose(total)
+    assert calls == []
+    assert parts == want and [m.dim_vector for m in parts] == [(4, 3), (3, 2), (2, 1), (1, 0)]
