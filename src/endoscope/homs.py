@@ -34,7 +34,7 @@ from itertools import accumulate, chain, combinations
 from typing import Literal, Mapping, Sequence
 
 from .linalg import Mat, Subspace, _eliminate, _mat, _qq, _reduce, _subtract, invert, kernel_basis
-from .reps import Morphism, Representation, SubspaceFamily, composite_flats, decode_blocks, flat_blocks, sub_from_family
+from .reps import Morphism, Representation, SubspaceFamily, composite_flats, decode_flats, flat_blocks, sub_from_family
 from .spin import presentation, sides, spun_homs
 
 
@@ -617,7 +617,7 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     Both endomorphism rings must be certified local (``require_local``).
     For m == n this is J(End m), ``EndoRing.radical_space``.  For
     non-isomorphic ends it is all of Hom(m, n); for isomorphic ends it is
-    phi . J(End m) (``reps.decode_blocks``, ``composite_flats``), where phi is the witness of
+    phi . J(End m) (``reps.composite_flats`` of phi and J decoded from their flats), where phi is the witness of
     ``are_isomorphic``, checked to have codimension 1 and no invertible row.
     Those are exactly the non-invertible homomorphisms, held, like every
     hom space, as the canonical rows of their span.
@@ -629,7 +629,7 @@ def noniso_subspace(m: Representation, n: Representation) -> HomSpace:
     cert = are_isomorphic(m, n)
     if cert.status == "certified_no":
         return hom_basis(m, n)
-    sub = HomSpace.span(m, n, composite_flats(decode_blocks(m, n, [cert.witness.blocks]), decode_blocks(m, m, noniso_blocks(m, m))))
+    sub = HomSpace.span(m, n, composite_flats(decode_flats(m, n, [cert.witness.flatten()]), decode_flats(m, m, ring.radical_space().rows.values())))
     if sub.dim != hom_basis(m, n).dim - 1:
         raise HomalgError("non-isomorphism subspace has unexpected dimension")
     if any(_inverse(flat_blocks(m, n, row)) is not None for row in sub.rows.values()):

@@ -13,7 +13,7 @@ Values are checked where they enter: ``Mat(...)``, ``Mat.sparse``,
 ``Subspace.span``, ``Subspace.contains`` (``_checked``), ``Mat.scale``
 and ``field.of``.  Each value computed inside (by the kernel, ``spin``,
 ``reps.composite_flats``) is made in format where it is computed, with
-``% p`` or ``_qq``; ``_eliminate`` and the flat decoders of ``reps`` never check it.
+``% p`` or ``_qq``; ``_eliminate`` and ``reps._split``, the one flat decoder, never check it.
 
 A ``Mat`` stores one dict ``{column: nonzero value}`` per row, the rows
 the elimination kernel reads and writes, and never a zero, so equal

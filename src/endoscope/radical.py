@@ -16,17 +16,18 @@ one at a time (``reps.composite_flats``) and reduced until they span as
 much as the power before, which holds them; a ``Morphism`` is built only
 for the basis maps a caller asks for.  A level's rows, scaled to coprime
 ints (``linalg.primitive_row``) so that every product is an int product,
-are decoded from the flats (``reps.decode_flats``), with no ``Mat`` built,
-once per pair, when a composite is first drawn through them; a power that
-keeps its dimension keeps its rows and their decoding.  From depth 3 on
-only the irreducible maps, a complement of rad^2 in rad, are composed on
-the left; a middle member with no map on one side is skipped, and a pair
-whose power has vanished is not composed again.  Every level is built on
-the least-height member of each isomorphism class at source, middle and
-target, so a rational conjugate of an integer module is not composed;
-another pair's rows are carried over through the certified isomorphisms
-when first asked for.  ``radical_profile`` proves that all of this spans
-the same powers.
+are decoded from the flats (``reps.decode_flats``) into the block rows a
+``Mat`` stores, with no ``Mat`` built, once per pair, when a composite is
+first drawn through them; a power that keeps its dimension keeps its rows
+and their decoding.  From depth 3 on only the irreducible maps, a
+complement of rad^2 in rad, are composed on the left; a middle member
+with no map on one side is skipped, and a pair whose power has vanished
+is not composed again.  Every level is built on the least-height member
+of each isomorphism class at source, middle and target, so a rational
+conjugate of an integer module is not composed; another pair's rows are
+carried over through the certified isomorphisms when first asked for,
+each certificate's map decoded from its flat.  ``radical_profile`` proves
+that all of this spans the same powers.
 
 Both sides of semi-T-nilpotence are read per member from one profile: the
 row depth bounds the chains out of a member, the column depth those into it.
@@ -48,7 +49,7 @@ from .homs import (
     require_local,
 )
 from .linalg import Subspace, _eliminate, _reduce, primitive_row
-from .reps import Morphism, composite_flats, decode_blocks, decode_flats, family_labels, flat_blocks
+from .reps import Morphism, composite_flats, decode_flats, family_labels, flat_blocks
 
 
 class RadicalError(ValueError):
@@ -125,10 +126,10 @@ class RadicalProfile:
             m_a, m_b = self._members[a], self._members[b]
             once = self._decode_once
             rep_maps = once((depth, a, b), lambda: decode_flats(m_a, m_b, self._rows[(depth, a, b)]))
-            psi_maps = once(("psi", j), lambda: decode_blocks(m_b, target, [psi.witness.blocks]))
+            psi_maps = once(("psi", j), lambda: decode_flats(m_b, target, [psi.witness.flatten()]))
             # psi R_d(a, b), shared by every copy i of a
             psi_r = once(("psi", depth, a, j), lambda: decode_flats(m_a, target, composite_flats(psi_maps, rep_maps)))
-            phi_inv = once(("phi^-1", i), lambda: decode_blocks(source, m_a, [phi.inverse.blocks]))
+            phi_inv = once(("phi^-1", i), lambda: decode_flats(source, m_a, [phi.inverse.flatten()]))
             flats = composite_flats(psi_r, phi_inv)
             carried = list(HomSpace.span(source, target, flats).rows.values())
             if len(carried) != len(rep_maps):

@@ -239,6 +239,8 @@ class Morphism:
                 m = Mat.zeros(target.dim(v), source.dim(v), source.field)
             if m.shape != (target.dim(v), source.dim(v)):
                 raise RepresentationError(f"block at {v} has shape {m.shape}")
+            if m.field != source.field:
+                raise RepresentationError(f"block at {v} over {m.field!r}, not {source.field!r}")
             blk[v] = m
         self.blocks = blk
         self._hash = None
@@ -343,13 +345,13 @@ def flat_blocks(source: Representation, target: Representation, flat: Mapping) -
     """The vertex blocks ``{vertex: Mat}`` of the map source -> target whose
     ``Morphism.flatten()`` is ``flat``, a flat in value format (``linalg``),
     as every flat the package makes is: canonical rows, ``primitive_row``,
-    ``composite_flats``, ``flatten``.  Its entries are not re-checked."""
+    ``composite_flats``, ``flatten``.  Its blocks store ``_split``'s rows unchecked."""
     rows = _split(source, target, flat)
     return {v: _mat(r, target.dim(v), source.dim(v), source.field) for v, r in zip(source.presentation.quiver.vertices, rows)}
 
 
 def _split(source: Representation, target: Representation, flat: Mapping) -> list[tuple[dict, ...]]:
-    """Per vertex, the rows ``{column: value}`` of the block of the flat source -> target."""
+    """Per vertex, the rows ``{column: value}`` of the block of the flat source -> target: the one decoder of a flat."""
     vertices = source.presentation.quiver.vertices
     starts = list(accumulate((target.dim(v) * source.dim(v) for v in vertices), initial=0))
     rows = [tuple({} for _ in range(target.dim(v))) for v in vertices]
@@ -362,8 +364,8 @@ def _split(source: Representation, target: Representation, flat: Mapping) -> lis
 
 
 class BlockRows(tuple):
-    """Maps source -> target as ``composite_flats`` multiplies them, one entry per map: per vertex, per block
-    row, the tuple of its ``(column, value)`` pairs.  Made by ``decode_blocks`` or ``decode_flats``, checked once."""
+    """Maps source -> target as ``composite_flats`` multiplies them, one entry per map: per vertex, the block
+    rows ``{column: value}`` that ``_split`` decodes and a ``Mat`` stores, with the list's ends, checked once."""
 
     def __new__(cls, source: Representation, target: Representation, maps):
         if source.field != target.field or source.presentation is not target.presentation and source.presentation != target.presentation:
@@ -373,24 +375,15 @@ class BlockRows(tuple):
         return rows
 
 
-def decode_blocks(source: Representation, target: Representation, blocks: Sequence[Mapping[str, Mat]]) -> BlockRows:
-    """The maps with these vertex blocks ``{vertex: Mat}``; raises unless every block has the shape and field of source -> target."""
-    vertices = source.presentation.quiver.vertices
-    shape = {v: (target.dim(v), source.dim(v), source.field) for v in vertices}
-    if any({v: (m.rows, m.cols, m.field) for v, m in b.items()} != shape for b in blocks):
-        raise RepresentationError("vertex blocks do not match the ends of their list")
-    return BlockRows(source, target, [tuple(tuple(tuple(b[v].row(r).items()) for r in range(b[v].rows)) for v in vertices) for b in blocks])
-
-
 def decode_flats(source: Representation, target: Representation, flats: Iterable[Mapping]) -> BlockRows:
-    """The maps source -> target with these flats, in value format (``flat_blocks``); nothing is re-checked."""
-    return BlockRows(source, target, [tuple(tuple(tuple(r.items()) for r in blk) for blk in _split(source, target, f)) for f in flats])
+    """The maps source -> target with these flats in value format (``flat_blocks``), decoded by ``_split``, unchecked."""
+    return BlockRows(source, target, [_split(source, target, f) for f in flats])
 
 
 def composite_flats(gs: BlockRows, fs: BlockRows) -> Iterator[dict]:
     """``g.compose(f).flatten()`` for every g in ``gs`` and f in ``fs``, g-major, each formed when drawn from
     the lazy iterator returned, with no ``Morphism`` or ``Mat`` built, in value format as the kernel makes
-    its products.  The lists were checked when decoded; the call checks only that their ends meet."""
+    its products.  The lists were checked when decoded (``decode_flats``); the call checks only that their ends meet."""
     if gs.source is not fs.target and gs.source != fs.target:
         raise RepresentationError("composition mismatch")
     if not gs or not fs:
@@ -410,8 +403,8 @@ def _products(g_maps, f_maps, starts, widths, p) -> Iterator[dict]:
             acc = {}
             for t, base, grow in entries:
                 rows = blocks[t]
-                for k, a in grow:
-                    for c, x in rows[k]:
+                for k, a in grow.items():
+                    for c, x in rows[k].items():
                         acc[base + c] = acc.get(base + c, 0) + a * x
             yield {idx: y for idx, x in acc.items() if (y := x % p if p else x if type(x) is int else _qq(x))}
 

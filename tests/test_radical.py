@@ -1,7 +1,6 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +15,9 @@ from endoscope.radical import (
 from endoscope.linalg import LinalgError, Mat
 from endoscope.quiver import kronecker
 from endoscope.reps import (
+    Morphism,
     Representation,
-    decode_blocks,
+    decode_flats,
     direct_sum,
     kronecker_preinjective,
     kronecker_preprojective,
@@ -177,7 +177,7 @@ def test_checked_rows_refuse_a_row_that_is_not_a_homomorphism():
 def test_composite_rows_refuse_a_composite_outside_the_level_above():
     i3, i2, i1 = (kronecker_preinjective(n) for n in (3, 2, 1))
     hom = hom_basis(i3, i1)
-    factors = [(decode_blocks(i2, i1, [g.blocks for g in hom_basis(i2, i1).basis]), decode_blocks(i3, i2, [f.blocks for f in hom_basis(i3, i2).basis]))]
+    factors = [(decode_flats(i2, i1, [g.flatten() for g in hom_basis(i2, i1).basis]), decode_flats(i3, i2, [f.flatten() for f in hom_basis(i3, i2).basis]))]
     rows = list(hom.rows.values())
     # the composites through I2 fill Hom(I3, I1) = R_1(I3, I1); the first is the row {0: 1}
     assert rows == [{0: 1}, {1: 1}, {2: 1}]
@@ -201,7 +201,7 @@ def test_a_copy_carried_short_of_its_representatives_rows_is_refused():
     a, cert = prof._classes[0]
     block = cert.inverse.blocks["1"]
     singular = Mat([[0] * block.cols] + [[block.row(r).get(c, 0) for c in range(block.cols)] for r in range(1, block.rows)])
-    inverse = SimpleNamespace(blocks={**cert.inverse.blocks, "1": singular})
+    inverse = Morphism(cert.inverse.source, cert.inverse.target, {**cert.inverse.blocks, "1": singular}, _validate=False)
     prof._classes = ((a, replace(cert, inverse=inverse)),) + prof._classes[1:]
     with pytest.raises(HomalgError, match="carried 1 of the 2 rows"):
         prof.basis_morphisms(1, "c", "i1")

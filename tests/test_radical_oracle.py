@@ -527,17 +527,17 @@ def test_the_level_loop_decodes_each_pair_level_once_and_builds_no_mat(monkeypat
 def test_carried_pairs_decode_each_representatives_pair_and_certificate_once(monkeypatch):
     # reading basis_morphisms(1, i, j) for every pair decoded R_1(a, b) and psi
     # R_1(a, b) again for each of the 559 pairs carried over: 1 118 decode_flats
-    # and 1 118 decode_blocks calls; now R_d(a, b) is decoded once per pair of
-    # representatives, psi R_d(a, b) once per (a, j), and psi and phi^-1 once per member
+    # and 1 118 calls decoding psi and phi^-1 from their blocks; now R_d(a, b) is
+    # decoded once per pair of representatives, psi R_d(a, b) once per (a, j), and
+    # psi and phi^-1 once per member, all from flats: 611 + 56 decode_flats calls
     members = conjugated_family(6, seed=1)
     clear_caches()
     profile = radical_profile(members, 63)
-    calls = {"decode_flats": [], "decode_blocks": []}
-    for name, made in calls.items():
-        monkeypatch.setattr(radical, name, lambda *args, decode=getattr(radical, name), made=made: made.append(args) or decode(*args))
+    calls = []
+    monkeypatch.setattr(radical, "decode_flats", lambda *args, decode=radical.decode_flats: calls.append(args) or decode(*args))
     idx = range(len(members))
     got = {(i, j): profile.basis_morphisms(1, i, j) for i in idx for j in idx}
-    assert (len(calls["decode_flats"]), len(calls["decode_blocks"])) == (611, 56)
+    assert len(calls) == 667
     # each carried pair spans psi R_1(a, b) phi^-1, composed here as Morphisms
     for (i, j), maps in got.items():
         (a, phi), (b, psi) = profile._classes[i], profile._classes[j]

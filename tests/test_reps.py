@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from endoscope.linalg import QQ, Mat, PrimeField, Subspace
-from endoscope.quiver import kronecker
+from endoscope.quiver import AlgebraPresentation, Quiver, kronecker
 from endoscope.reps import (
     INFINITY,
     Morphism,
@@ -11,7 +11,6 @@ from endoscope.reps import (
     RepresentationError,
     SubspaceFamily,
     composite_flats,
-    decode_blocks,
     decode_flats,
     direct_sum,
     dual,
@@ -207,6 +206,20 @@ def test_morphism_validates_commuting_squares():
         Morphism(i2, i2, {"1": Mat.identity(2), "2": Mat([[Fraction(2)]])})
 
 
+@pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+def test_morphism_refuses_a_block_over_another_field(validate):
+    # the blocks must be over the ends' field, as a representation's arrow
+    # matrices are: with no arrow nothing else would notice, and with arrows the
+    # commuting check would fail on mixed fields rather than on the block
+    gf5 = PrimeField(5)
+    point = Representation(AlgebraPresentation(Quiver(["1"], [])), {"1": 1}, {})
+    with pytest.raises(RepresentationError, match="block at 1 over"):
+        Morphism(point, point, {"1": Mat([[1]], field=gf5)}, _validate=validate)
+    i2 = kronecker_preinjective(2)
+    with pytest.raises(RepresentationError, match="block at 1 over"):
+        Morphism(i2, i2, {"1": Mat.identity(2, gf5), "2": Mat.identity(1, gf5)}, _validate=validate)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
 def test_composite_flats_are_the_flattened_composites(field):
     from endoscope.homs import hom_basis
@@ -216,20 +229,16 @@ def test_composite_flats_are_the_flattened_composites(field):
     fs = [f.scale(Fraction(1, 3)) for f in hom_basis(p2, r2).basis] if field == QQ else list(hom_basis(p2, r2).basis)
     gs = list(hom_basis(r2, i3).basis) + [Morphism.zero(r2, i3)]
     assert fs and len(gs) > 1
-    g_maps, f_maps = decode_blocks(r2, i3, [g.blocks for g in gs]), decode_blocks(p2, r2, [f.blocks for f in fs])
+    g_maps, f_maps = decode_flats(r2, i3, [g.flatten() for g in gs]), decode_flats(p2, r2, [f.flatten() for f in fs])
     flats = list(composite_flats(g_maps, f_maps))
     assert flats == [g.compose(f).flatten() for g in gs for f in fs]
     assert any(flats) and {} in flats
-    # the same maps decoded from their flats give the same composites
-    g_flats, f_flats = decode_flats(r2, i3, [g.flatten() for g in gs]), decode_flats(p2, r2, [f.flatten() for f in fs])
-    assert g_flats == g_maps and f_flats == f_maps
-    assert list(composite_flats(g_flats, f_flats)) == flats
-    assert list(composite_flats(decode_blocks(r2, i3, []), f_maps)) == list(composite_flats(g_maps, decode_blocks(p2, r2, []))) == []
+    assert list(composite_flats(decode_flats(r2, i3, []), f_maps)) == list(composite_flats(g_maps, decode_flats(p2, r2, []))) == []
     with pytest.raises(RepresentationError, match="composition mismatch"):
         composite_flats(f_maps, g_maps)
-    # blocks that do not map between a list's ends are refused when the list is decoded
-    with pytest.raises(RepresentationError, match="do not match the ends"):
-        decode_blocks(p2, r2, [g.blocks for g in gs])
+    # blocks that do not map between the ends are refused where a map is made of them
+    with pytest.raises(RepresentationError, match="block at 1 has shape"):
+        Morphism(p2, r2, gs[0].blocks, _validate=False)
     with pytest.raises(RepresentationError, match="different presentations or fields"):
         decode_flats(p2, kronecker_regular(2, 1, PrimeField(5) if field == QQ else QQ), [])
 
@@ -239,11 +248,10 @@ def test_composite_flats_check_at_the_call_and_form_one_product_per_draw(monkeyp
     from endoscope.homs import hom_basis
 
     p2, r2, i3 = kronecker_preprojective(2), kronecker_regular(2, 1), kronecker_preinjective(3)
-    g_blocks = [g.blocks for g in hom_basis(r2, i3).basis]
-    f_blocks = [f.blocks for f in hom_basis(p2, r2).basis]
-    assert len(g_blocks) * len(f_blocks) > 1
-    g_maps, f_maps = decode_blocks(r2, i3, g_blocks), decode_blocks(p2, r2, f_blocks)
-    expected = [Morphism(r2, i3, g).compose(Morphism(p2, r2, f)).flatten() for g in g_blocks for f in f_blocks]
+    gs, fs = hom_basis(r2, i3).basis, hom_basis(p2, r2).basis
+    assert len(gs) * len(fs) > 1
+    g_maps, f_maps = decode_flats(r2, i3, [g.flatten() for g in gs]), decode_flats(p2, r2, [f.flatten() for f in fs])
+    expected = [g.compose(f).flatten() for g in gs for f in fs]
     # each start of reps._products, and each product it begins to form (one per f it reads)
     starts, formed = [], []
     original = reps._products
@@ -265,16 +273,16 @@ def test_composite_flats_check_at_the_call_and_form_one_product_per_draw(monkeyp
     # the lists were decoded once: neither the call nor a draw reads a block again
     monkeypatch.setattr(Mat, "row", refuse)
     # an empty side yields nothing and starts no product
-    assert list(composite_flats(decode_blocks(r2, i3, []), f_maps)) == list(composite_flats(g_maps, decode_blocks(p2, r2, []))) == []
+    assert list(composite_flats(decode_flats(r2, i3, []), f_maps)) == list(composite_flats(g_maps, decode_flats(p2, r2, []))) == []
     # a mismatch of the ends raises at the call, with no product formed
     with pytest.raises(RepresentationError, match="composition mismatch"):
         composite_flats(f_maps, g_maps)
     assert starts == formed == []
     flats = composite_flats(g_maps, f_maps)
-    assert starts == [len(g_blocks) * len(f_blocks)] and formed == []
+    assert starts == [len(gs) * len(fs)] and formed == []
     first = next(flats)
     assert formed == [0] and first == expected[0]
-    assert [first, *flats] == expected and len(formed) == len(g_blocks) * len(f_blocks)
+    assert [first, *flats] == expected and len(formed) == len(gs) * len(fs)
 
 
 def _cells(blocks):
