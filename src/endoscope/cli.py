@@ -159,8 +159,8 @@ def _radical_profile(args, field):
     fam = _family(args, field)
     profile = radical_profile(fam.members, d_max=args.depth, labels=fam.labels)
     pairs = {}
-    for i in fam.labels:
-        for j in fam.labels:
+    for i in profile.labels:
+        for j in profile.labels:
             dims = profile.pair_dims(i, j)
             if any(dims):
                 pairs[f"{i}->{j}"] = dims

@@ -25,7 +25,8 @@ once B_i is zero at a vertex: a pair's hom system is solved only while
 its member's kernel is nonzero.  The relative series keeps its terms
 per member (label -> component).  Members must have certified-local
 endomorphism rings (``homs.EndoRing.local``); decomposable ones are
-split by ``homs.indecompose`` first.
+split first by ``homs.prepare_members``, the member preparation the
+radical profile shares, into summands "<label>.<k>".
 
 Family-level reports carry optional "boundary" labels: members of a
 truncated infinite family whose components may be inflated because
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homs import indecompose, noniso_blocks, require_local
+from .homs import noniso_blocks, prepare_members, require_local
 from .linalg import Subspace, _kernel_rows
-from .reps import Representation, SubspaceFamily, direct_sum, family_labels
+from .reps import Representation, SubspaceFamily, direct_sum
 
 
 class EndostructureError(ValueError):
@@ -118,30 +119,6 @@ class EndosocleReport:
         )
 
 
-def _prepare_members(members, labels, boundary=()):
-    """The members' indecomposable summands (``homs.indecompose``), their
-    labels, and the boundary labels among them.
-
-    A member that is its one summand keeps its label; the summands of a
-    decomposable one are labelled "<label>.<k>", and a boundary flag on
-    it passes to each of them.  Boundary labels of no member are dropped.
-    ``labels`` are checked first, and the new labels must not collide
-    with them either.  A zero member, which has no summand to label, is
-    refused.
-    """
-    labels = family_labels(members, labels, EndostructureError)
-    out_members, out_labels, summands = [], [], {}
-    for m, label in zip(members, labels):
-        if m.is_zero():
-            raise EndostructureError(f"member {m!r} is the zero module; members must be nonzero")
-        parts = indecompose(m)
-        out_members += parts
-        summands[label] = [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]
-        out_labels += summands[label]
-    out_labels = family_labels(out_members, out_labels, EndostructureError)
-    return out_members, out_labels, tuple(s for b in boundary if b in summands for s in summands[b])
-
-
 def _report(members, labels, boundary, among) -> EndosocleReport:
     """The endosocle of the sum of the prepared members with indices in the
     sequence ``among``: each B_i is annihilated by the maps into those members."""
@@ -162,7 +139,7 @@ def family_endosocle(members, labels=None, boundary=()) -> EndosocleReport:
     is solved.  The pairs (i, j) are split in the order of j only while
     B_i is nonzero, and kept (``homs.noniso_blocks``) for later families.
     """
-    members, labels, boundary = _prepare_members(list(members), labels, boundary)
+    members, labels, boundary = prepare_members(list(members), labels, EndostructureError, boundary)
     return _report(members, labels, boundary, range(len(members)))
 
 
@@ -227,7 +204,7 @@ def relative_endosocle_series(members, labels=None, boundary=()) -> SeriesReport
     have pairwise disjoint supports, so their sum is direct; this is
     verified.  The stabilization index is the number of nonzero terms.
     """
-    members, labels, boundary = _prepare_members(list(members), labels, boundary)
+    members, labels, boundary = prepare_members(list(members), labels, EndostructureError, boundary)
     remaining = range(len(members))
     terms = []
     while remaining:

@@ -34,7 +34,7 @@ from itertools import accumulate, chain, combinations
 from typing import Literal, Mapping, Sequence
 
 from .linalg import Mat, Subspace, _eliminate, _mat, _qq, _reduce, _subtract, invert, kernel_basis
-from .reps import Morphism, Representation, SubspaceFamily, composite_flats, decode_flats, flat_blocks, sub_from_family
+from .reps import Morphism, Representation, SubspaceFamily, composite_flats, decode_flats, family_labels, flat_blocks, sub_from_family
 from .spin import presentation, sides, spun_homs
 
 
@@ -423,16 +423,16 @@ def are_isomorphic(m: Representation, n: Representation) -> IsoCertificate:
     return IsoCertificate("iso")
 
 
-def iso_classes(members: Sequence[Representation], key=None, admit=None) -> list[tuple[int, IsoCertificate]]:
+def iso_classes(members: Sequence[Representation], key=None) -> list[tuple[int, IsoCertificate]]:
     """Split a family into isomorphism classes, the one partition of
     ``harness.transversal`` and ``radical.radical_profile``.
 
     Members are walked by position, or by ``key(member)`` with ties by
     position; one isomorphic to no representative met so far of its
-    dimension vector is passed to ``admit(k)``, which may raise, and then
-    represents its class.  Entry k is (c, cert): member c represents it, and
-    cert is ``are_isomorphic(members[c], members[k])``, or one identity as
-    witness and inverse when c == k.  A refused certificate propagates.
+    dimension vector represents its class.  Entry k is (c, cert): member c
+    represents it, and cert is ``are_isomorphic(members[c], members[k])``, or
+    one identity as witness and inverse when c == k.  A refused certificate
+    (``DecompositionInconclusive``) propagates.
     """
     out, reps = {}, {}
     for k in sorted(range(len(members)), key=None if key is None else lambda k: key(members[k])):
@@ -440,8 +440,6 @@ def iso_classes(members: Sequence[Representation], key=None, admit=None) -> list
         same = reps.setdefault(m.dim_vector, [])
         out[k] = next(((c, cert) for c in same if (cert := are_isomorphic(members[c], m))), None)
         if out[k] is None:
-            if admit is not None:
-                admit(k)
             same.append(k)
             ident = Morphism.identity(m)
             out[k] = (k, IsoCertificate("iso", ident, ident))
@@ -592,6 +590,29 @@ def indecompose(m: Representation) -> list[Representation]:
         raise DecompositionInconclusive(ring, "is not certified local and no Fitting split was found")
     a, b = split
     return indecompose(a) + indecompose(b)
+
+
+def prepare_members(members: Sequence[Representation], labels, error: type[Exception], boundary=()):
+    """The members' indecomposable summands (``indecompose``), their labels,
+    and the boundary labels among them, for every family function that reads
+    indecomposables.  A member that is its one summand keeps its label; the
+    summands of a decomposable one are labelled "<label>.<k>", and a boundary
+    flag on it passes to each of them.  Boundary labels of no member are
+    dropped.  ``labels`` are checked first, and the new labels must not
+    collide with them either (``error``).  The first member by position that
+    fails is refused: a zero one, which has no summand to label, with ``error``.
+    """
+    labels = family_labels(members, labels, error)
+    out_members, out_labels, summands = [], [], {}
+    for m, label in zip(members, labels):
+        if m.is_zero():
+            raise error(f"member {m!r} is the zero module; members must be nonzero")
+        parts = indecompose(m)
+        out_members += parts
+        summands[label] = [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]
+        out_labels += summands[label]
+    out_labels = family_labels(out_members, out_labels, error)
+    return out_members, out_labels, tuple(s for b in boundary if b in summands for s in summands[b])
 
 
 def is_local(ring: EndoRing) -> bool | None:

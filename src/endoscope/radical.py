@@ -36,17 +36,17 @@ row depth bounds the chains out of a member, the column depth those into it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .homs import (
+    DecompositionInconclusive,
     HomalgError,
     HomSpace,
     end_ring,
     hom_basis,
     is_isomorphism,
-    is_local,
     iso_classes,
-    require_local,
+    prepare_members,
 )
 from .linalg import Subspace, _eliminate, _reduce, primitive_row
 from .reps import Morphism, composite_flats, decode_flats, family_labels, flat_blocks
@@ -170,9 +170,10 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     raises.  The maps, a level's rows scaled to coprime ints, span that level.
 
     Every index runs over class representatives (``homs.iso_classes`` by
-    ``_height``), each admitted once certified local.  So every
-    ``are_isomorphic`` has a local end, where no isomorphism in a Hom basis
-    is a certified no; a copy M_i = phi M_a is local, End(M_i) = phi End(M_a) phi^-1.
+    ``_height``), each certified local: if one is not, the members are split
+    into their summands "<label>.<k>" (``homs.prepare_members``) and partitioned
+    again.  So every ``are_isomorphic`` read has a local end, where no isomorphism
+    in a Hom basis is a certified no; a copy M_i = phi M_a is local, End(M_i) = phi End(M_a) phi^-1.
     For isomorphisms phi: M_a -> M_i and psi: M_b -> M_j, R_d is an ideal, so
     psi R_d(a, b) phi^-1 lies in R_d(i, j) and psi^-1 R_d(i, j) phi in R_d(a, b):
     R_d(i, j) = psi R_d(a, b) phi^-1.  At source and target, every pair's
@@ -200,12 +201,14 @@ def radical_profile(members, d_max: int, labels=None) -> RadicalProfile:
     if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < 1:
         raise RadicalError(f"depth bound must be an int >= 1, not {d_max!r}")
 
-    def admit(k):
-        # a copy of an admitted member is local: this is the first failing member by position
-        if _refusal(members[k]) is not None:
-            raise next(filter(None, map(_refusal, members[: k + 1])))
-
-    classes = iso_classes(members, key=_height, admit=admit)
+    try:
+        classes = iso_classes(members, key=_height)
+    except DecompositionInconclusive:  # two undecided members of one dimension vector were compared
+        classes = None
+    if classes is None or not all(end_ring(members[c]).local for c, _ in classes):
+        # split every member, walked by position, so the first that fails is the one refused
+        members, labels, _ = prepare_members(members, labels, RadicalError)
+        classes = iso_classes(members, key=_height)
     reps = [k for k, (c, _) in enumerate(classes) if c == k]
     pairs = [(a, b) for a in reps for b in reps]
     hom = {(a, b): hom_basis(members[a], members[b]) for a, b in pairs}
@@ -240,19 +243,6 @@ def _height(m) -> int:
     """Nonzero arrow-matrix entries plus the bit lengths of their numerators and denominators."""
     rows = (mat.row(r) for mat in m.matrices.values() for r in range(mat.rows))
     return sum(1 + x.numerator.bit_length() + x.denominator.bit_length() for row in rows for x in row.values())
-
-
-def _refusal(m) -> Exception | None:
-    """Why m cannot be a profile member (zero, decomposable, or not certified local), or None."""
-    if m.is_zero():
-        return RadicalError(f"member {m!r} is the zero module; members must be nonzero")
-    try:
-        if is_local(end_ring(m)) is False:
-            return RadicalError(f"member {m!r} is decomposable; pass its indecomposable summands")
-        require_local(m)
-    except HomalgError as err:
-        return err
-    return None
 
 
 def _checked_rows(hom: HomSpace, space: HomSpace) -> list:
@@ -304,7 +294,8 @@ def harada_sai_check(members, length_bound: int, labels=None) -> HaradaSaiReport
     The bound is an upper-bound assertion only; the profile is computed
     to the bound rather than truncated early, and a profile that fails
     to vanish by the bound is reported as a failure (it would signal an
-    implementation bug, not new mathematics).
+    implementation bug, not new mathematics).  Lengths are checked on the
+    members given, the profile's labels are their summands'.
     """
     members = list(members)
     if not isinstance(length_bound, int) or isinstance(length_bound, bool):
@@ -345,15 +336,16 @@ def right_witness(
 
     Breadth-first over the depth-1 basis maps of the profile; absent
     means every depth-d composite of basis maps annihilates x.  With
-    ``distinct`` set, chains may not revisit a member index.  The entries
-    of x are read by the start member's ``field.of``.
+    ``distinct`` set, chains may not revisit a member index.  Members and
+    labels are the profile's ("<label>.<k>" for a split member's summands);
+    x is read by the start one's ``field.of``.  A pair's maps are built, and
+    checked to hold no isomorphism, on the search's first read of them.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise RadicalError(f"chain depth must be an int >= 0, not {depth!r}")
-    members = list(members)
     # only the depth-1 basis maps are used
     profile = radical_profile(members, d_max=1, labels=labels)
-    labels = profile.labels
+    members, labels = profile._members, profile.labels
     start_pos = profile._position(start)
     if len(x) != members[start_pos].total_dim:
         raise RadicalError("starting element has wrong total dimension")
@@ -361,14 +353,12 @@ def right_witness(
     if not any(x):
         raise RadicalError("starting element must be nonzero")
 
-    actions = {}
-    idx = range(len(members))
-    for i in idx:
-        for j in idx:
-            maps = profile.basis_morphisms(1, labels[i], labels[j])
-            if any(map(is_isomorphism, maps)):
-                raise HomalgError("radical basis contains an isomorphism")
-            actions[(i, j)] = maps
+    @cache
+    def actions(i, j):
+        maps = profile.basis_morphisms(1, labels[i], labels[j])
+        if any(map(is_isomorphism, maps)):
+            raise HomalgError("radical basis contains an isomorphism")
+        return maps
 
     states = [((labels[start_pos],), (), x, start_pos, frozenset([start_pos]))]
     for _ in range(depth):
@@ -398,7 +388,7 @@ def _witness_step(states, actions, labels, distinct: bool) -> list:
         for j in range(len(labels)):
             if distinct and j in used:
                 continue
-            for f in actions[(pos, j)]:
+            for f in actions(pos, j):
                 image = f.total_mat().apply(vec)
                 if not any(image):
                     continue

@@ -34,8 +34,8 @@ columns listed first, then each cleared in turn with the generic
 from functools import reduce
 from itertools import combinations
 
-from endoscope.endosocle import _prepare_members, family_endosocle
-from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks
+from endoscope.endosocle import EndostructureError, family_endosocle
+from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks, prepare_members
 from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, _subtract, kernel_basis
 from endoscope.radical import radical_profile
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
@@ -137,7 +137,7 @@ def relative_series_by_embedding(members, labels=None, boundary=()):
     Returns the terms as (support, dim, subspace family of the sum), and
     the embedding of each indecomposable summand into the sum by label.
     """
-    members, labels, boundary = _prepare_members(list(members), labels, boundary)
+    members, labels, boundary = prepare_members(list(members), labels, EndostructureError, boundary)
     total, embeddings, _ = direct_sum(members)
     remaining = list(range(len(members)))
     terms = []

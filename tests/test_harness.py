@@ -537,6 +537,26 @@ def test_cli_decomposable_file_member_is_split(capsys, tmp_path):
     assert payload["results"]["total_dim"] == 2
 
 
+def test_cli_radical_commands_split_a_decomposable_member(capsys, tmp_path):
+    # the family file of CI (I1+I2, I3, I4 and I2+I2): the profile and the
+    # radical-depth sweep read the summands "<label>.<k>" that endosoc reads
+    from test_endosocle import SUM_FAMILY
+
+    path = tmp_path / "sum-family.json"
+    members = [representation_to_json(m, include_algebra=False) for m in SUM_FAMILY]
+    path.write_text(json.dumps({"algebra": presentation_to_json(kronecker()), "members": members}))
+    code, out = run_cli(capsys, "radical-profile", "--family", "file", "--file", str(path), "--depth", "63")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["vanishing_depth"] == results["depth_computed"] == 4
+    assert results["pairs"]["2->0.1"] == [4, 4, 4, 0] and results["pairs"]["0.0->0.1"] == [2, 0, 0, 0]
+    assert {label for pair in results["pairs"] for label in pair.split("->")} == {"0.0", "0.1", "1", "2", "3.0", "3.1"}
+    argv = ["sweep", "--family", "file", "--file", str(path), "--invariant", "radical-depth", "--min", "1", "--max", "4"]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["2", "3", "4", "4"]
+
+
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     import endoscope.cli as cli_mod
 

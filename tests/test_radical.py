@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 
 from endoscope import radical
-from endoscope.homs import HomalgError, HomSpace, LocalityUnverified, hom_basis, is_isomorphism
+from endoscope.endosocle import family_endosocle
+from endoscope.homs import (
+    DecompositionInconclusive,
+    HomalgError,
+    HomSpace,
+    clear_caches,
+    hom_basis,
+    indecompose,
+    is_isomorphism,
+)
 from endoscope.radical import (
     RadicalError,
     harada_sai_check,
@@ -24,6 +33,7 @@ from endoscope.reps import (
     kronecker_regular,
 )
 from oracles import left_profile_by_duals
+from test_endosocle import SUM_FAMILY
 from test_iso_certificate import fixed_conjugate, gaussian
 
 
@@ -105,46 +115,112 @@ def test_singleton_profiles():
 
 
 def test_profile_requires_indecomposable_members():
+    # a decomposable member is split into its summands "<label>.<k>", as the endosocle splits it
     total, _, _ = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])
-    with pytest.raises(RadicalError):
-        radical_profile([total], d_max=3)
+    prof = radical_profile([total], d_max=3)
+    split = radical_profile([kronecker_preinjective(2), kronecker_preinjective(1)], d_max=3, labels=["0.0", "0.1"])
+    assert prof.labels == split.labels == ("0.0", "0.1")
+    assert prof._members == split._members
+    assert prof.dims == split.dims and prof.vanishing_depth == split.vanishing_depth == 2
 
 
 def test_profile_calls_a_split_member_decomposable_even_with_an_undecided_summand():
-    # End of the first summand is Q(i), which is not certified local; the
-    # sum still splits, so it is refused as decomposable, not as undecided
+    # End of the first summand is Q(i), which is not certified local; the sum
+    # splits, and that summand, neither local nor split, is refused as endosoc refuses it
     gauss = Representation(kronecker(), {"1": 2, "2": 2}, {"alpha": Mat.identity(2), "beta": Mat([[0, -1], [1, 0]])})
     total, _, _ = direct_sum([gauss, kronecker_regular(1, 0)])
-    with pytest.raises(RadicalError):
+    with pytest.raises(DecompositionInconclusive) as profiled:
         radical_profile([total], d_max=3)
+    with pytest.raises(DecompositionInconclusive) as endosocle:
+        family_endosocle([total])
+    assert str(profiled.value) == str(endosocle.value)
+    assert "(2, 2)" in str(profiled.value)
 
 
 @pytest.mark.parametrize(
-    "parts",
-    [(gaussian(), kronecker_regular(1, 0)), (kronecker_preinjective(1), kronecker_preinjective(2))],
+    "parts, labels",
+    [
+        ((gaussian(), kronecker_regular(1, 0)), None),
+        ((kronecker_preinjective(1), kronecker_preinjective(2)), ("0.0", "0.1", "1.0", "1.1")),
+    ],
     ids=["gauss+R1(0)", "I1+I2"],
 )
-def test_profile_calls_a_split_member_with_a_copy_decomposable(parts):
-    # neither the member nor its copy is certified local, so comparing them
-    # would decompose both; the member is refused before it meets its copy
+def test_profile_calls_a_split_member_with_a_copy_decomposable(parts, labels):
+    # neither the member nor its copy is certified local, so both are split
+    # before any class is read; a summand neither local nor split is refused
     total, _, _ = direct_sum(list(parts))
-    with pytest.raises(RadicalError, match="is decomposable"):
-        radical_profile([total, fixed_conjugate(total)], d_max=3)
+    members = [total, fixed_conjugate(total)]
+    if labels is None:
+        with pytest.raises(DecompositionInconclusive):
+            radical_profile(members, d_max=3)
+        return
+    prof = radical_profile(members, d_max=3)
+    assert prof.labels == labels
+    # each summand of the copy is a copy of the member's summand of the same index
+    assert [c for c, _ in prof._classes] == [0, 1, 0, 1]
+    assert prof.pair_dims("0.0", "1.1") == prof.pair_dims("1.0", "0.1") == [2, 0]
 
 
 @pytest.mark.parametrize(
     "order, refusal",
-    [((0, 1, 2, 3), LocalityUnverified), ((0, 3, 2, 1), RadicalError), ((2, 1, 3, 0), LocalityUnverified)],
+    [
+        ((0, 1, 2, 3), DecompositionInconclusive),
+        ((0, 3, 2, 1), DecompositionInconclusive),
+        ((2, 1, 3, 0), DecompositionInconclusive),
+        ((3, 4, 1), RadicalError),
+        ((1, 4, 3), DecompositionInconclusive),
+        ((0, 4, 6, 5), RadicalError),
+    ],
 )
 def test_profile_refuses_the_first_failing_member_by_position(order, refusal):
-    # the integer I1+I2 is met first by height, the rational copy of Gauss
-    # (End = Q(i)) only after it; the refusal is the first by position
+    # the zero module is met first by height, then the integer I1+I2, which is
+    # split, and the rational copy of Gauss (End = Q(i)) only after them; the
+    # refusal is the first failing member by position.  Comparing Gauss+R1(0)
+    # with its copy decomposes both and meets the undecided Gauss summand
+    # before the partition is done; the zero member before them is still the one refused
     i3 = kronecker_preinjective(3)
     split, _, _ = direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])
-    pool = [i3, fixed_conjugate(gaussian()), fixed_conjugate(i3), split]
+    zero = Representation(kronecker(), {"1": 0, "2": 0}, {})
+    undecided, _, _ = direct_sum([gaussian(), kronecker_regular(1, 0)])
+    pool = [i3, fixed_conjugate(gaussian()), fixed_conjugate(i3), split, zero, undecided, fixed_conjugate(undecided)]
     with pytest.raises(refusal) as caught:
         radical_profile([pool[k] for k in order], d_max=3)
     assert type(caught.value) is refusal
+
+
+def summands_family(members, labels):
+    """Each member replaced by its ``indecompose`` summands, labelled "<label>.<k>" when it splits."""
+    out, out_labels = [], []
+    for m, label in zip(members, labels):
+        parts = indecompose(m)
+        out += parts
+        out_labels += [label] if len(parts) == 1 else [f"{label}.{k}" for k in range(len(parts))]
+    return out, out_labels
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        lambda: SUM_FAMILY,
+        lambda: [fixed_conjugate(direct_sum([kronecker_preinjective(1), kronecker_preinjective(2)])[0]), kronecker_preinjective(3)],
+    ],
+    ids=["sum-family", "conjugated-I1+I2-and-I3"],
+)
+def test_profile_of_decomposable_members_is_the_profile_of_their_summands(members):
+    members = members()
+    labels = list(range(len(members)))
+    parts, part_labels = summands_family(members, labels)
+    assert len(parts) > len(members)
+    clear_caches()
+    prof = radical_profile(members, d_max=63, labels=labels)
+    clear_caches()
+    ref = radical_profile(parts, d_max=63, labels=part_labels)
+    assert prof.labels == ref.labels == tuple(part_labels)
+    assert prof.vanishing_depth == ref.vanishing_depth and prof.depth_reached() == ref.depth_reached()
+    for i in part_labels:
+        for j in part_labels:
+            assert prof.pair_dims(i, j) == ref.pair_dims(i, j)
+            assert prof.basis_morphisms(1, i, j) == ref.basis_morphisms(1, i, j)
 
 
 def test_a_vanished_pair_is_not_composed_again(monkeypatch):
@@ -217,6 +293,15 @@ def test_harada_sai_small_family():
     assert report.passed
     assert report.bound == 7
     assert report.depth is not None and report.depth <= 7
+
+
+def test_harada_sai_answers_a_family_with_decomposable_members():
+    # lengths are checked on the members given, the depth read on their summands
+    report = harada_sai_check(SUM_FAMILY, 7)
+    assert report.passed and report.depth == 4 and report.bound == 127
+    assert report.profile.labels == ("0.0", "0.1", 1, 2, "3.0", "3.1")
+    with pytest.raises(RadicalError, match="exceeds"):
+        harada_sai_check(SUM_FAMILY, 6)
 
 
 def test_harada_sai_singleton_simple():
@@ -300,6 +385,24 @@ def test_profile_refuses_a_depth_bound_that_is_not_an_int_at_least_1(d_max):
     members, labels = preinj_family(3)
     with pytest.raises(RadicalError, match="depth bound"):
         radical_profile(members, d_max=d_max, labels=labels)
+
+
+def test_right_witness_addresses_a_split_member_by_its_summand_labels():
+    # I1+I2 splits into "1.0" = I2 and "1.1" = I1: the chains are those of the summands' family
+    i1, i2, i3 = (kronecker_preinjective(n) for n in (1, 2, 3))
+    total, _, _ = direct_sum([i1, i2])
+    split = [i3, i2, i1]
+    for start, dim in ((0, 5), ("1.0", 3), ("1.1", 1)):
+        x = [Fraction(1)] * dim
+        for depth in (1, 2, 3):
+            chain = right_witness([i3, total], start=start, x=x, depth=depth)
+            expected = right_witness(split, start=start, x=x, depth=depth, labels=[0, "1.0", "1.1"])
+            assert (chain is None) == (expected is None)
+            if chain is not None:
+                assert (chain.labels, chain.morphisms, chain.trail) == (expected.labels, expected.morphisms, expected.trail)
+    assert right_witness([i3, total], start=0, x=[Fraction(1)] * 5, depth=2).labels == (0, "1.0", "1.1")
+    with pytest.raises(RadicalError, match="not a member label"):
+        right_witness([i3, total], start=1, x=[Fraction(1)] * 4, depth=1)
 
 
 def test_right_witness_killed_socle_element():

@@ -402,6 +402,55 @@ def test_right_witness_solves_only_the_profiles_hom_systems():
     assert chain.labels == (1, 2, 8)
 
 
+def first_chain(maps, start, x, depth, distinct):
+    """The steps (j, f) of the chain ``right_witness`` must return, or None: the
+    first chain, in the order of j and then of f in ``maps[(i, j)]`` at each step,
+    whose trail stays nonzero, by depth-first search over the maps of every pair."""
+    n = max(j for _, j in maps) + 1
+
+    def walk(i, vec, steps):
+        if len(steps) == depth:
+            return steps
+        for j in range(n):
+            if distinct and j in {start, *(k for k, _ in steps)}:
+                continue
+            for f in maps[(i, j)]:
+                image = f.total_mat().apply(vec)
+                if any(image) and (found := walk(j, image, steps + [(j, f)])) is not None:
+                    return found
+        return None
+
+    return walk(start, x, [])
+
+
+@pytest.mark.parametrize("bound, seed, distinct", [(6, 1, False), (4, 4, True)], ids=["copied-6", "copied-4-distinct"])
+def test_right_witness_builds_only_the_pairs_its_search_reads(monkeypatch, bound, seed, distinct):
+    # building and checking every pair's maps up front read all n^2 pairs on every call
+    members, _, _ = copied_family(bound, seed)
+    n = len(members)
+    prof = radical_profile(members, d_max=1)
+    maps = {(i, j): prof.basis_morphisms(1, i, j) for i in range(n) for j in range(n)}
+    reads = []
+    original = radical.RadicalProfile.basis_morphisms
+    monkeypatch.setattr(radical.RadicalProfile, "basis_morphisms", lambda self, *key: reads.append(key) or original(self, *key))
+    counts = {}
+    for depth in (1, 2):
+        for start in range(n):
+            x = (Fraction(1),) * members[start].total_dim
+            reads.clear()
+            chain = right_witness(members, start=start, x=x, depth=depth, distinct=distinct)
+            counts[(depth, start)] = len(reads)
+            expected = first_chain(maps, start, x, depth, distinct)
+            if expected is None:
+                assert chain is None
+                continue
+            assert chain.labels == (start, *(j for j, _ in expected))
+            assert chain.morphisms == tuple(f for _, f in expected)
+    if bound == 6:
+        assert [counts[(1, start)] for start in range(n)] == [n] * n == [28] * 28
+        assert [counts[(2, start)] for start in (0, 13, 5)] == [112, 280, 756]
+
+
 def count_morphisms(monkeypatch) -> list:
     """Clear the caches and record every ``Morphism`` built from now on, in the list returned."""
     built = []
