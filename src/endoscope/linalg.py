@@ -33,7 +33,9 @@ the canonical reduced row echelon form.  A column -> pivot-row index
 limits back-substitution to the rows holding the new pivot column, so
 the work follows the nonzeros.  Given a bound on the rank, such as the
 width, it draws no row once it holds that many pivots, so a kernel
-(``_kernel_rows``) stops reading a lazy row stream once it is zero.
+(``_kernel_rows``) stops reading a lazy row stream once it is zero.  A
+caller may keep an elimination (its pivot rows and index) and extend it
+with later rows, as ``spin.presentation`` does at each vertex.
 ``_free_rows`` reads a kernel basis off the RREF, one solution per free
 column, for callers that need only the kernel's span or its dimension
 (the hom systems of ``spin``).  A pivot other than +-1 is inverted as
@@ -260,12 +262,14 @@ class Mat:
 
     def __getitem__(self, idx):
         i, j = idx
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside range({self.cols})")
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {idx} outside a {self.rows}x{self.cols} matrix")
         return self._data[i].get(j, 0)
 
     def row(self, i: int) -> Mapping:
         """The nonzero entries of row i, as a read-only {column: value} mapping."""
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside range({self.rows})")
         return MappingProxyType(self._data[i])
 
     @property
@@ -469,7 +473,7 @@ def _reduce(row: dict, reduced: dict[int, dict], p: int) -> dict:
     return row
 
 
-def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None) -> dict[int, dict]:
+def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None, echelon: tuple | None = None) -> dict[int, dict]:
     """Reduced row echelon form of sparse kernel rows (which it consumes).
 
     Returns ``{pivot column: row}``.  Each row has a 1 at its pivot, its
@@ -477,10 +481,11 @@ def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None) -> dict[i
     pivot, the rows are the canonical RREF of the row space.  Given ``ncols``, any
     bound on the rank (the width is one), it draws no row once it holds ``ncols``
     pivots, as every later row would reduce to zero: a lazy ``rows`` is left unread.
+    An ``echelon`` ``(pivot rows, column index)`` kept by the caller, ``({}, {})``
+    to start one, is extended in place: rows fed in pieces give one call's rows.
     """
-    reduced: dict[int, dict] = {}
-    holders: dict[int, set] = {}  # column -> pivots of the rows with an entry there
-    if ncols == 0:
+    reduced, holders = ({}, {}) if echelon is None else echelon  # holders: column -> pivots of the rows holding it
+    if len(reduced) == ncols:
         return reduced
     for row in rows:
         _reduce(row, reduced, p)
@@ -499,11 +504,11 @@ def _eliminate(rows: Iterable[dict], p: int, ncols: int | None = None) -> dict[i
             target = reduced[q]
             _subtract(target, target.pop(piv), row, piv, p, holders, q)
         reduced[piv] = row
-        if len(reduced) == ncols:
-            break
         for j in row:
             if j != piv:
                 holders.setdefault(j, set()).add(piv)
+        if len(reduced) == ncols:
+            break
     return reduced
 
 

@@ -4,17 +4,18 @@ A representation M is spun (``presentation``) from lifts of a basis of
 its top, the standard vectors that the arrow images into each vertex
 miss: every arrow is applied to every vector found, and each image is
 either a new basis vector or a combination of those already found, a
-relation.  A map M -> N is then fixed by the images of the generators,
-which must satisfy the relations evaluated on N (``spun_homs``), so
-Hom(M, N) is one kernel with sum_v dim top(M)_v * n_v unknowns.  One
-elimination gives its dimension; the solutions are spread into maps in
-the ``Morphism.flatten`` layout, and eliminated once more into the
-canonical rows, only when those are asked for (``_spread``).  Both are
-made in value format as they are formed, in one pass over the stored
-rows of checked arrow matrices (``Mat._data``), and not validated again.
-The dual side spins DN and solves Hom(DN, DM) the same way.  ``sides``
-and ``presentation`` are cached per module; ``homs.clear_caches`` drops
-them.
+relation.  The vectors found at a vertex are one elimination, kept and
+extended by ``linalg._eliminate``.  A map M -> N is then fixed by the
+images of the generators, which must satisfy the relations evaluated on
+N (``spun_homs``), so Hom(M, N) is one kernel with sum_v dim top(M)_v *
+n_v unknowns.  One elimination gives its dimension; the solutions are
+spread into maps in the ``Morphism.flatten`` layout, and eliminated once
+more into the canonical rows, only when those are asked for
+(``_spread``).  Both are made in value format as they are formed, in one
+pass over the stored rows of checked arrow matrices (``Mat._data``), and
+not validated again.  The dual side spins DN and solves Hom(DN, DM) the
+same way.  ``sides`` and ``presentation`` are cached per module;
+``homs.clear_caches`` drops them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def sides(m: Representation) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
     lifts = [{}, {}]
     for side in (0, 1):
         for v, rows in images[side].items():
-            pivots = _eliminate(rows, p) if rows else ()
+            pivots = _eliminate(rows, p)
             lifts[side][v] = [j for j in range(dims[v]) if j not in pivots]
     return (arrows[0], lifts[0]), (arrows[1], lifts[1])
 
@@ -69,10 +70,10 @@ def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
     earlier node.  An arrow applied to a node whose image is spanned
     already gives a relation ``(node, arrow, {node: coefficient})``, and
     ``inverse[v][j]`` writes e_j at v in the nodes.  At each vertex the
-    nodes so far are fully reduced rows [vector | node combination], the
-    vector in the columns below m_v; an image is spanned exactly when its
-    vector part reduces to zero, and its combination part is then minus
-    its coordinates.
+    nodes so far are one elimination kept across the spin, of the rows
+    [vector | node combination], the vector in the columns below m_v; an
+    image is spanned exactly when its vector part reduces to zero, and its
+    combination part is then minus its coordinates.
     """
     p = m.field.characteristic
     dims = m.dims_by_vertex
@@ -81,23 +82,16 @@ def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
     for name, (source, target, _) in arrows.items():
         leaving[source].append((name, target, other[name][2]))
     nodes, vectors, relations = [], [], []
-    spanned = {v: {} for v in dims}
+    echelons = {v: ({}, {}) for v in dims}  # (pivot rows, column index) at each vertex
     at = {v: [] for v in dims}  # the nodes at each vertex, in order
 
     def add(v, vector, row, parent=None, arrow=None):
-        """Make ``vector`` at v a node; ``row`` is its reduction, with a
-        nonzero vector part."""
+        """Make ``vector`` at v a node; ``row``, its reduction, has a nonzero vector part."""
         row[dims[v] + len(at[v])] = 1
         at[v].append(len(nodes))
         nodes.append((v, parent, arrow))
         vectors.append(vector)
-        pivot = min(row)
-        if row[pivot] != 1:
-            ((pivot, row),) = _eliminate([row], p).items()  # scaled to a 1 at its pivot
-        for held in spanned[v].values():
-            if pivot in held:
-                _subtract(held, held.pop(pivot), row, pivot, p)
-        spanned[v][pivot] = row
+        _eliminate((row,), p, echelon=echelons[v])
 
     # e_j at a non-pivot column j of the rows at v is a reduced row itself
     for v, cols in lifts.items():
@@ -110,20 +104,20 @@ def presentation(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
                 image = {}
                 for k, x in vectors[done].items():
                     _subtract(image, -x, images._data[k], -1, p)
-                row = _reduce(dict(image), spanned[target], p)
+                row = _reduce(dict(image), echelons[target][0], p)
                 width = dims[target]
                 if row and min(row) < width:
                     add(target, image, row, done, name)
                 else:
                     relations.append((done, name, {at[target][c - width]: -x % p if p else -x for c, x in row.items()}))
             done += 1
-        short = next((v for v in dims if len(spanned[v]) < dims[v]), None)
+        short = next((v for v in dims if len(echelons[v][0]) < dims[v]), None)
         if short is None:
             break
-        j = next(j for j in range(dims[short]) if j not in spanned[short])
+        j = next(j for j in range(dims[short]) if j not in echelons[short][0])
         add(short, {j: 1}, {j: 1})
     inverse = {}
-    for v, rows in spanned.items():
+    for v, (rows, _) in echelons.items():
         width, held = dims[v], at[v]
         inverse[v] = [{held[c - width]: x for c, x in rows[j].items() if c >= width} for j in range(width)]
     return nodes, relations, inverse

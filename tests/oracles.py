@@ -29,16 +29,24 @@ a time until the kernels stop growing.
 ``reduce_by_columns`` is the first ``linalg._reduce``: the row's pivot
 columns listed first, then each cleared in turn with the generic
 ``linalg._subtract``, skipping the pivot.
+``eliminate_afresh`` is ``linalg._eliminate`` as it was before it could
+extend an elimination its caller keeps: every call starts from no pivot
+row.  ``presentation_by_pivot_insertion`` is the first
+``spin.presentation``: each new node's row scaled to a 1 by a one-row
+elimination and back-substituted into every held row at its vertex that
+has an entry at its pivot.
 """
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
 from endoscope.endosocle import EndostructureError, family_endosocle
 from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks, prepare_members
-from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, _subtract, kernel_basis
+from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, _qq, _reduce, _subtract, kernel_basis
 from endoscope.radical import radical_profile
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
+from endoscope.spin import sides
 
 
 def commuting_square_basis(m: Representation, n: Representation) -> list[Morphism]:
@@ -91,6 +99,95 @@ def reduce_by_columns(row: dict, reduced: dict[int, dict], p: int) -> dict:
     for c in [c for c in row if c in reduced]:
         _subtract(row, row.pop(c), reduced[c], c, p)
     return row
+
+
+def eliminate_afresh(rows, p: int, ncols: int | None = None) -> dict[int, dict]:
+    """The reduced row echelon rows ``{pivot: row}`` of sparse kernel rows
+    (which it consumes), from no pivot row; no row is drawn once ``ncols``
+    pivots are held."""
+    reduced: dict[int, dict] = {}
+    holders: dict[int, set] = {}  # column -> pivots of the rows with an entry there
+    if ncols == 0:
+        return reduced
+    for row in rows:
+        _reduce(row, reduced, p)
+        if not row:
+            continue
+        piv = min(row)
+        pv = row[piv]
+        if pv != 1:
+            if p:
+                inv = pow(pv, -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            else:
+                inv = -1 if pv == -1 else Fraction(1, pv)
+                row = {j: _qq(v * inv) for j, v in row.items()}
+        for q in holders.pop(piv, ()):
+            target = reduced[q]
+            _subtract(target, target.pop(piv), row, piv, p, holders, q)
+        reduced[piv] = row
+        if len(reduced) == ncols:
+            break
+        for j in row:
+            if j != piv:
+                holders.setdefault(j, set()).add(piv)
+    return reduced
+
+
+def presentation_by_pivot_insertion(m: Representation, dual_side: bool) -> tuple[list, list, dict]:
+    """``(nodes, relations, inverse)`` of m, or of Dm if ``dual_side``, spun
+    as ``spin.presentation`` does, with the pivot rows at each vertex kept
+    in a bare ``{pivot: row}`` dict and each new one inserted by hand."""
+    p = m.field.characteristic
+    dims = m.dims_by_vertex
+    (arrows, lifts), (other, _) = sides(m)[:: -1 if dual_side else 1]
+    leaving = {v: [] for v in dims}
+    for name, (source, target, _) in arrows.items():
+        leaving[source].append((name, target, other[name][2]))
+    nodes, vectors, relations = [], [], []
+    spanned = {v: {} for v in dims}
+    at = {v: [] for v in dims}
+
+    def add(v, vector, row, parent=None, arrow=None):
+        row[dims[v] + len(at[v])] = 1
+        at[v].append(len(nodes))
+        nodes.append((v, parent, arrow))
+        vectors.append(vector)
+        pivot = min(row)
+        if row[pivot] != 1:
+            ((pivot, row),) = eliminate_afresh([row], p).items()
+        for held in spanned[v].values():
+            if pivot in held:
+                _subtract(held, held.pop(pivot), row, pivot, p)
+        spanned[v][pivot] = row
+
+    for v, cols in lifts.items():
+        for j in cols:
+            add(v, {j: 1}, {j: 1})
+    done = 0
+    while True:
+        while done < len(nodes):
+            for name, target, images in leaving[nodes[done][0]]:
+                image = {}
+                for k, x in vectors[done].items():
+                    _subtract(image, -x, images._data[k], -1, p)
+                row = _reduce(dict(image), spanned[target], p)
+                width = dims[target]
+                if row and min(row) < width:
+                    add(target, image, row, done, name)
+                else:
+                    relations.append((done, name, {at[target][c - width]: -x % p if p else -x for c, x in row.items()}))
+            done += 1
+        short = next((v for v in dims if len(spanned[v]) < dims[v]), None)
+        if short is None:
+            break
+        j = next(j for j in range(dims[short]) if j not in spanned[short])
+        add(short, {j: 1}, {j: 1})
+    inverse = {}
+    for v, rows in spanned.items():
+        width, held = dims[v], at[v]
+        inverse[v] = [{held[c - width]: x for c, x in rows[j].items() if c >= width} for j in range(width)]
+    return nodes, relations, inverse
 
 
 def preimage(sub: Subspace, m: Mat) -> Subspace:

@@ -1,4 +1,5 @@
-"""Hom bases from spun presentations against the commuting-square oracle.
+"""Hom bases from spun presentations against the commuting-square oracle,
+and the spun presentations against the first spin's.
 
 For every pair, ``hom_basis`` must have the oracle's dimension, every
 basis element must commute with the arrows (a validated ``Morphism``),
@@ -29,7 +30,8 @@ from endoscope.reps import (
     kronecker_regular,
 )
 from endoscope.serialize import load_family_file
-from oracles import commuting_square_basis
+from corpus import corpus_family
+from oracles import commuting_square_basis, presentation_by_pivot_insertion
 from test_properties import kronecker_reps
 from test_radical_oracle import conjugated_family
 
@@ -358,3 +360,30 @@ def test_hom_systems_read_stored_rows(monkeypatch, tmp_path, field):
             if m.presentation == n.presentation:
                 assert len(hom_basis(m, n).rows) == hom_dim(m, n)
     assert calls == []
+
+
+# -- the spin's vertex echelons, kept by linalg._eliminate -------------------------
+
+
+def over(field, m):
+    """The module with m's matrices read over ``field`` by ``field.of``."""
+    matrices = {
+        name: Mat([[field.of(x) for x in row] for row in a.entries], a.rows, a.cols, field)
+        for name, a in m.matrices.items()
+    }
+    return Representation(m.presentation, m.dims_by_vertex, matrices, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)], ids=["Q", "GF2", "GF101"])
+def test_presentation_equals_the_spin_with_its_own_pivot_insertion(tmp_path, field):
+    # inserting each node's row [vector | combination] through one kept elimination
+    # per vertex gives the nodes, relations and inverse that scaling the row and
+    # back-substituting it into every held row by hand gave
+    members = [kronecker_preinjective(i, field) for i in range(1, 13)]
+    members += [kronecker_preprojective(i, field) for i in range(1, 13)]
+    members += [kronecker_regular(n, lam, field) for n in range(1, 5) for lam in (0, 1, INFINITY)]
+    members += cycle_modules(field) + bound_family(tmp_path, field)
+    members += [over(field, m) for seed in range(150) for m in corpus_family(seed)]
+    for m in members:
+        for dual_side in (False, True):
+            assert spin.presentation.__wrapped__(m, dual_side) == presentation_by_pivot_insertion(m, dual_side)

@@ -22,7 +22,7 @@ from endoscope.linalg import (
     scalar_to_str,
     solve,
 )
-from oracles import preimage, reduce_by_columns, stable_by_images, stable_by_products
+from oracles import eliminate_afresh, preimage, reduce_by_columns, stable_by_images, stable_by_products
 
 
 def F(x, y=1):
@@ -318,6 +318,21 @@ def test_field_is_part_of_matrix_identity():
     assert len({Subspace.zero(2), Subspace.zero(2, gf)}) == 2
 
 
+def test_row_and_column_indices_are_checked_alike():
+    # a negative or too large row index is refused as a column index is,
+    # not read from the end of the stored rows
+    m = Mat([[1, 2], [3, 4]])
+    assert (m[1, 0], m[0, 1], dict(m.row(1))) == (3, 2, {0: 3, 1: 4})
+    for idx in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError):
+            m[idx]
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            m.row(i)
+    with pytest.raises(IndexError):
+        Mat.zeros(0, 3).row(0)
+
+
 def test_entry_less_matrix_keeps_its_field():
     gf = PrimeField(5)
     x = solve(Mat.zeros(0, 3, gf), [])
@@ -506,6 +521,42 @@ def test_eliminate_with_width_stops_at_full_rank(case):
     drawn.clear()
     assert linalg._kernel_rows(counted(), ncols, p) == linalg._kernel_rows([dict(r) for r in rows], ncols, p)
     assert len(drawn) == first
+
+
+@st.composite
+def split_streams(draw):
+    """Sparse kernel rows over Q, GF(2) or GF(101), often more of them than
+    the rank, a bound on the rank (the width, or the rank itself) or None, and
+    the sorted points at which the stream is cut into pieces."""
+    p = draw(st.sampled_from([0, 2, 101]))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    values = st.integers(min_value=1, max_value=p - 1) if p else nonzero_rationals.map(QQ.of)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), values, max_size=4), max_size=14))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    rank = len(eliminate_afresh([dict(r) for r in rows], p))
+    return p, draw(st.sampled_from([None, ncols, rank])), rows, cuts
+
+
+@given(split_streams())
+@settings(max_examples=200, deadline=None)
+def test_an_echelon_fed_in_pieces_gives_the_rows_of_one_elimination(case):
+    p, bound, rows, cuts = case
+
+    def fresh(part):
+        return [dict(r) for r in part]
+
+    echelon = ({}, {})
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        assert linalg._eliminate(fresh(rows[lo:hi]), p, bound, echelon) is echelon[0]
+    reduced, holders = echelon
+    assert reduced == linalg._eliminate(fresh(rows), p, bound) == eliminate_afresh(fresh(rows), p, bound)
+    # the kept index names exactly the pivot rows with an entry at each other column
+    want = {}
+    for q, row in reduced.items():
+        for j in row:
+            if j != q:
+                want.setdefault(j, set()).add(q)
+    assert {j: qs for j, qs in holders.items() if qs} == want
 
 
 @st.composite
