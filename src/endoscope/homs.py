@@ -449,38 +449,6 @@ def iso_classes(members: Sequence[Representation], key=None) -> list[tuple[int, 
 # -- Fitting decomposition -----------------------------------------------------
 
 
-def _shifted(m: Mat, c: Fraction) -> Mat:
-    """m + c 1 for a square m and a rational c the package computed, formed
-    in value format (over GF(p), c is read as its residue), not parsed by
-    ``field.of``."""
-    p = m.field.characteristic
-    c = c.numerator * pow(c.denominator, -1, p) % p if p else _qq(c)
-    rows = tuple(dict(r) for r in m._data)
-    for i, row in enumerate(rows):
-        if x := (row.get(i, 0) + c) % p if p else _qq(row.get(i, 0) + c):
-            row[i] = x
-        else:
-            row.pop(i, None)
-    return _mat(rows, m.rows, m.cols, m.field)
-
-
-def _charpoly(m: Mat) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1]."""
-    n = m.rows
-    if n == 0:
-        return [Fraction(1)]
-    work = Mat.identity(n, m.field)
-    cs = [Fraction(1)]
-    for k in range(1, n + 1):
-        work = m @ work
-        c = Fraction(-work.trace(), k)
-        cs.append(c)
-        if k < n:
-            work = _shifted(work, c)
-    # cs = [1, c_1, ..., c_n] for x^n + c_1 x^{n-1} + ... + c_n
-    return list(reversed(cs))
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = []
@@ -524,14 +492,6 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _rational_eigenvalues(blocks: Mapping[str, Mat]) -> list[Fraction]:
-    eigs: set[Fraction] = set()
-    for block in blocks.values():
-        if block.rows:
-            eigs.update(_rational_roots(_charpoly(block)))
-    return sorted(eigs)
-
-
 def _fitting_split(m: Representation, h: Mapping[str, Mat]):
     """M = ker(h^s) + im(h^s) for the endomorphism with vertex blocks h, by
     Fitting's lemma; None if h is nilpotent or invertible.  On a space of
@@ -549,22 +509,47 @@ def _fitting_split(m: Representation, h: Mapping[str, Mat]):
     return sub_from_family(m, ker), sub_from_family(m, image)
 
 
+def _minimal_polynomial(m: Representation, flat: dict, one: dict) -> list:
+    """The monic minimal polynomial [c_0, ..., c_{d-1}, 1] of the endomorphism
+    g of m whose flat is ``flat``: the first linear dependence among the flats
+    of 1 (``one``, the identity's), g, g^2, ....  Each power is g times the
+    last (``reps.composite_flats``).  The powers so far are one elimination,
+    kept across them as ``spin.presentation`` keeps its nodes, of the rows
+    [flat of g^k | unit at column width + k], the flats being below the width;
+    the first power whose flat part reduces to zero holds the dependence, 1 at
+    g^k, in its unit columns."""
+    p, width = m.field.characteristic, sum(d * d for d in m.dim_vector)
+    gs, echelon = decode_flats(m, m, [flat]), ({}, {})
+    power, k = one, 0
+    while True:
+        row = dict(power)
+        row[width + k] = 1
+        if min(_reduce(row, echelon[0], p)) >= width:
+            return [row.get(width + j, 0) for j in range(k + 1)]
+        _eliminate((row,), p, echelon=echelon)
+        power, k = next(composite_flats(gs, decode_flats(m, m, [power]))), k + 1
+
+
 def _find_split(m: Representation, ring: EndoRing):
     """The first Fitting split along g - lam, g a canonical row of End(m) but
     the identity's last pivot row, then a sum of two such rows, lam a rational
-    eigenvalue of g; or None.  The identity and the sums I + b are not tried:
-    I + b - (1 + lam) = b - lam was tried with b, and I - 1 = 0 splits nothing."""
+    root of g's minimal polynomial (``_minimal_polynomial``); or None.  g - lam
+    is formed on the flat and decoded once.  The identity and the sums I + b
+    are not tried: I + b - (1 + lam) = b - lam was tried with b, and I - 1 = 0
+    splits nothing."""
     rows = list(ring.hom.rows.values())
     if not rows:
         return None
-    coords = ring.hom.coordinates(Morphism.identity(m))
-    del rows[max(i for i, c in enumerate(coords) if c)]
-    sums = (_subtract(dict(a), -1, b, -1, m.field.characteristic) for a, b in combinations(rows, 2))  # a + b
+    p, one = m.field.characteristic, Morphism.identity(m).flatten()
+    # a map's coordinates are its values at the pivots, so the identity's are 1 at the pivots it holds
+    del rows[max(i for i, c in enumerate(ring.hom.rows) if c in one)]
+    sums = (_subtract(dict(a), -1, b, -1, p) for a, b in combinations(rows, 2))  # a + b
     for flat in chain(rows, sums):
-        g = flat_blocks(m, m, flat)
-        for lam in _rational_eigenvalues(g):
-            h = {v: _shifted(b, -lam) for v, b in g.items()}
-            if (split := _fitting_split(m, h)) is not None:
+        for lam in _rational_roots(_minimal_polynomial(m, flat, one)):
+            # lam in value format; _subtract needs a nonzero factor
+            c = lam.numerator * pow(lam.denominator, -1, p) % p if p else _qq(lam)
+            h = _subtract(dict(flat), c, one, -1, p) if c else flat  # g - lam 1
+            if (split := _fitting_split(m, flat_blocks(m, m, h))) is not None:
                 return split
     return None
 
@@ -573,10 +558,10 @@ def indecompose(m: Representation) -> list[Representation]:
     """Indecomposable summands of m, by iterated Fitting splits.
 
     A summand whose ring is ``local`` is certified indecomposable.  Any
-    other is split (``_find_split``) along the rational eigenvalues of the
-    canonical rows of End(m) but the identity's last pivot row, and their
-    pairwise sums, each read on its vertex blocks; the order of those rows
-    decides the order of the summands.  When none splits it, the
+    other is split (``_find_split``) along g - lam, lam a rational root of
+    g's minimal polynomial, for g a canonical row of End(m) but the
+    identity's last pivot row, then a sum of two such rows; the order of
+    those rows decides the order of the summands.  When none splits it, the
     decomposition is refused (``DecompositionInconclusive``) rather than
     guessed.
     """

@@ -25,7 +25,11 @@ over the opposite presentation, every hom system and composite solved
 again.  ``split_by_basis_morphisms`` is the first ``homs._find_split``:
 the identity and End(M)'s canonical rows as ``Morphism``s, all their
 pairwise ``Morphism`` sums, and each power of g - lam raised one step at
-a time until the kernels stop growing.
+a time until the kernels stop growing.  Its eigenvalues are
+``rational_eigenvalues``, the rational roots of each vertex block's
+characteristic polynomial (``charpoly``, Faddeev-LeVerrier, which divides
+by k and so holds over the rationals only), where ``homs._find_split``
+reads one minimal polynomial of g.
 ``reduce_by_columns`` is the first ``linalg._reduce``: the row's pivot
 columns listed first, then each cleared in turn with the generic
 ``linalg._subtract``, skipping the pivot.
@@ -42,7 +46,7 @@ from functools import reduce
 from itertools import combinations
 
 from endoscope.endosocle import EndostructureError, family_endosocle
-from endoscope.homs import _rational_eigenvalues, hom_basis, noniso_blocks, prepare_members
+from endoscope.homs import _rational_roots, hom_basis, noniso_blocks, prepare_members
 from endoscope.linalg import LinalgError, Mat, Subspace, _checked, _kernel_rows, _qq, _reduce, _subtract, kernel_basis
 from endoscope.radical import radical_profile
 from endoscope.reps import Morphism, Representation, SubspaceFamily, direct_sum, dual, sub_from_family
@@ -303,6 +307,33 @@ def left_profile_by_duals(members, d_max, labels=None):
     return radical_profile([dual(m) for m in members], d_max=d_max, labels=labels)
 
 
+def charpoly(m: Mat) -> list[Fraction]:
+    """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1] of
+    a square matrix over the rationals, by Faddeev-LeVerrier."""
+    n = m.rows
+    if n == 0:
+        return [Fraction(1)]
+    work = Mat.identity(n, m.field)
+    cs = [Fraction(1)]
+    for k in range(1, n + 1):
+        work = m @ work
+        c = Fraction(-work.trace(), k)
+        cs.append(c)
+        if k < n:
+            work = work + Mat.identity(n, m.field).scale(c)
+    # cs = [1, c_1, ..., c_n] for x^n + c_1 x^{n-1} + ... + c_n
+    return list(reversed(cs))
+
+
+def rational_eigenvalues(blocks) -> list[Fraction]:
+    """The rational eigenvalues of the vertex blocks ``{vertex: Mat}``, sorted."""
+    eigs: set[Fraction] = set()
+    for block in blocks.values():
+        if block.rows:
+            eigs.update(_rational_roots(charpoly(block)))
+    return sorted(eigs)
+
+
 def split_by_basis_morphisms(m: Representation):
     """The first Fitting split M = ker(h^s) + im(h^s), h = g - lam, or None.
 
@@ -317,7 +348,7 @@ def split_by_basis_morphisms(m: Representation):
     drop = max(i for i, c in enumerate(hom.coordinates(ident)) if c)
     basis = (ident,) + hom.basis[:drop] + hom.basis[drop + 1 :]
     for g in list(basis) + [a + b for a, b in combinations(basis, 2)]:
-        for lam in _rational_eigenvalues(g.blocks):
+        for lam in rational_eigenvalues(g.blocks):
             shifted = {v: b - Mat.identity(b.rows, m.field).scale(lam) for v, b in g.blocks.items()}
             powers, before = dict(shifted), None
             for _ in range(m.total_dim + 1):
