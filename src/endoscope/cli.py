@@ -6,17 +6,17 @@ Subcommands: ``endosoc`` (family endosocle report), ``sweep``
 
 ``COMMANDS`` maps each report name to a results builder
 ``(args, field) -> (results, exit code)`` and a CSV renderer (None:
-JSON only).  ``main`` parses ``--field``, refuses an unsupported
+JSON only).  ``main`` parses ``argv`` with one parser per process,
+built on its first call, parses ``--field``, refuses an unsupported
 ``--format``, times the builder, writes the report
 ``{"command", "config", "results", "timing_ms"}`` to ``--out`` or
 stdout, and maps every expected exception to an exit code: 1 for a
 closed output pipe, 3 inconclusive (``LocalityUnverified``: a member
 is not certified local; its stderr line names it), 2 usage error (bad
 options or input data, unsupported field modes, unreadable or
-unwritable files).  A builder
-returns 0 on success, 1 on a failed verification.  Reports are
-deterministic for a given input apart from ``timing_ms``; ``--seed``
-only drives ``verify``'s matrix-subgroup sampling.
+unwritable files).  A builder returns 0 on success, 1 on a failed
+verification.  Reports are deterministic for a given input apart from
+``timing_ms``; ``--seed`` only drives ``verify``'s matrix-subgroup sampling.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .endosocle import EndostructureError, family_endosocle, relative_endosocle_series
@@ -66,7 +67,9 @@ def _common_options(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="write the report to a file instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process on ``main``'s first call; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="endoscope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import endoscope
-from endoscope.cli import main
+from endoscope.cli import _config, build_parser, main
 from endoscope.endosocle import EndostructureError, family_endosocle, relative_endosocle_series
 from endoscope.harness import (
     FamilySpec,
@@ -204,6 +206,80 @@ def test_cli_reports_are_deterministic(capsys):
     strip = lambda s: "\n".join(l for l in s.splitlines() if "timing_ms" not in l)
     assert code1 == code2 == 0
     assert strip(out1) == strip(out2)
+
+
+def test_cli_calls_in_one_process_share_the_parser_and_no_arguments(capsys, monkeypatch, tmp_path):
+    # every call parses with the parser the first call built; each must read its
+    # argv as a tree built afresh does, with no option left over from an earlier call
+    parser, fresh = build_parser(), build_parser.__wrapped__
+    parsed = []
+
+    def recording(argv=None, namespace=None):
+        args = argparse.ArgumentParser.parse_args(parser, argv, namespace)
+        parsed.append((argv, args))
+        return args
+
+    def exits(code, *argv):
+        with pytest.raises(SystemExit) as shared:
+            main(list(argv))
+        shared_output = capsys.readouterr()
+        with pytest.raises(SystemExit) as afresh:
+            fresh().parse_args(list(argv))
+        assert shared.value.code == afresh.value.code == code
+        assert capsys.readouterr() == shared_output
+        return shared_output
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    report = tmp_path / "report.json"
+    first = ("endosoc", "--family", "preinj", "--range", "1..5", "--relative", "--seed", "3", "--out", str(report))
+    strip = lambda text: re.sub(r'"timing_ms": [-0-9.e]+', "", text)
+
+    assert run_cli(capsys, *first) == (0, "")
+    written = report.read_text()
+    payload = json.loads(written)
+    assert "relative_series" in payload["results"] and payload["config"]["seed"] == 3
+
+    code, out = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "1..5")
+    payload = json.loads(out)
+    assert code == 0 and "relative_series" not in payload["results"] and payload["config"]["seed"] == 0
+    assert report.read_text() == written
+
+    code, out = run_cli(capsys, "sweep", "--family", "preinj", "--invariant", "endosoc-support", "--max", "4",
+                        "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "truncation,invariant,value,boundary_flag"
+    code, out = run_cli(capsys, "transversal", "--family", "regular", "--range", "0..3")
+    assert code == 0 and json.loads(out)["command"] == "transversal"
+
+    captured = exits(2, "sweep", "--family", "preinj", "--invariant", "bogus", "--max", "3")
+    assert captured.out == "" and "invalid choice" in captured.err
+    captured = exits(0, "--help")
+    assert "{endosoc,sweep,verify,radical-profile,transversal,matsub}" in captured.out
+
+    assert run_cli(capsys, *first) == (0, "")
+    assert strip(report.read_text()) == strip(written)
+
+    assert len(parsed) == 5  # the two usage errors exit inside parse_args
+    for argv, args in parsed:
+        again = fresh().parse_args(argv)
+        assert (_config(args), vars(args)) == (_config(again), vars(again))
+
+
+def test_cli_builds_its_parser_tree_once_per_process(capsys, monkeypatch):
+    # the tree has 8 parsers: the top level, six subcommands and matsub eval;
+    # rebuilt on every call, these three calls made 24
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    for argv in (("verify", "lemma-b1"), ("endosoc", "--family", "preinj", "--range", "1..3"),
+                 ("transversal", "--family", "regular", "--range", "0..3")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 8
 
 
 def test_cli_sweep_csv(capsys, tmp_path):
