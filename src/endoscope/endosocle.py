@@ -12,17 +12,17 @@ quotients (equivalently, annihilators of powers of the radical), and
 the relative one repeatedly trims away the members supporting the
 current endosocle and recomputes on the remainder.
 
-The endosocle, its components and both series are one computation,
-``_annihilated``: at every vertex v, the x in M_v with f_v(x) in W_v
-(zero unless given) for each map f from M to a target N, the kernel of
-the rows of the blocks annihilator(W_v) @ f_v.  The maps are the
-non-isomorphisms M -> N, held as vertex blocks by ``homs.noniso_blocks``
-(J(End M) for N = M), which splits each pair once and keeps the split
-for every later endosocle that reads the pair.  In a family, B_i over
+The endosocle, its components and the relative series are one
+computation, ``_annihilated``: at every vertex v, the kernel of the rows
+of the blocks f_v of the non-isomorphisms f from M to a target N, held
+by ``homs.noniso_blocks`` (J(End M) for N = M), which splits each pair
+once for every later endosocle that reads it.  In a family, B_i over
 members R is that kernel for the targets j in R.  The kernel can only
 shrink as maps are added, so the targets are walked in order and none
 once B_i is zero at a vertex: a pair's hom system is solved only while
-its member's kernel is nonzero.  The relative series keeps its terms
+its member's kernel is nonzero.  The ascending series reads the layer
+walk of J(End M) (``homs._layers``), the one that checks J nilpotent:
+term k is the kernel of layer k.  The relative series keeps its terms
 per member (label -> component).  Members must have certified-local
 endomorphism rings (``homs.EndoRing.local``); decomposable ones are
 split first by ``homs.prepare_members``, the member preparation the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homs import noniso_blocks, prepare_members, require_local
+from .homs import _layers, noniso_blocks, prepare_members, require_local
 from .linalg import Subspace, _kernel_rows
 from .reps import Representation, SubspaceFamily, direct_sum
 
@@ -53,22 +53,20 @@ def endosocle(m: Representation) -> SubspaceFamily:
     return _annihilated(m, [m])
 
 
-def _annihilated(m: Representation, targets, within: SubspaceFamily | None = None) -> SubspaceFamily:
+def _annihilated(m: Representation, targets) -> SubspaceFamily:
     """Vertex by vertex, the elements of m that every non-isomorphism from m
-    to a module of ``targets`` sends into ``within`` (zero when None), a
-    subspace family of the single target it comes with.
+    to a module of ``targets`` kills.
 
-    One kernel per vertex, of the rows of the blocks annihilator(W_v) @ f_v
-    of ``homs.noniso_blocks(m, n)``, n in ``targets`` in order; all of m when
+    One kernel per vertex, of the rows of the blocks f_v of
+    ``homs.noniso_blocks(m, n)``, n in ``targets`` in order; all of m when
     there are no maps.  A vertex stops walking the targets once its kernel
     is zero, so a pair is split only while some vertex of m asks for it.
     """
 
     def rows(v):
-        annihilator = None if within is None else within.space(v).annihilator()
         for n in targets:
             for block in noniso_blocks(m, n):
-                yield from (block[v] if annihilator is None else annihilator @ block[v])._copy()
+                yield from block[v]._copy()
 
     p = m.field.characteristic
     return SubspaceFamily({
@@ -178,20 +176,18 @@ class SeriesReport:
 def endosocle_series(m: Representation) -> SeriesReport:
     """The ascending endosocle series of a single module.
 
-    Term k is the annihilator of J(End m)^k; the chain is continued
-    until it stabilizes, which for a faithful finite-dimensional module
-    happens at the full module.
+    Term k is ann(J^k), J = J(End m).  The walk of J's blocks
+    (``homs._layers``) has as layer k, at each vertex, the row space of the
+    maps of J^k, so term k is its kernel there.  The walk ends at the zero
+    layer, whose term is the full module: there the series stabilizes, and
+    its length is the number of layers.
     """
-    vertices = m.presentation.quiver.vertices
-    current = SubspaceFamily.zero_for(m)
+    vertices, p = m.presentation.quiver.vertices, m.field.characteristic
     terms = []
-    while True:
-        # term k + 1 is sent into term k by every radical map
-        nxt = _annihilated(m, [m], current)
-        if nxt == current:
-            break
-        terms.append(SeriesTerm(nxt, tuple(v for v in vertices if nxt.space(v).dim), nxt.total_dim))
-        current = nxt
+    for layer in _layers(m, noniso_blocks(m, m)):
+        kernels = {v: _kernel_rows(map(dict, layer[v].values()), m.dim(v), p) for v in vertices}
+        term = SubspaceFamily({v: Subspace._from_rref(m.dim(v), kernel, m.field) for v, kernel in kernels.items()})
+        terms.append(SeriesTerm(term, tuple(v for v in vertices if term.space(v).dim), term.total_dim))
     return SeriesReport(kind="ascending", terms=tuple(terms), stabilization_index=len(terms))
 
 

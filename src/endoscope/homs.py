@@ -297,40 +297,43 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
 
 
 def _check_nilpotent(m: Representation, maps: Sequence[Mapping[str, Mat]]):
-    """Raise unless every product of s of the maps ``{vertex: Mat}`` vanishes, for some s.
+    """Raise unless some power of the span J of the maps ``{vertex: Mat}``
+    vanishes: the walk (``_layers``) of their transposed blocks, whose layers
+    are J^s M as w f_v^T = (f_v w^T)^T; End(M) acts faithfully on M."""
+    for _ in _layers(m, [{v: f.transpose() for v, f in blocks.items()} for blocks in maps]):
+        pass
 
-    With J their span, W runs through M, JM, J^2 M, ...; each step maps W
-    vertex by vertex through every map.  End(M) acts faithfully on M, so
-    J^s = 0 iff J^s M = 0.  Each W_v is held as the canonical sparse rows
-    of its span.  A block's columns, the images of the basis vectors, are
-    read as rows, so the image of w is the sum of w_k times column k; all
-    images at a vertex feed, lazily, one elimination per step that stops at
-    full rank.  Each W lies in the one before it (JW lies in JW' when W lies
-    in W'), so a step that keeps the dimension has JW = W != 0: J is not
-    nilpotent, and the check fails at that step.
+
+def _layers(m: Representation, maps: Sequence[Mapping[str, Mat]]):
+    """Yield the layers W_1, W_2, ... of the maps ``{vertex: Mat}`` on m, down
+    to zero, each as the canonical sparse rows ``{vertex: {pivot: row}}``.
+
+    W_0 is all of m; W_{s+1} at a vertex v is spanned by the rows w A_v, w in
+    W_s and A a map, the sums of w_k times row k of A_v, fed lazily to one
+    elimination per vertex and step that stops at full rank.  So W_s at v is
+    the row space of the products of s maps, and lies in W_{s-1}
+    (A_1 (A_2 ... A_s) is s - 1 maps times one more): a step that keeps the
+    dimension keeps it for ever, no product vanishes, and the walk raises.
     """
-    if not maps:
-        return
     p = m.field.characteristic
-    vertices = m.presentation.quiver.vertices
-    # per vertex and map, column k of its block (the image of e_k) as a row
-    columns = {v: [r[v].transpose()._copy() for r in maps] for v in vertices}
 
     def images(v, layer):
-        for cols in columns[v]:
+        for a in maps:
+            rows = a[v]._data
             for w in layer.values():
                 image = {}
                 for k, x in w.items():
-                    _subtract(image, -x, cols[k], -1, p)  # image += x * column k
+                    _subtract(image, -x, rows[k], -1, p)  # image += x * row k
                 yield image
 
-    layers = {v: {i: {i: 1} for i in range(m.dim(v))} for v in vertices}
+    layers = {v: {i: {i: 1} for i in range(m.dim(v))} for v in m.presentation.quiver.vertices}
     dim = m.total_dim
     while dim:
         layers = {v: _eliminate(images(v, layer), p, m.dim(v)) for v, layer in layers.items()}
         dim, before = sum(map(len, layers.values())), dim
         if dim == before:
-            raise HomalgError("trace-form radical failed the nilpotency check")
+            raise HomalgError("the maps are not nilpotent: a layer keeps its dimension")
+        yield layers
 
 
 def is_isomorphism(f: Morphism) -> bool:

@@ -16,7 +16,10 @@ of ``ring.hom``, composed on M.
 series: ``family_endosocle`` on each remaining subfamily, its components
 embedded into the direct sum of all members.  ``annihilated_by_stacking``
 is the first ``endosocle._annihilated``: every map drawn first, then one
-``kernel_basis`` per vertex of the stacked blocks.
+``kernel_basis`` per vertex of the stacked blocks.  ``series_by_annihilators``
+is the ascending endosocle series as ``endosocle._annihilated`` once grew
+it, before it read the layer walk ``homs._layers``: each term the maps of
+J(End M) pull back from the one before, one annihilator per vertex and term.
 ``nilpotent_by_stacked_images`` is the first ``homs._check_nilpotent``:
 each layer's images joined with ``Mat.hstack`` and re-eliminated as a
 ``Subspace``, for dim M layers.  ``left_profile_by_duals`` is the first
@@ -266,22 +269,33 @@ def embedded(components, embedding) -> SubspaceFamily:
     return reduce(SubspaceFamily.add, (c.image(embedding[l]) for l, c in components.items()))
 
 
-def annihilated_by_stacking(m: Representation, targets, within: SubspaceFamily | None = None) -> SubspaceFamily:
+def annihilated_by_stacking(m: Representation, targets) -> SubspaceFamily:
     """Vertex by vertex, the elements of m that every non-isomorphism from m
     to a module of ``targets`` (its vertex blocks, ``homs.noniso_blocks``)
-    sends into ``within`` (zero when None): the kernel of the stacked blocks
-    annihilator(W_v) @ f_v, all of m when there are no maps."""
+    kills: the kernel of the stacked blocks f_v, all of m when there are no maps."""
     blocks = [b for n in targets for b in noniso_blocks(m, n)]
     if not blocks:
         return SubspaceFamily.full_for(m)
-    kernels = {}
-    for v in m.presentation.quiver.vertices:
-        stack = [b[v] for b in blocks]
-        if within is not None:
-            annihilator = within.space(v).annihilator()
-            stack = [annihilator @ b for b in stack]
-        kernels[v] = kernel_basis(reduce(Mat.vstack, stack))
-    return SubspaceFamily(kernels)
+    return SubspaceFamily({v: kernel_basis(reduce(Mat.vstack, [b[v] for b in blocks])) for v in m.presentation.quiver.vertices})
+
+
+def series_by_annihilators(m: Representation) -> list[SubspaceFamily]:
+    """The terms of the ascending endosocle series of m: term k + 1 is,
+    vertex by vertex, what every map of J(End m) (``homs.noniso_blocks``)
+    sends into term k, the kernel of the stacked blocks annihilator(term k)
+    @ f_v, from term 0 = 0 until a term repeats."""
+    blocks = noniso_blocks(m, m)
+    current, terms = SubspaceFamily.zero_for(m), []
+    while True:
+        spaces = {}
+        for v in m.presentation.quiver.vertices:
+            annihilator = current.space(v).annihilator()
+            stack = [annihilator @ b[v] for b in blocks]
+            spaces[v] = kernel_basis(reduce(Mat.vstack, stack)) if stack else Subspace.full(m.dim(v), m.field)
+        if SubspaceFamily(spaces) == current:
+            return terms
+        current = SubspaceFamily(spaces)
+        terms.append(current)
 
 
 def nilpotent_by_stacked_images(m: Representation, maps) -> bool:

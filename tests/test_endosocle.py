@@ -26,7 +26,7 @@ from endoscope.reps import (
     socle,
 )
 from endoscope.serialize import representation_from_json
-from oracles import annihilated_by_stacking, embedded, preimage, relative_series_by_embedding
+from oracles import annihilated_by_stacking, embedded, preimage, relative_series_by_embedding, series_by_annihilators
 from test_properties import kronecker_reps
 
 
@@ -303,20 +303,36 @@ def test_kernels_stopped_at_zero_match_the_stacked_oracle(monkeypatch, compute, 
     assert lazy == stacked
 
 
-@pytest.mark.parametrize(
-    "parts",
-    [
-        [kronecker_preinjective(n) for n in range(1, 6)],
-        [kronecker_regular(4, 0), kronecker_preinjective(3), kronecker_preprojective(3)],
-        CONJ_FAMILY,
-    ],
-    ids=["I1..I5", "R4(0)+I3+P3", "conj-family"],
-)
-def test_endosocle_series_matches_the_stacked_oracle(monkeypatch, parts):
-    # the ascending series draws the radical maps into the previous term
+SERIES_SUMS = {
+    "I1..I5": [kronecker_preinjective(n) for n in range(1, 6)],
+    "R4(0)+I3+P3": [kronecker_regular(4, 0), kronecker_preinjective(3), kronecker_preprojective(3)],
+    "conj-family": CONJ_FAMILY,
+}
+
+
+@pytest.mark.parametrize("parts", list(SERIES_SUMS.values()), ids=list(SERIES_SUMS))
+def test_endosocle_series_matches_the_annihilator_oracle(parts):
+    # the series reads the layer walk of J; the oracle grows each term from the last
     total = direct_sum(parts)[0]
-    lazy, stacked = _lazy_and_stacked(monkeypatch, lambda: endosocle_series(total))
-    assert lazy == stacked
+    report = endosocle_series(total)
+    assert [t.family for t in report.terms] == series_by_annihilators(total)
+    assert report.stabilization_index == len(report.terms)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_endosocle_series_of_preinjective_sums_in_closed_form(n):
+    # on I1 + ... + In, ann(J^s) has dimension s(s + 1) for s < n, and J^n = 0
+    report = endosocle_series(direct_sum([kronecker_preinjective(k) for k in range(1, n + 1)])[0])
+    assert [t.dim for t in report.terms] == [s * (s + 1) for s in range(1, n)] + [n * n]
+    assert report.stabilization_index == n
+
+
+@pytest.mark.parametrize("lam", [0, 1, INFINITY], ids=["0", "1", "inf"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_endosocle_series_of_regular_modules_in_closed_form(n, lam):
+    # R_n(lam) is uniserial over End = K[x]/x^n: ann(J^s) has dimension 2s
+    report = endosocle_series(kronecker_regular(n, lam))
+    assert [t.dim for t in report.terms] == [2 * s for s in range(1, n + 1)]
 
 
 @pytest.mark.parametrize(
@@ -497,6 +513,7 @@ def series_by_preimages(m):
 def assert_series_matches_oracle(m):
     terms = [t.family for t in endosocle_series(m).terms]
     assert terms == series_by_preimages(m)
+    assert terms == series_by_annihilators(m)
 
 
 @given(st.lists(kronecker_reps(max_dim=2), min_size=1, max_size=3))
@@ -510,8 +527,9 @@ def test_endosocle_series_matches_preimage_oracle(parts):
     [
         [kronecker_preinjective(n) for n in range(1, 6)],
         [kronecker_regular(4, 0), kronecker_preinjective(3), kronecker_preprojective(3)],
+        CONJ_FAMILY,
     ],
-    ids=["I1..I5", "R4(0)+I3+P3"],
+    ids=["I1..I5", "R4(0)+I3+P3", "conj-family"],
 )
 def test_endosocle_series_of_sums_matches_preimage_oracle(parts):
     assert_series_matches_oracle(direct_sum(parts)[0])

@@ -1,8 +1,8 @@
 """The nilpotency check of End(M)'s trace-form radical against stacked images.
 
-``homs._check_nilpotent`` holds each layer W, J^s M, as sparse rows and
-eliminates every image at a vertex in one pass, stopping at a layer that
-does not shrink.  The oracle is the first check
+``homs._check_nilpotent`` walks the layers W = J^s M (``homs._layers``)
+as sparse rows and eliminates every image at a vertex in one pass,
+stopping at a layer that does not shrink.  The oracle is the first check
 (``oracles.nilpotent_by_stacked_images``): each layer's images joined with
 ``Mat.hstack`` and re-eliminated as a ``Subspace``, for dim M layers.  Both
 must accept the same map sets and refuse the same ones.
@@ -15,7 +15,7 @@ from endoscope import homs
 from endoscope.harness import _mixed_families
 from endoscope.homs import HomalgError, _check_nilpotent, clear_caches, end_ring, noniso_blocks
 from endoscope.linalg import Mat
-from endoscope.reps import Morphism, direct_sum, kronecker_preinjective, kronecker_regular
+from endoscope.reps import INFINITY, Morphism, direct_sum, kronecker_preinjective, kronecker_regular
 from oracles import nilpotent_by_stacked_images
 from test_properties import kronecker_reps
 
@@ -93,6 +93,45 @@ def test_non_shrinking_layer_is_refused_at_once(monkeypatch):
     with pytest.raises(HomalgError):
         _check_nilpotent(module, maps)
     assert len(calls) == len(module.presentation.quiver.vertices) == 2
+
+
+def _transposed(maps):
+    return [{v: f.transpose() for v, f in blocks.items()} for blocks in maps]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layers_of_preinjective_sums_in_closed_form(n):
+    # J^s M has dimension (n - s)^2 on M = I1 + ... + In
+    module = _sum([kronecker_preinjective(k) for k in range(1, n + 1)])
+    dims = [sum(map(len, layer.values())) for layer in homs._layers(module, _transposed(_radical_blocks(module)))]
+    assert dims == [(n - s) ** 2 for s in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("lam", [0, 1, INFINITY], ids=["0", "1", "inf"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_layers_of_regular_modules_in_closed_form(n, lam):
+    # J^s M has dimension 2(n - s) on M = R_n(lam)
+    module = kronecker_regular(n, lam)
+    dims = [sum(map(len, layer.values())) for layer in homs._layers(module, _transposed(_radical_blocks(module)))]
+    assert dims == [2 * (n - s) for s in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n, eliminations", [(3, 6), (6, 12)], ids=["I1..I3", "I1..I6"])
+def test_radical_check_eliminates_once_per_vertex_and_layer(monkeypatch, n, eliminations):
+    # J^s M shrinks to zero in n layers, so the check makes 2 n eliminations
+    clear_caches()
+    ring = end_ring(_sum([kronecker_preinjective(k) for k in range(1, n + 1)]))
+    ring.hom.rows
+    calls = []
+    original = homs._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "_eliminate", counted)
+    ring.radical
+    assert len(calls) == eliminations
 
 
 def test_radical_builds_no_hstack(monkeypatch):
