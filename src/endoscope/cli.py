@@ -52,6 +52,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+_DESCRIPTION = """Exact endo-structure invariants of quiver representations over Q or GF(p):
+endosocles and their series, radical profiles, transversals up to isomorphism and
+matrix subgroups.  Commands: endosoc, sweep, verify, radical-profile, transversal,
+matsub eval.  Exit codes: 0 done, 1 a failed verification or a closed output pipe,
+2 usage error, 3 inconclusive (a member not certified local)."""
+
 
 def _family_options(parser: argparse.ArgumentParser):
     parser.add_argument("--family", required=True, help="preinj | preproj | regular | file")
@@ -70,7 +76,7 @@ def _common_options(parser: argparse.ArgumentParser):
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process on ``main``'s first call; ``parse_args`` leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="endoscope", description=__doc__)
+    parser = argparse.ArgumentParser(prog="endoscope", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("endosoc", help="endosocle components of a family")

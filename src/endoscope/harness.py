@@ -94,9 +94,9 @@ class FamilySpec:
             return cls(kind="file", path=path)
         if range_arg is None:
             raise HarnessError("builtin family needs an index range like 1..8")
-        lo_s, _, hi_s = range_arg.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s if hi_s else lo_s)
+        lo_s, dots, hi_s = range_arg.partition("..")
+        try:  # "3" is 3..3; "4.." has no end and is refused
+            lo, hi = int(lo_s), int(hi_s if dots else lo_s)
         except ValueError:
             raise HarnessError(f"bad range {range_arg!r}") from None
         if hi < lo:

@@ -12,7 +12,9 @@ dimension from the solve and spreads its rows on their first read.
 End(M) multiplies by composing on M.  Its Jacobson radical is the
 kernel of the trace form (f, g) -> tr_M(f g) of End(M) acting on M,
 which is faithful (Dickson's criterion; valid in characteristic zero,
-the only supported mode for radical-dependent operations).
+so a non-brick's radical is refused over GF(p), a brick's J = 0 is not),
+checked nilpotent by the one layer walk ``_layers``, which also gives
+the ascending endosocle series its terms.
 
 Locality is decided in one place: ``EndoRing.local`` holds when End/J is
 one-dimensional.  ``indecompose`` splits what is not local, ``is_local``
@@ -43,7 +45,7 @@ class HomalgError(ValueError):
 
 
 class UnsupportedFieldError(HomalgError):
-    """Raised when a radical-dependent operation meets positive characteristic."""
+    """Raised when the radical of a non-brick's End(M) is asked for over GF(p)."""
 
 
 class LocalityUnverified(HomalgError):
@@ -255,18 +257,16 @@ def _trace_form_radical(ring: EndoRing) -> tuple[Subspace, HomSpace]:
     nilpotent on their vertex blocks, with no ``Morphism`` built.
 
     A brick, dim End(M) = 1, is answered from the solve's dimension alone,
-    with no row of ``hom`` read: 1_M != 0 lies in End(M), so End(M) = K 1_M,
-    a field, and J = 0.  The Gram route agrees: its matrix is
-    [tr 1_M] = [dim M], nonzero in characteristic zero.
+    with no row of ``hom`` read and in every characteristic: 1_M != 0 lies
+    in End(M), so End(M) = K 1_M, a field, and J = 0.  The Gram route
+    agrees: its matrix is [tr 1_M] = [dim M], nonzero in characteristic zero.
     """
     m, hom = ring.module, ring.hom
     field = m.field
-    if hom.dim == 0:
-        return Subspace.zero(0, field), HomSpace(m, m, {})
+    if hom.dim <= 1:
+        return Subspace.zero(hom.dim, field), HomSpace(m, m, {})
     if field.characteristic != 0:
         raise UnsupportedFieldError("radical computation requires characteristic zero")
-    if hom.dim == 1:
-        return Subspace.zero(1, field), HomSpace(m, m, {})
     dims = m.dim_vector
     starts = list(accumulate((d * d for d in dims), initial=0))
 

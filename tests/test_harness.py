@@ -56,6 +56,16 @@ def test_family_spec_errors():
         FamilySpec.parse("file")
 
 
+def test_a_range_with_no_end_is_refused(capsys):
+    # "4.." once read as 4..4; a lone index still means itself, as matsub eval builds
+    for range_arg in ("4..", "..4", ".."):
+        with pytest.raises(HarnessError, match="bad range"):
+            FamilySpec.parse("preinj", range_arg)
+    assert (FamilySpec.parse("preinj", "3").lo, FamilySpec.parse("preinj", "3").hi) == (3, 3)
+    assert main(["endosoc", "--family", "preinj", "--range", "4.."]) == 2
+    assert capsys.readouterr() == ("", "error: bad range '4..'\n")
+
+
 # -- transversal ------------------------------------------------------------------
 
 
@@ -208,6 +218,17 @@ def test_cli_reports_are_deterministic(capsys):
     assert strip(out1) == strip(out2)
 
 
+def test_cli_help_is_a_short_user_facing_description(capsys):
+    # not the module docstring, whose reST markup and internals are for readers of the code
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "``" not in out and "COMMANDS" not in out
+    for word in ("endosoc", "sweep", "verify", "radical-profile", "transversal", "matsub eval", "Exit codes", "inconclusive"):
+        assert word in " ".join(out.split())
+
+
 def test_cli_calls_in_one_process_share_the_parser_and_no_arguments(capsys, monkeypatch, tmp_path):
     # every call parses with the parser the first call built; each must read its
     # argv as a tree built afresh does, with no option left over from an earlier call
@@ -317,7 +338,8 @@ def test_cli_usage_errors(capsys):
     assert code == 0
     code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "9..3")
     assert code == 2
-    code, _ = run_cli(capsys, "endosoc", "--family", "preinj", "--range", "1..4", "--field", "fp:5")
+    # a non-brick's radical over a prime field is refused; bricks are answered (test_prime_fields.py)
+    code, _ = run_cli(capsys, "endosoc", "--family", "regular", "--size", "2", "--range", "0..0", "--field", "fp:5")
     assert code == 2
     # a regular family of size < 1 is refused for its size, not for its (valid) range
     for size in ("0", "-1"):

@@ -159,11 +159,14 @@ def test_radical_of_dual_numbers():
 
 
 def test_radical_requires_characteristic_zero():
+    # a non-brick's trace form certifies J in characteristic zero only; a brick
+    # has J = 0 in every characteristic
     gf = PrimeField(5)
-    rep = kronecker_preinjective(2, field=gf)
-    ring = end_ring(rep)
+    ring = end_ring(kronecker_regular(2, 0, field=gf))
     with pytest.raises(UnsupportedFieldError):
         ring.radical
+    brick = end_ring(kronecker_preinjective(2, field=gf))
+    assert (brick.dim, brick.radical.dim, brick.local) == (1, 0, True)
 
 
 @pytest.mark.parametrize("p", [2, 5, 101])
@@ -374,18 +377,22 @@ def test_noniso_blocks_are_cached_until_clear_caches(preinj):
 
 
 def test_noniso_blocks_keep_fields_apart():
-    # End(I3) is the field: no radical rows over Q, and over GF(101) the radical
+    # End(R2(0)) = K[x]/x^2: one radical row over Q, and over GF(101) the radical
     # is refused, not read from the rational entry
     homs.clear_caches()
-    rational, prime = kronecker_preinjective(3), kronecker_preinjective(3, PrimeField(101))
-    assert noniso_blocks(rational, rational) == ()
+    rational, prime = kronecker_regular(2, 0), kronecker_regular(2, 0, PrimeField(101))
+    assert len(noniso_blocks(rational, rational)) == 1
     with pytest.raises(UnsupportedFieldError):
         noniso_blocks(prime, prime)
     assert noniso_blocks.cache_info().hits == 0
+    # End(I3) is the field in every characteristic: no radical rows, one entry per field
+    bricks = [kronecker_preinjective(3, field) for field in (QQ, PrimeField(101))]
+    assert [noniso_blocks(b, b) for b in bricks] == [(), ()]
     # zero modules have no radical to refuse: one entry per field
     zeros = [Representation(kronecker(), {}, {}, field) for field in (QQ, PrimeField(101))]
     assert [noniso_blocks(z, z) for z in zeros] == [(), ()]
-    assert noniso_blocks.cache_info().currsize == 3
+    assert noniso_blocks.cache_info().hits == 0
+    assert noniso_blocks.cache_info().currsize == 5
 
 
 def test_hom_rejects_mixed_presentations(preinj):
