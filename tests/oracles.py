@@ -292,10 +292,11 @@ def series_by_annihilators(m: Representation) -> list[SubspaceFamily]:
             annihilator = current.space(v).annihilator()
             stack = [annihilator @ b[v] for b in blocks]
             spaces[v] = kernel_basis(reduce(Mat.vstack, stack)) if stack else Subspace.full(m.dim(v), m.field)
-        if SubspaceFamily(spaces) == current:
+        nxt = SubspaceFamily(spaces)
+        if nxt == current:
             return terms
-        current = SubspaceFamily(spaces)
-        terms.append(current)
+        terms.append(nxt)
+        current = nxt
 
 
 def nilpotent_by_stacked_images(m: Representation, maps) -> bool:

@@ -17,6 +17,7 @@ from endoscope.homs import HomalgError, _check_nilpotent, clear_caches, end_ring
 from endoscope.linalg import Mat
 from endoscope.reps import INFINITY, Morphism, direct_sum, kronecker_preinjective, kronecker_regular
 from oracles import nilpotent_by_stacked_images
+from test_hom_spin import count_calls
 from test_properties import kronecker_reps
 
 
@@ -95,25 +96,24 @@ def test_non_shrinking_layer_is_refused_at_once(monkeypatch):
     assert len(calls) == len(module.presentation.quiver.vertices) == 2
 
 
-def _transposed(maps):
-    return [{v: f.transpose() for v, f in blocks.items()} for blocks in maps]
+def _layer_dims(module):
+    """dim J^s M for s = 1, 2, ...: the walk of J's transposed blocks."""
+    transposed = [{v: f.transpose() for v, f in blocks.items()} for blocks in _radical_blocks(module)]
+    return [sum(map(len, layer.values())) for layer in homs._layers(module, transposed)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_layers_of_preinjective_sums_in_closed_form(n):
     # J^s M has dimension (n - s)^2 on M = I1 + ... + In
     module = _sum([kronecker_preinjective(k) for k in range(1, n + 1)])
-    dims = [sum(map(len, layer.values())) for layer in homs._layers(module, _transposed(_radical_blocks(module)))]
-    assert dims == [(n - s) ** 2 for s in range(1, n + 1)]
+    assert _layer_dims(module) == [(n - s) ** 2 for s in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("lam", [0, 1, INFINITY], ids=["0", "1", "inf"])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_layers_of_regular_modules_in_closed_form(n, lam):
     # J^s M has dimension 2(n - s) on M = R_n(lam)
-    module = kronecker_regular(n, lam)
-    dims = [sum(map(len, layer.values())) for layer in homs._layers(module, _transposed(_radical_blocks(module)))]
-    assert dims == [2 * (n - s) for s in range(1, n + 1)]
+    assert _layer_dims(kronecker_regular(n, lam)) == [2 * (n - s) for s in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("n, eliminations", [(3, 6), (6, 12)], ids=["I1..I3", "I1..I6"])
@@ -122,14 +122,7 @@ def test_radical_check_eliminates_once_per_vertex_and_layer(monkeypatch, n, elim
     clear_caches()
     ring = end_ring(_sum([kronecker_preinjective(k) for k in range(1, n + 1)]))
     ring.hom.rows
-    calls = []
-    original = homs._eliminate
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(homs, "_eliminate", counted)
+    calls = count_calls(monkeypatch, homs, "_eliminate")
     ring.radical
     assert len(calls) == eliminations
 
